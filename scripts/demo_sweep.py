@@ -17,7 +17,7 @@ def sweep_row(name, **settings):
         result.d1_d2.fit.phase_deg,
         result.d1_d3.visibility,
         result.d1_d3.fit.phase_deg,
-        result.fidelity_45,
+        result.fidelity,
         result.fidelity_fit,
     )
 
@@ -38,12 +38,12 @@ def main():
         sweep_row("distinguishable", **{**base, "overlap_v": 0.0, "pc_enabled": True}),
     ]
 
-    header = ("run", "vis D1:D2", "phase", "vis D1:D3", "phase", "F(45)", "F(fit)")
+    header = ("run", "vis D1:D2", "phase", "vis D1:D3", "phase", "F", "F(fit)")
     print(f"{header[0]:<16}" + "".join(f"{h:>11}" for h in header[1:]))
-    for name, v2, ph2, v3, ph3, f45, ffit in rows:
+    for name, v2, ph2, v3, ph3, fid, ffit in rows:
         print(
             f"{name:<16}{v2:>11.4f}{ph2:>11.2f}{v3:>11.4f}{ph3:>11.2f}"
-            f"{f45:>11.4f}{ffit:>11.4f}"
+            f"{fid:>11.4f}{ffit:>11.4f}"
         )
 
 

@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import re
 import sys
+from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -41,20 +43,10 @@ from .experiment import (
 #: Manifest format accepted by this build.
 MANIFEST_VERSION = 1
 #: Format of emitted JSON result documents.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _TOP_KEYS = {"config_version", "experiment", "runs", "hom_scan", "outputs"}
-_EXPERIMENT_KEYS = {
-    "qubit_hwp_angle",
-    "wiring",
-    "overlap_v",
-    "imperfection_eps",
-    "pc_enabled",
-    "thetas",
-    "pair_rate",
-    "duration",
-    "seed",
-}
+_EXPERIMENT_KEYS = {field.name for field in dataclasses.fields(ExperimentConfig)}
 _RUN_KEYS = {"name", "experiment"}
 _HOM_KEYS = {"delays", "coherence_time"}
 _OUTPUT_KEYS = {"directory", "format"}
@@ -256,20 +248,11 @@ def _float_str(value: float) -> str:
 
 
 def _sweep_csv(result: SweepResult) -> str:
-    lines = ["theta_deg,p_d1_d2,p_d1_d3,counts_d1_d2,counts_d1_d3"]
-    counts_d2 = result.d1_d2.counts or ()
-    counts_d3 = result.d1_d3.counts or ()
-    for i, theta in enumerate(result.thetas):
+    rows = _sweep_rows(result)
+    lines = [",".join(rows[0])]
+    for row in rows:
         lines.append(
-            ",".join(
-                (
-                    _float_str(theta),
-                    _float_str(result.d1_d2.probabilities[i]),
-                    _float_str(result.d1_d3.probabilities[i]),
-                    str(int(counts_d2[i])),
-                    str(int(counts_d3[i])),
-                )
-            )
+            ",".join(_float_str(v) if isinstance(v, float) else str(v) for v in row.values())
         )
     return "\n".join(lines) + "\n"
 
@@ -289,8 +272,7 @@ def _sweep_summary(name: str, result: SweepResult) -> dict:
         "seed": result.config.seed,
         "success_probability": result.success_probability,
         "discarded_probability": result.discarded_probability,
-        "expected_state": result.expected_state,
-        "fidelity_45": result.fidelity_45,
+        "fidelity": result.fidelity,
         "fidelity_fit": result.fidelity_fit,
         "curves": {
             "d1_d2": _curve_summary(result.d1_d2),
@@ -300,17 +282,15 @@ def _sweep_summary(name: str, result: SweepResult) -> dict:
 
 
 def _config_dict(config: ExperimentConfig) -> dict:
-    return {
-        "qubit_hwp_angle": config.qubit_hwp_angle,
-        "wiring": config.wiring.value,
-        "overlap_v": config.overlap_v,
-        "imperfection_eps": config.imperfection_eps,
-        "pc_enabled": config.pc_enabled,
-        "thetas": list(config.thetas),
-        "pair_rate": config.pair_rate,
-        "duration": config.duration,
-        "seed": config.seed,
-    }
+    document = {}
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if isinstance(value, Enum):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = list(value)
+        document[field.name] = value
+    return document
 
 
 def _sweep_rows(result: SweepResult) -> list[dict]:
@@ -436,10 +416,16 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     values: list[float] = []
     for line, row in enumerate(reader, start=2):
         try:
-            thetas.append(float(row["theta_deg"]))
-            values.append(float(row[args.column]))
+            theta, value = float(row["theta_deg"]), float(row[args.column])
         except (TypeError, ValueError) as exc:
             raise FitError(f"{path.name}:{line}: non-numeric value ({exc})") from exc
+        if not (math.isfinite(theta) and math.isfinite(value)):
+            raise FitError(
+                f"{path.name}:{line}: non-finite value "
+                f"(theta_deg={theta!r}, {args.column}={value!r})"
+            )
+        thetas.append(theta)
+        values.append(value)
     if len(thetas) < 3:
         raise FitError(f"need at least 3 data rows to fit, got {len(thetas)}")
     fit = fit_malus(thetas, values)

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .elements import PATH_C, pockels
 from .errors import ConfigurationError, ValidationError
 from .state_core import (
@@ -18,7 +20,6 @@ from .state_core import (
     SinglePhotonState,
     TwoPhotonState,
     _component,
-    analyzer_jones,
     apply_element_single,
     computational_jones,
     condition_on,
@@ -162,6 +163,37 @@ class AnalyzerCurves:
     p_d1_d3: tuple[float, ...]
 
 
+def herald_coherency(branches: Iterable[MeasurementBranch]) -> np.ndarray:
+    """The survivor's coherency matrix summed over each herald's branches.
+
+    Returns a (2, 2, 2) array: index 0 is the D2 (value 0) herald, index 1
+    the D3 (value 1) herald.  Branches of any other detector are ignored.
+    """
+    heralds = (Z_VALUE0_DETECTOR, Z_VALUE1_DETECTOR)
+    total = np.zeros((2, 2, 2), dtype=complex)
+    for branch in branches:
+        if branch.detector in heralds:
+            total[heralds.index(branch.detector)] += branch.conditional.coherency()
+    return total
+
+
+def analyzer_probabilities(coherency: np.ndarray, thetas: Sequence[float]) -> np.ndarray:
+    """Probability of passing a linear analyzer at each angle of ``thetas``.
+
+    ``p(theta) = J_HH cos^2 + J_VV sin^2 + 2 Re J_HV cos sin`` for every
+    2x2 matrix of the leading axes of ``coherency``; the angle axis comes
+    last.  Angles are reduced modulo 180 first, which makes the 180 degree
+    periodicity exact rather than approximate.  The sum cancels terms of
+    order one where an analyzer blocks a pure survivor, so the result is
+    clamped at zero to keep rounding noise from going negative.
+    """
+    rad = np.radians(np.asarray(thetas, dtype=float) % 180.0)
+    c, s = np.cos(rad), np.sin(rad)
+    j = np.asarray(coherency).real[..., None]
+    p = j[..., 0, 0, :] * c * c + j[..., 1, 1, :] * s * s + 2.0 * j[..., 0, 1, :] * c * s
+    return np.maximum(p, 0.0)
+
+
 def analyzer_curve(
     branches: Iterable[MeasurementBranch], thetas: Sequence[float]
 ) -> AnalyzerCurves:
@@ -171,22 +203,7 @@ def analyzer_curve(
     the analyzer, incoherently summed over the temporal branches of the
     matching herald.
     """
-    branches = tuple(branches)
     if not thetas:
         raise ValidationError("analyzer sweep needs at least one angle")
-    p_d2, p_d3 = [], []
-    for theta in thetas:
-        jones = analyzer_jones(theta)
-        total_d2 = 0.0
-        total_d3 = 0.0
-        for branch in branches:
-            p = branch.conditional.projection_probability(jones)
-            if branch.detector == Z_VALUE0_DETECTOR:
-                total_d2 += p
-            elif branch.detector == Z_VALUE1_DETECTOR:
-                total_d3 += p
-        p_d2.append(total_d2)
-        p_d3.append(total_d3)
-    return AnalyzerCurves(
-        tuple(float(t) for t in thetas), tuple(p_d2), tuple(p_d3)
-    )
+    p_d2, p_d3 = analyzer_probabilities(herald_coherency(branches), thetas).tolist()
+    return AnalyzerCurves(tuple(float(t) for t in thetas), tuple(p_d2), tuple(p_d3))

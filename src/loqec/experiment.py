@@ -24,11 +24,12 @@ from typing import Sequence
 import numpy as np
 
 from .detection import (
-    AnalyzerCurves,
     FeedForwardRule,
-    analyzer_curve,
+    analyzer_curve,  # noqa: F401  (kept importable from this module)
+    analyzer_probabilities,
     apply_feedforward,
     coincidence_postselect,
+    herald_coherency,
     z_measure,
 )
 from .elements import (
@@ -80,7 +81,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubit_hwp_angle", float(self.qubit_hwp_angle))
+        angle = float(self.qubit_hwp_angle)
+        if not math.isfinite(angle):
+            raise ValidationError(f"qubit_hwp_angle must be finite, got {angle!r}")
+        object.__setattr__(self, "qubit_hwp_angle", angle)
         if not isinstance(self.wiring, WiringConfig):
             object.__setattr__(self, "wiring", WiringConfig.parse(self.wiring))
         for name in ("overlap_v", "imperfection_eps"):
@@ -91,6 +95,9 @@ class ExperimentConfig:
         thetas = tuple(float(t) for t in self.thetas)
         if not thetas:
             raise ValidationError("thetas must contain at least one angle")
+        for index, theta in enumerate(thetas):
+            if not math.isfinite(theta):
+                raise ValidationError(f"thetas[{index}] must be finite, got {theta!r}")
         object.__setattr__(self, "thetas", thetas)
         for name in ("pair_rate", "duration"):
             value = float(getattr(self, name))
@@ -129,8 +136,7 @@ class SweepResult:
     d1_d3: CurveResult
     success_probability: float
     discarded_probability: float
-    expected_state: int
-    fidelity_45: float
+    fidelity: float
     fidelity_fit: float
 
 
@@ -170,56 +176,41 @@ def encode_qubit(
     return coincidence_postselect(state)
 
 
-def _input_coefficients(hwp_angle_deg: float) -> tuple[complex, complex]:
-    """Computational coefficients of |H> after the preparation wave plate."""
-    plate = hwp(hwp_angle_deg, PATH_QUBIT_IN)
-    jones = (complex(plate.matrix[0, 0]), complex(plate.matrix[1, 0]))
-    return jones_to_computational(jones)
-
-
-def _admix(probabilities: Sequence[float], mean: float, eps: float) -> tuple[float, ...]:
-    """Mix a flat background of the curve's own period mean into each point."""
-    return tuple((1.0 - eps) * p + eps * mean for p in probabilities)
-
-
 def run_analytic(config: ExperimentConfig) -> SweepResult:
-    """Run the sweep with exact probabilities (no counting noise)."""
-    alpha, beta = _input_coefficients(config.qubit_hwp_angle)
-    state, p_success = encode_qubit(alpha, beta, config.overlap_v)
+    """Run the sweep with exact probabilities (no counting noise).
+
+    The flat background replaces a share ``imperfection_eps`` of each
+    herald's coherency matrix ``J`` with the unpolarized ``tr(J) I / 2``.
+    The fidelity is the input state's weight in the admixed D2 survivor,
+    ``<psi|J|psi> / tr J``, which holds for any input polarization.
+    """
+    psi = hwp(config.qubit_hwp_angle, PATH_QUBIT_IN).matrix[:, 0]  # |H> after the wave plate
+    state, p_success = encode_qubit(*jones_to_computational(psi), config.overlap_v)
     state = rewire(state, config.wiring)
     branches = z_measure(state, PATH_D)
     branches = apply_feedforward(branches, FeedForwardRule(), config.pc_enabled)
 
-    curves = analyzer_curve(branches, config.thetas)
-    # Cardinal angles: period means from (0, 90), fidelity points at (45, -45).
-    cardinal = analyzer_curve(branches, (0.0, 90.0, 45.0, -45.0))
-    mean_d2 = 0.5 * (cardinal.p_d1_d2[0] + cardinal.p_d1_d2[1])
-    mean_d3 = 0.5 * (cardinal.p_d1_d3[0] + cardinal.p_d1_d3[1])
-
     eps = config.imperfection_eps
-    p_d2 = _admix(curves.p_d1_d2, mean_d2, eps)
-    p_d3 = _admix(curves.p_d1_d3, mean_d3, eps)
+    coherency = herald_coherency(branches)
+    weights = np.trace(coherency, axis1=1, axis2=2).real
+    coherency = (1.0 - eps) * coherency + eps * 0.5 * weights[:, None, None] * np.eye(2)
+    p_d2, p_d3 = (tuple(p) for p in analyzer_probabilities(coherency, config.thetas).tolist())
 
     fit_d2 = fit_malus(config.thetas, p_d2)
     fit_d3 = fit_malus(config.thetas, p_d3)
     vis_d2 = visibility(fit_d2)
     vis_d3 = visibility(fit_d3)
-
-    expected = 0 if abs(alpha) >= abs(beta) else 1
-    plus45, minus45 = _admix(cardinal.p_d1_d2[2:4], mean_d2, eps)
-    fid_45 = fidelity_45(plus45, minus45, expected)
-    fid_fit = 0.5 * (1.0 + vis_d2)
+    fidelity = float((psi.conj() @ coherency[0] @ psi).real / weights[0])
 
     return SweepResult(
         config=config,
-        thetas=curves.thetas,
+        thetas=config.thetas,
         d1_d2=CurveResult(p_d2, None, fit_d2, vis_d2),
         d1_d3=CurveResult(p_d3, None, fit_d3, vis_d3),
         success_probability=p_success,
         discarded_probability=1.0 - p_success,
-        expected_state=expected,
-        fidelity_45=fid_45,
-        fidelity_fit=fid_fit,
+        fidelity=fidelity,
+        fidelity_fit=0.5 * (1.0 + vis_d2),
     )
 
 
@@ -306,24 +297,6 @@ def visibility(fit: MalusFit) -> float:
     if fit.offset <= 0.0:
         raise ValidationError(f"visibility undefined for offset {fit.offset!r}")
     return fit.amplitude / fit.offset
-
-
-def fidelity_45(p_plus45: float, p_minus45: float, expected_state: int) -> float:
-    """Fidelity of the surviving qubit from the two cardinal analyzer points.
-
-    The +45 degree analyzer passes computational |0>, the -45 degree one
-    passes |1>; the fidelity is the correct-outcome fraction of the two
-    coincidence probabilities.
-    """
-    if expected_state not in (0, 1):
-        raise ValidationError(f"expected_state must be 0 or 1, got {expected_state!r}")
-    if p_plus45 < 0.0 or p_minus45 < 0.0:
-        raise ValidationError("cardinal probabilities must be nonnegative")
-    total = p_plus45 + p_minus45
-    if total == 0.0:
-        raise ValidationError("fidelity undefined: both cardinal probabilities vanish")
-    correct = p_plus45 if expected_state == 0 else p_minus45
-    return correct / total
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import ConfigurationError, StructureError, UsageError, ValidationError
 
 if TYPE_CHECKING:
@@ -234,20 +236,30 @@ class SinglePhotonState:
     def norm_squared(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
-    def projection_probability(self, jones: Sequence[complex]) -> float:
-        """Probability of passing a polarization analyzer set to ``jones``.
+    def coherency(self) -> np.ndarray:
+        """Polarization coherency matrix ``J = sum_g v_g v_g^dagger`` (2x2, H/V).
 
-        The analyzer is polarization-selective only: amplitudes interfere
-        within each (path, temporal) group and add incoherently across
-        groups.
+        ``v_g`` is the (H, V) amplitude pair of one (path, temporal) group.
+        A polarization analyzer resolves neither path nor wavepacket, so
+        amplitudes interfere within a group and add incoherently across
+        groups; ``J`` therefore fixes every analyzer probability, and its
+        trace is the squared norm.
         """
-        vec = _as_jones(jones, "analyzer jones vector")
-        groups: dict[tuple[str, int], complex] = {}
+        groups: dict[tuple[str, int], list[complex]] = {}
         for label, amp in self.amplitudes.items():
-            key = (label.path, label.temporal)
-            contrib = _component(vec, label.pol).conjugate() * amp
-            groups[key] = groups.get(key, 0j) + contrib
-        return float(sum(abs(g) ** 2 for g in groups.values()))
+            vec = groups.setdefault((label.path, label.temporal), [0j, 0j])
+            vec[0 if label.pol is Polarization.H else 1] += amp
+        vectors = np.array(list(groups.values()), dtype=complex).reshape(-1, 2)
+        return vectors.T @ vectors.conj()
+
+    def projection_probability(self, jones: Sequence[complex]) -> float:
+        """Probability ``Re(j^dagger J j)`` of passing an analyzer set to ``jones``.
+
+        Clamped at zero: for a pure state blocked by the analyzer the
+        product is rounding noise of either sign.
+        """
+        vec = np.array(_as_jones(jones, "analyzer jones vector"))
+        return max(float((vec.conj() @ self.coherency() @ vec).real), 0.0)
 
 
 @dataclass(frozen=True)

@@ -152,7 +152,7 @@ def test_cardinal_fidelity_is_one_plus_v_over_two(verdict):
     for overlap_v in (0.0, 0.25, 0.5, 0.922, 1.0):
         for angle in (22.5, -22.5):
             result = run_analytic(bench(qubit_hwp_angle=angle, overlap_v=overlap_v))
-            worst = max(worst, abs(result.fidelity_45 - 0.5 * (1.0 + overlap_v)))
+            worst = max(worst, abs(result.fidelity - 0.5 * (1.0 + overlap_v)))
     verdict(
         "cardinal fidelity equals (1 + v) / 2",
         worst <= 1e-9,

@@ -88,7 +88,7 @@ class TestRunSweep:
         assert cli.main(["run-sweep", "--config", str(manifest), "--quiet"]) == 0
         record = json.loads((tmp_path / "out" / "sweep.json").read_text(encoding="utf-8"))
         assert set(record) == {"schema_version", "config", "rows", "summary"}
-        assert record["schema_version"] == 1
+        assert record["schema_version"] == 2
         assert record["config"]["overlap_v"] == 0.922
         assert len(record["rows"]) == 19
         first = record["rows"][0]
@@ -351,6 +351,17 @@ class TestFitCommand:
         )
         assert cli.main(["fit", str(path)]) == 1
         assert "bad.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_rejected(self, tmp_path, capsys, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"theta_deg,p_d1_d2\n0.0,0.1\n10.0,{cell}\n20.0,0.3\n", encoding="utf-8"
+        )
+        assert cli.main(["fit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad.csv:3:")
 
 
 class TestEntryPoints:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import curve_formula, encoder_branch_states
+from _oracle import curve_formula, encoder_branch_states, encoder_curve
 from loqec import (
     ConfigurationError,
     DetectorSpec,
@@ -252,6 +252,40 @@ class TestAnalyzerCurve:
         curves_b = bench_curves(0.6, 0.8, 0.9, tuple(t + 180.0 for t in base), pc_enabled=True)
         assert curves_a.p_d1_d2 == curves_b.p_d1_d2
         assert curves_a.p_d1_d3 == curves_b.p_d1_d3
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(0, 2 * math.pi, allow_nan=False),
+        st.floats(0, 2 * math.pi, allow_nan=False),
+        st.floats(0, 1, allow_nan=False),
+        st.sampled_from(list(WiringConfig)),
+        st.booleans(),
+        st.lists(
+            st.floats(180.0, 1000.0, allow_nan=False).flatmap(
+                lambda t: st.sampled_from((t, -t))
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_complex_inputs_match_the_branch_oracle(
+        self, a, phi, overlap_v, wiring, pc_enabled, thetas
+    ):
+        """A complex (alpha, beta) gives the survivor an imaginary J_HV
+        that no linear analyzer may see; angles beyond 180 wrap exactly."""
+        alpha = complex(math.cos(a))
+        beta = complex(math.cos(phi), math.sin(phi)) * math.sin(a)
+        branches = z_measure(encoded_on_bench(alpha, beta, overlap_v, wiring), PATH_D)
+        branches = apply_feedforward(branches, FeedForwardRule(), pc_enabled)
+        curves = analyzer_curve(branches, thetas)
+        u = math.sqrt(overlap_v)
+        for i, theta in enumerate(thetas):
+            assert curves.p_d1_d2[i] == pytest.approx(
+                encoder_curve(alpha, beta, u, theta, 0), abs=1e-12
+            )
+            assert curves.p_d1_d3[i] == pytest.approx(
+                encoder_curve(alpha, beta, u, theta, 1, corrected=pc_enabled), abs=1e-12
+            )
 
     def test_empty_angle_grid_rejected(self):
         branches = z_measure(encoded_on_bench(1.0, 0.0), PATH_D)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import curve_formula, encoder_curve, hom_coincidence
+from _oracle import curve_formula, encoder_branch_states, encoder_curve, hom_coincidence
 from loqec import (
     DEFAULT_THETAS,
     ExperimentConfig,
@@ -18,7 +18,6 @@ from loqec import (
     ValidationError,
     WiringConfig,
     encode_qubit,
-    fidelity_45,
     fit_malus,
     hom_scan,
     run_analytic,
@@ -57,9 +56,13 @@ class TestExperimentConfig:
         ("pair_rate", -1.0),
         ("duration", -0.5),
         ("thetas", ()),
+        ("qubit_hwp_angle", math.nan),
+        ("qubit_hwp_angle", math.inf),
+        ("thetas", (0.0, math.nan)),
+        ("thetas", (-math.inf, 10.0)),
     ])
     def test_out_of_range_fields_rejected(self, field, value):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=field):
             ExperimentConfig(**{field: value})
 
 
@@ -118,7 +121,7 @@ class TestRunAnalytic:
         assert result.d1_d3.visibility == pytest.approx(1.0, abs=1e-9)
         assert result.d1_d2.fit.phase_deg == pytest.approx(45.0, abs=1e-9)
         assert result.d1_d3.fit.phase_deg == pytest.approx(45.0, abs=1e-9)
-        assert result.fidelity_45 == pytest.approx(1.0, abs=1e-12)
+        assert result.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_uncorrected_transmit_curve_is_phase_flipped(self):
         result = run_analytic(ExperimentConfig(qubit_hwp_angle=22.5, pc_enabled=False))
@@ -161,13 +164,42 @@ class TestRunAnalytic:
 
     @pytest.mark.parametrize("overlap_v", [0.0, 0.5, 0.922, 1.0])
     def test_heralded_fidelity_law(self, overlap_v):
-        for angle, expected_state in ((22.5, 0), (-22.5, 1)):
+        for angle in (22.5, -22.5):
             result = run_analytic(
                 ExperimentConfig(qubit_hwp_angle=angle, overlap_v=overlap_v)
             )
-            assert result.expected_state == expected_state
-            assert result.fidelity_45 == pytest.approx((1 + overlap_v) / 2, abs=1e-9)
+            assert result.fidelity == pytest.approx((1 + overlap_v) / 2, abs=1e-9)
             assert result.fidelity_fit == pytest.approx((1 + overlap_v) / 2, abs=1e-9)
+
+    @pytest.mark.parametrize("angle,expected,tol", [(0.0, 1.0, 1e-12), (10.0, 0.983886, 1e-6)])
+    def test_fidelity_holds_away_from_45_degree_inputs(self, angle, expected, tol):
+        """An |H> input (0 degrees) survives a 0.922 overlap untouched."""
+        result = run_analytic(ExperimentConfig(qubit_hwp_angle=angle, overlap_v=0.922))
+        assert result.fidelity == pytest.approx(expected, abs=tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(-90, 90, allow_nan=False),
+        st.floats(0, 1, allow_nan=False),
+        st.booleans(),
+        st.sampled_from(list(WiringConfig)),
+    )
+    def test_fidelity_is_the_input_weight_of_the_heralded_state(
+        self, angle, overlap_v, pc_enabled, wiring
+    ):
+        config = ExperimentConfig(
+            qubit_hwp_angle=angle, overlap_v=overlap_v, pc_enabled=pc_enabled, wiring=wiring
+        )
+        alpha, beta = coefficients_after_hwp(angle)
+        w = math.radians(angle)
+        psi = np.array([math.cos(2 * w), math.sin(2 * w)])
+        rho = np.zeros((2, 2), dtype=complex)
+        for branch in encoder_branch_states(alpha, beta, math.sqrt(overlap_v), 0).values():
+            for t in {analyzer_t for _, analyzer_t in branch}:
+                v = np.array([branch.get(("H", t), 0j), branch.get(("V", t), 0j)])
+                rho += np.outer(v, v.conj())
+        expected = (psi @ rho @ psi).real / np.trace(rho).real
+        assert run_analytic(config).fidelity == pytest.approx(expected, abs=1e-12)
 
     def test_wiring_swap_leaves_statistics_unchanged(self):
         for pc_enabled in (False, True):
@@ -229,6 +261,18 @@ class TestRunExperiment:
         result = run_experiment(config)
         assert result.d1_d2.probabilities == result.d1_d3.probabilities
         assert result.d1_d2.counts != result.d1_d3.counts
+
+    @pytest.mark.parametrize("pc_enabled", [True, False])
+    @pytest.mark.parametrize("angle", [22.5, -22.5, 81.1])
+    def test_blocked_analyzer_angles_sample_without_error(self, angle, pc_enabled):
+        """Where the analyzer blocks a pure survivor, rounding must not go below zero."""
+        blocked = 2 * angle + 90.0
+        thetas = (-45.0, 0.0, 30.0, 45.0, 60.0, 135.0, blocked, blocked - 180.0, blocked + 360.0)
+        config = ExperimentConfig(
+            qubit_hwp_angle=angle, overlap_v=1.0, pc_enabled=pc_enabled, thetas=thetas
+        )
+        result = run_experiment(config)
+        assert min(result.d1_d2.probabilities + result.d1_d3.probabilities) >= 0.0
 
     def test_zero_duration_gives_zero_counts(self):
         config = ExperimentConfig(qubit_hwp_angle=22.5, duration=0.0)
@@ -354,25 +398,6 @@ class TestFitMalus:
     def test_visibility_needs_positive_offset(self):
         with pytest.raises(ValidationError):
             visibility(MalusFit(0.0, 0.1, 0.0))
-
-
-class TestFidelity45:
-    def test_limits(self):
-        assert fidelity_45(0.25, 0.0, 0) == 1.0
-        assert fidelity_45(0.125, 0.125, 0) == 0.5
-        assert fidelity_45(0.0, 0.25, 1) == 1.0
-
-    def test_invalid_expected_state_rejected(self):
-        with pytest.raises(ValidationError):
-            fidelity_45(0.1, 0.1, 2)
-
-    def test_negative_probability_rejected(self):
-        with pytest.raises(ValidationError):
-            fidelity_45(-0.1, 0.2, 0)
-
-    def test_vanishing_signal_rejected(self):
-        with pytest.raises(ValidationError):
-            fidelity_45(0.0, 0.0, 0)
 
 
 class TestHomScan:

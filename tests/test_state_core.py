@@ -443,6 +443,43 @@ class TestSinglePhotonState:
         incoherent = abs(R * 0.5) ** 2
         assert p == pytest.approx(coherent + incoherent, abs=1e-12)
 
+    def test_blocked_analyzer_reads_exactly_zero(self):
+        """A pure survivor at its orthogonal analyzer gives 0, never rounding noise below it."""
+        for a in np.linspace(0.0, math.pi, 201):
+            state = SinglePhotonState.from_terms(
+                {label("A", "H"): math.cos(a), label("A", "V"): math.sin(a)}
+            )
+            assert state.projection_probability((-math.sin(a), math.cos(a))) >= 0.0
+
     def test_norm_accumulates_squared_magnitudes(self):
         state = SinglePhotonState.from_terms({label("A", "H"): 0.6, label("B", "V"): 0.8j})
         assert state.norm_squared == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.builds(
+                ModeLabel,
+                st.sampled_from(("P", "Q")),
+                st.sampled_from(list(Polarization)),
+                st.integers(0, 1),
+            ),
+            st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False),
+            max_size=8,
+        ),
+        unit_jones(),
+    )
+    def test_coherency_matches_the_per_group_sum(self, terms, jones):
+        """Reference: interfere within each (path, temporal) group, add the
+        groups' squared magnitudes."""
+        state = SinglePhotonState.from_terms(terms)
+        groups = {}
+        for lab, amp in state.amplitudes.items():
+            component = jones[0] if lab.pol is Polarization.H else jones[1]
+            key = (lab.path, lab.temporal)
+            groups[key] = groups.get(key, 0j) + component.conjugate() * amp
+        reference = sum(abs(g) ** 2 for g in groups.values())
+        coherency = state.coherency()
+        assert np.allclose(coherency, coherency.conj().T, rtol=0, atol=1e-15)
+        assert np.trace(coherency).real == pytest.approx(state.norm_squared, abs=1e-12)
+        assert state.projection_probability(jones) == pytest.approx(reference, abs=1e-12)
