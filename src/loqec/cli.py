@@ -309,23 +309,31 @@ def _sweep_rows(result: SweepResult) -> list[dict]:
 
 
 def _dump_json(document: Any) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _write_files(files: Mapping[Path, str]) -> None:
+    """Create each file's directory and write the files in order."""
+    try:
+        for target, text in files.items():
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {target}: {exc.strerror or exc}") from exc
 
 
 def _cmd_run_sweep(args: argparse.Namespace) -> int:
     manifest = load_manifest(Path(args.config))
     jobs = _sweep_jobs(manifest, args.seed)
     directory, fmt = _output_settings(manifest, args.output, args.format)
-    directory.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for name, config in jobs:
-        result = run_experiment(config)
+    # Every run is computed before any file is written, so a failing run
+    # leaves no partial output behind.
+    results = [(name, config, run_experiment(config)) for name, config in jobs]
+    files: dict[Path, str] = {}
+    for name, config, result in results:
         if fmt == "csv":
-            data_path = directory / f"{name}.csv"
-            data_path.write_text(_sweep_csv(result), encoding="utf-8")
-            summary_path = directory / f"{name}_summary.json"
-            summary_path.write_text(_dump_json(_sweep_summary(name, result)), encoding="utf-8")
-            written.extend((data_path, summary_path))
+            files[directory / f"{name}.csv"] = _sweep_csv(result)
+            files[directory / f"{name}_summary.json"] = _dump_json(_sweep_summary(name, result))
         else:
             document = {
                 "schema_version": SCHEMA_VERSION,
@@ -333,11 +341,10 @@ def _cmd_run_sweep(args: argparse.Namespace) -> int:
                 "rows": _sweep_rows(result),
                 "summary": _sweep_summary(name, result),
             }
-            path = directory / f"{name}.json"
-            path.write_text(_dump_json(document), encoding="utf-8")
-            written.append(path)
+            files[directory / f"{name}.json"] = _dump_json(document)
+    _write_files(files)
     if not args.quiet:
-        for path in written:
+        for path in files:
             print(f"wrote {path}")
     return 0
 
@@ -368,10 +375,9 @@ def _cmd_hom_scan(args: argparse.Namespace) -> int:
         result = hom_scan(delays, coherence_time)
     except ValidationError as exc:
         _fail("hom_scan", str(exc))
-    directory.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         path = directory / "hom_scan.csv"
-        path.write_text(_hom_csv(result), encoding="utf-8")
+        text = _hom_csv(result)
     else:
         probabilities = [point.p_coincidence for point in result.points]
         document = {
@@ -394,7 +400,8 @@ def _cmd_hom_scan(args: argparse.Namespace) -> int:
             },
         }
         path = directory / "hom_scan.json"
-        path.write_text(_dump_json(document), encoding="utf-8")
+        text = _dump_json(document)
+    _write_files({path: text})
     if not args.quiet:
         print(f"wrote {path}")
     return 0
@@ -437,9 +444,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         "visibility": visibility(fit),
     }
     if args.output:
-        Path(args.output).write_text(_dump_json(record), encoding="utf-8")
+        _write_files({Path(args.output): _dump_json(record)})
     if not args.quiet:
-        print(json.dumps(record, sort_keys=True))
+        print(json.dumps(record, sort_keys=True, allow_nan=False))
     return 0
 
 

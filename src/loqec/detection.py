@@ -7,23 +7,21 @@ triggers the Pockels correction on arm C.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .elements import PATH_C, pockels
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, StructureError, ValidationError
 from .state_core import (
+    AMPLITUDE_TOL,
     Jones,
-    PolarizationProjector,
     SinglePhotonState,
     TwoPhotonState,
-    _component,
     apply_element_single,
     computational_jones,
-    condition_on,
-    Polarization,
 )
 
 ANALYZER_DETECTOR = "D1"
@@ -62,10 +60,7 @@ def _check_measurement_pair(pair: Sequence[DetectorSpec], path: str) -> None:
         )
     if first.id == second.id:
         raise ConfigurationError(f"detector ids must differ, both are {first.id!r}")
-    inner = sum(
-        _component(first.jones, pol).conjugate() * _component(second.jones, pol)
-        for pol in Polarization
-    )
+    inner = np.vdot(first.jones, second.jones)
     if abs(inner) > _ORTHO_TOL:
         raise ConfigurationError(
             f"detector projections must be orthogonal, overlap {abs(inner):.3e}"
@@ -94,19 +89,43 @@ def z_measure(
     Branch probabilities sum to the squared norm of the input state, so a
     subnormalized post-selected state yields branch weights on the same
     scale.
+
+    With ``beta`` the detector's conjugate Jones vector on the measured
+    path at one temporal index, the survivor is the contraction
+    ``v = beta^T A`` over the modes of the other paths, and the branch
+    weight is ``|v|^2``; an outcome of weight at most ``AMPLITUDE_TOL**2``
+    yields no branch.  The measured path's own block and the other paths'
+    block among themselves must hold no more weight than that, since every
+    amplitude must put exactly one photon on ``path``; anything else
+    raises a structural error.
     """
     pair = tuple(detectors) if detectors is not None else z_detectors(path)
     _check_measurement_pair(pair, path)
-    branches = []
-    for det in pair:
-        ensemble = condition_on(state, PolarizationProjector(det.path, det.jones))
-        for member in ensemble.members:
-            branches.append(
-                MeasurementBranch(
-                    det.id, member.measured_temporal, member.state.norm_squared, member.state
-                )
+    if path not in state.paths:
+        raise StructureError(f"path {path!r} is not declared, so it holds no photon")
+    # Modes are (path, pol, temporal), four per path, in state_core's order.
+    on_path = np.arange(state.matrix.shape[0]) // 4 == state.paths.index(path)
+    rows = state.matrix[on_path]
+    for count, block in ((2, rows[:, on_path]), (0, state.matrix[~on_path][:, ~on_path])):
+        weight = float(np.vdot(block, block).real)
+        if weight > AMPLITUDE_TOL**2:
+            raise StructureError(
+                f"path {path!r} holds {count} photons with weight {weight:.3e}; "
+                "a Z measurement requires exactly one"
             )
-    return tuple(branches)
+    # (detector, pol) x (pol, temporal, other mode) -> (detector, temporal, other mode)
+    beta = np.conj([det.jones for det in pair])[:, :, None, None]
+    survivors = (beta * rows[:, ~on_path].reshape(1, 2, 2, -1)).sum(axis=1)
+    weights = (survivors.real**2 + survivors.imag**2).sum(axis=2).tolist()
+    survivor_paths = tuple(p for p in state.paths if p != path)
+    return tuple(
+        MeasurementBranch(
+            det.id, t, weights[d][t], SinglePhotonState(survivor_paths, survivors[d, t])
+        )
+        for d, det in enumerate(pair)
+        for t in (0, 1)
+        if weights[d][t] > AMPLITUDE_TOL**2
+    )
 
 
 @dataclass(frozen=True)
@@ -145,12 +164,14 @@ def coincidence_postselect(state: TwoPhotonState) -> tuple[TwoPhotonState, float
     """Keep only amplitudes with one photon on each of two distinct paths.
 
     Returns the subnormalized kept state and its squared norm, which is the
-    success probability of the coincidence-basis post-selection.
+    success probability of the coincidence-basis post-selection.  The kept
+    state is the amplitude matrix with every same-path block zeroed.
     """
-    kept = {
-        key: amp for key, amp in state.amplitudes.items() if key[0].path != key[1].path
-    }
-    selected = TwoPhotonState.from_terms(kept, paths=state.paths)
+    n_paths = len(state.paths)
+    same_path = np.eye(n_paths, dtype=bool)[:, None, :, None]
+    blocks = state.matrix.reshape(n_paths, 4, n_paths, 4)
+    kept = np.where(same_path, 0j, blocks).reshape(state.matrix.shape)
+    selected = TwoPhotonState(state.paths, kept)
     return selected, selected.norm_squared
 
 
@@ -203,7 +224,11 @@ def analyzer_curve(
     the analyzer, incoherently summed over the temporal branches of the
     matching herald.
     """
-    if not thetas:
+    grid = tuple(float(t) for t in thetas)
+    if not grid:
         raise ValidationError("analyzer sweep needs at least one angle")
-    p_d2, p_d3 = analyzer_probabilities(herald_coherency(branches), thetas).tolist()
-    return AnalyzerCurves(tuple(float(t) for t in thetas), tuple(p_d2), tuple(p_d3))
+    for index, theta in enumerate(grid):
+        if not math.isfinite(theta):
+            raise ValidationError(f"thetas[{index}] must be finite, got {theta!r}")
+    p_d2, p_d3 = analyzer_probabilities(herald_coherency(branches), grid).tolist()
+    return AnalyzerCurves(grid, tuple(p_d2), tuple(p_d3))

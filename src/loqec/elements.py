@@ -14,13 +14,12 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, StructureError
+from .errors import ConfigurationError
 from .state_core import (
     DistinguishabilitySpec,
-    ModeLabel,
     Polarization,
     TwoPhotonState,
-    _apply_label_map,
+    _transformed,
     relabel_paths,
 )
 
@@ -154,25 +153,11 @@ def delay(path: str, spec: DistinguishabilitySpec) -> Callable[[TwoPhotonState],
     """
     v = spec.overlap
     w = math.sqrt(max(0.0, 1.0 - v * v))
-    rotation = ((v, -w), (w, v))
+    rotation = np.array([[v, -w], [w, v]], dtype=complex)
+    groups = [[(path, pol, t) for t in (0, 1)] for pol in Polarization]
 
     def transform(state: TwoPhotonState) -> TwoPhotonState:
-        def expand(label: ModeLabel) -> tuple[tuple[ModeLabel, complex], ...]:
-            if label.path != path:
-                return ((label, 1.0 + 0j),)
-            if label.temporal > 1:
-                raise StructureError(
-                    f"delay stage supports temporal indices 0 and 1, "
-                    f"found {label.temporal} on path {path!r}"
-                )
-            col = label.temporal
-            return tuple(
-                (ModeLabel(label.path, label.pol, row), complex(rotation[row][col]))
-                for row in (0, 1)
-                if rotation[row][col] != 0.0
-            )
-
-        return _apply_label_map(state, expand)
+        return _transformed(state, rotation, groups, f"delay on {path!r}")
 
     return transform
 

@@ -60,10 +60,34 @@ from .state_core import (
 #: Default analyzer grid: -90 to 90 degrees in 10 degree steps.
 DEFAULT_THETAS = tuple(float(t) for t in range(-90, 91, 10))
 
+#: Largest Poisson mean numpy's generator accepts (its ``POISSON_LAM_MAX``).
+_POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
+
+#: Fits whose amplitude is at most this share of the offset report phase 0.
+_FLAT_FIT_TOL = 1e-12
+
 _HOM_IN1 = "hom-in-1"
 _HOM_IN2 = "hom-in-2"
 _HOM_OUT1 = "hom-out-1"
 _HOM_OUT2 = "hom-out-2"
+
+
+def _check_exposure(pair_rate: float, duration: float) -> None:
+    """Reject a run whose largest mean count numpy cannot draw from."""
+    mean = pair_rate * duration
+    if mean > _POISSON_MEAN_MAX:
+        raise ValidationError(
+            f"pair_rate * duration = {mean:.6g} exceeds the largest Poisson mean "
+            f"{_POISSON_MEAN_MAX:.6g} (pair_rate={pair_rate!r}, duration={duration!r})"
+        )
+
+
+def _check_seed(seed: int) -> int:
+    """The seed as an int, which must fit the 64-bit Philox key unaltered."""
+    value = int(seed)
+    if not 0 <= value < 2**64:
+        raise ValidationError(f"seed must lie in [0, 2**64), got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -104,7 +128,8 @@ class ExperimentConfig:
             if value < 0.0 or not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "seed", int(self.seed))
+        _check_exposure(self.pair_rate, self.duration)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -253,7 +278,8 @@ def sample_counts(
     time = float(duration)
     if rate < 0.0 or time < 0.0 or not (math.isfinite(rate) and math.isfinite(time)):
         raise ValidationError("pair_rate and duration must be finite and >= 0")
-    key = int(seed) & (2**64 - 1)
+    _check_exposure(rate, time)
+    key = _check_seed(seed)
     means = rate * time * p
     counts = np.empty(p.size, dtype=np.int64)
     for index, mean in enumerate(means):
@@ -267,7 +293,8 @@ def fit_malus(thetas: Sequence[float], values: Sequence[float]) -> MalusFit:
 
     The model is ``offset + amplitude * cos(2(theta - phase))``, linearized
     on the basis ``{1, cos(2 theta), sin(2 theta)}``.  The returned
-    amplitude is nonnegative and the phase lies in (-90, 90] degrees.
+    amplitude is nonnegative and the phase lies in (-90, 90] degrees; it is
+    0 for a flat curve, whose amplitude is at most 1e-12 times the offset.
     """
     th = np.asarray(thetas, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -285,8 +312,10 @@ def fit_malus(thetas: Sequence[float], values: Sequence[float]) -> MalusFit:
         )
     offset, c, s = (float(x) for x in coeffs)
     amplitude = math.hypot(c, s)
-    phase_rad = 0.5 * math.atan2(s, c)
-    phase_deg = math.degrees(phase_rad)
+    if amplitude <= _FLAT_FIT_TOL * abs(offset):
+        # A flat curve has no phase; the fitted one would be rounding noise.
+        return MalusFit(offset, amplitude, 0.0)
+    phase_deg = math.degrees(0.5 * math.atan2(s, c))
     if phase_deg <= -90.0:
         phase_deg += 180.0
     return MalusFit(offset, amplitude, phase_deg)
@@ -330,18 +359,15 @@ def hom_scan(delays: Sequence[float], coherence_time: float) -> HomScanResult:
     if not grid:
         raise ValidationError("delay grid must contain at least one value")
     sigma = float(coherence_time)
-    if sigma <= 0.0:
-        raise ValidationError(f"coherence time must be positive, got {sigma!r}")
     splitter = bs5050(_HOM_IN1, _HOM_IN2, _HOM_OUT1, _HOM_OUT2)
     horizontal = (1.0 + 0j, 0j)
+    first = SinglePhotonSpec(_HOM_IN1, horizontal)
+    second = SinglePhotonSpec(_HOM_IN2, horizontal)
+    prepared = product_state(first, second, paths=(_HOM_OUT1, _HOM_OUT2))
     points = []
     for tau in grid:
         spec = DistinguishabilitySpec.from_delay(tau, sigma)
-        first = SinglePhotonSpec(_HOM_IN1, horizontal)
-        second = SinglePhotonSpec(_HOM_IN2, horizontal)
-        state = product_state(first, second, paths=(_HOM_OUT1, _HOM_OUT2))
-        state = delay(_HOM_IN1, spec)(state)
-        state = apply_element(state, splitter)
+        state = apply_element(delay(_HOM_IN1, spec)(prepared), splitter)
         _, p_coincidence = coincidence_postselect(state)
         points.append(HomScanPoint(tau, spec.overlap, p_coincidence))
     return HomScanResult(sigma, tuple(points))

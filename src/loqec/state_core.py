@@ -1,4 +1,4 @@
-"""Second-quantized two-photon states over labeled optical modes.
+"""Two-photon states as one symmetric amplitude matrix over labeled modes.
 
 A mode is labeled by ``(path, polarization, temporal index)``.  Polarization
 lives in the linear H/V basis.  The computational basis is fixed by the
@@ -7,31 +7,37 @@ convention that value 0 is +45 degree linear polarization and value 1 is
 
     |0> = (|H> + |V>) / sqrt(2)        |1> = (|H> - |V>) / sqrt(2)
 
-Temporal indices refer to an orthonormal two-element wavepacket basis chosen
-per state.  Partial distinguishability between two photons is produced by
-Gram-Schmidt decomposition of the second photon's wavepacket against the
-first, so an overlap ``v`` in this module is always an amplitude overlap.
+Temporal indices 0 and 1 refer to an orthonormal two-element wavepacket
+basis chosen per state.  Partial distinguishability between two photons is
+produced by Gram-Schmidt decomposition of the second photon's wavepacket
+against the first, so an overlap ``v`` in this module is always an
+amplitude overlap.
 
-Amplitudes are stored sparsely over canonically ordered unordered pairs of
-mode labels.  A doubly occupied mode is a legal pair key ``(m, m)``; its
-amplitude multiplies the normalized two-photon number state, so the squared
-norm of any state is the plain sum of squared amplitude magnitudes.
+A state declares a tuple of paths and holds every mode of them, ordered as
+``(path, polarization, temporal)``: mode ``(paths[p], pol, t)`` has index
+``4 p + 2 pol + t`` with H = 0 and V = 1.  A two-photon state is a complex
+symmetric matrix ``A`` over these modes,
+``|psi> = 1/2 sum_ij A_ij a_i^dagger a_j^dagger |0>``, whose squared norm is
+``||A||_F^2 / 2`` (the permanent picture).  A linear element with mode
+matrix ``U`` acts as ``A -> U A U^T``, renaming paths leaves ``A`` alone,
+and a single-photon state is a vector ``v`` over the same modes with
+``v -> U v``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, StructureError, UsageError, ValidationError
+from .errors import ConfigurationError, ValidationError
 
 if TYPE_CHECKING:
     from .elements import LinearElement
 
-#: Amplitudes below this magnitude are dropped during canonicalization.
+#: Amplitudes at or below this magnitude count as absent.
 AMPLITUDE_TOL = 1e-12
 
 #: Allowed deviation from exact normalization for vectors handed to us.
@@ -51,9 +57,6 @@ class Polarization(str, Enum):
 #: Pair of complex amplitudes on (H, V).
 Jones = tuple[complex, complex]
 
-#: Canonically ordered unordered pair of mode labels.
-PairKey = tuple["ModeLabel", "ModeLabel"]
-
 
 @dataclass(frozen=True, order=True)
 class ModeLabel:
@@ -66,12 +69,8 @@ class ModeLabel:
     def __post_init__(self) -> None:
         if not isinstance(self.pol, Polarization):
             object.__setattr__(self, "pol", Polarization(self.pol))
-        if self.temporal < 0:
-            raise ValidationError(f"temporal index must be >= 0, got {self.temporal}")
-
-
-def _component(jones: Sequence[complex], pol: Polarization) -> complex:
-    return complex(jones[0]) if pol is Polarization.H else complex(jones[1])
+        if self.temporal not in (0, 1):
+            raise ValidationError(f"temporal index must be 0 or 1, got {self.temporal}")
 
 
 def _as_jones(values: Sequence[complex], what: str) -> Jones:
@@ -152,53 +151,143 @@ class DistinguishabilitySpec:
     def from_delay(cls, delay: float, coherence_time: float) -> "DistinguishabilitySpec":
         """Overlap of two Gaussian wavepackets offset by ``delay`` seconds."""
         sigma = float(coherence_time)
-        if sigma <= 0.0:
-            raise ValidationError(f"coherence time must be positive, got {sigma!r}")
+        if not (math.isfinite(sigma) and sigma > 0.0):
+            raise ValidationError(f"coherence time must be finite and positive, got {sigma!r}")
         tau = float(delay)
+        if not math.isfinite(tau):
+            raise ValidationError(f"delay must be finite, got {tau!r}")
         return cls(math.exp(-(tau * tau) / (2.0 * sigma * sigma)))
 
 
-def _canonical_pair(l1: ModeLabel, l2: ModeLabel) -> PairKey:
-    return (l1, l2) if l1 <= l2 else (l2, l1)
+def _mode(paths: tuple[str, ...], path: str, pol: Polarization, temporal: int) -> int:
+    """Index of a mode on a declared path, per the order in the module docstring."""
+    return 4 * paths.index(path) + (2 if pol is Polarization.V else 0) + temporal
 
 
-@dataclass(frozen=True)
+def _find(paths: tuple[str, ...], label: ModeLabel) -> int | None:
+    """Index of ``label``'s mode, or None when its path is not declared."""
+    if label.path not in paths:
+        return None
+    return _mode(paths, label.path, label.pol, label.temporal)
+
+
+def _declare(paths: Iterable[str], labels: Iterable[ModeLabel]) -> tuple[str, ...]:
+    """``paths`` in order, then each further path of ``labels`` as first seen."""
+    return tuple(dict.fromkeys([*paths, *(label.path for label in labels)]))
+
+
+def _checked(
+    values: np.ndarray, paths: Iterable[str], ndim: int
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Distinct paths, and the amplitudes as a read-only complex array of their modes."""
+    paths = tuple(paths)
+    if len(set(paths)) != len(paths):
+        raise ConfigurationError(f"paths must be distinct, got {paths!r}")
+    values = np.asarray(values, dtype=complex)
+    if values.shape != (4 * len(paths),) * ndim:
+        raise ValidationError(
+            f"amplitude array shape {values.shape} does not fit {len(paths)} paths"
+        )
+    values.setflags(write=False)
+    return paths, values
+
+
+def _mode_operator(
+    paths: tuple[str, ...],
+    block: np.ndarray,
+    groups: Iterable[Sequence[tuple[str, Polarization, int]]],
+    what: str,
+) -> np.ndarray:
+    """Identity on the modes of ``paths`` except ``block`` on each group of modes.
+
+    A group lists ``(path, pol, temporal)`` modes in the order of ``block``'s
+    rows and columns.
+    """
+    groups = tuple(groups)
+    missing = sorted({path for group in groups for path, _, _ in group} - set(paths))
+    if missing:
+        raise ConfigurationError(f"{what} addresses undeclared paths {missing}")
+    u = np.eye(4 * len(paths), dtype=complex)
+    for group in groups:
+        index = np.array([_mode(paths, *mode) for mode in group])
+        u[index[:, None], index] = block
+    return u
+
+
+def _transformed(
+    state: "TwoPhotonState",
+    block: np.ndarray,
+    groups: Iterable[Sequence[tuple[str, Polarization, int]]],
+    what: str,
+) -> "TwoPhotonState":
+    """``A -> U A U^T`` with ``U`` the identity except ``block`` on each group of modes.
+
+    Each product is rounded on its own before the sums.  A matrix product
+    may fuse multiply and add, which leaves the rounding error of one of
+    two exactly opposite terms (e.g. the two paths of a balanced splitter)
+    in place of an exact zero.  Only the occupied modes of ``A`` enter the
+    sums; the others would add exact zeros.
+    """
+    u = _mode_operator(state.paths, block, groups, what)
+    matrix = state.matrix
+    occupied = np.flatnonzero(matrix.any(axis=0) | matrix.any(axis=1))
+    u = u[:, occupied]
+    half = (u[:, :, None] * matrix[occupied[:, None], occupied][None]).sum(axis=1)
+    return TwoPhotonState(state.paths, (half[:, None, :] * u[None]).sum(axis=2))
+
+
+def _element_groups(element: "LinearElement") -> list[list[tuple[str, Polarization, int]]]:
+    """The element's channels on each temporal index: it acts alike on both."""
+    return [[(path, pol, t) for path, pol in element.channels] for t in (0, 1)]
+
+
+@dataclass(frozen=True, eq=False)
 class TwoPhotonState:
-    """Sparse two-photon state with a declared set of spatial paths.
+    """Two-photon state: symmetric amplitude ``matrix`` over the modes of ``paths``.
 
-    ``amplitudes`` maps canonical pairs to coefficients of normalized basis
-    states.  ``paths`` declares every path the state logically spans, which
-    may include paths that currently hold no amplitude (e.g. the empty
-    output arms of an interferometer before light reaches them).
+    ``paths`` declares every path the state logically spans, which may
+    include paths that currently hold no amplitude (e.g. the empty output
+    arms of an interferometer before light reaches them).  Equality is
+    exact on both fields.
     """
 
-    amplitudes: Mapping[PairKey, complex]
-    paths: frozenset[str]
+    paths: tuple[str, ...]
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        paths, matrix = _checked(self.matrix, self.paths, 2)
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "matrix", matrix)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TwoPhotonState):
+            return NotImplemented
+        return self.paths == other.paths and np.array_equal(self.matrix, other.matrix)
 
     @classmethod
     def from_terms(
         cls,
-        terms: Mapping[PairKey, complex] | Iterable[tuple[PairKey, complex]],
+        terms: Mapping[tuple[ModeLabel, ModeLabel], complex]
+        | Iterable[tuple[tuple[ModeLabel, ModeLabel], complex]],
         paths: Iterable[str] = (),
     ) -> "TwoPhotonState":
-        """Canonicalize, merge, and prune raw pair/amplitude terms.
+        """Build a state from normalized-pair coefficients keyed by label pairs.
 
-        Pair keys are reordered canonically, duplicate keys are summed, and
-        amplitudes below ``AMPLITUDE_TOL`` are dropped.  The declared path
-        set is the union of ``paths`` with every path appearing in a kept
-        key.  The total squared norm may not exceed 1 (within tolerance).
+        Pairs are unordered and repeated pairs add up.  The declared paths
+        are ``paths`` followed by every further path a label names.  The
+        total squared norm may not exceed 1 (within tolerance).
         """
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        merged: dict[PairKey, complex] = {}
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        declared = _declare(paths, (label for pair, _ in items for label in pair))
+        matrix = np.zeros((4 * len(declared),) * 2, dtype=complex)
         for (l1, l2), amp in items:
-            key = _canonical_pair(l1, l2)
-            merged[key] = merged.get(key, 0j) + complex(amp)
-        kept = {k: v for k, v in merged.items() if abs(v) > AMPLITUDE_TOL}
-        declared = set(paths)
-        for l1, l2 in kept:
-            declared.add(l1.path)
-            declared.add(l2.path)
-        state = cls(kept, frozenset(declared))
+            i, j = _find(declared, l1), _find(declared, l2)
+            if i == j:
+                matrix[i, i] += _SQRT2 * complex(amp)
+            else:
+                matrix[i, j] += amp
+                matrix[j, i] += amp
+        state = cls(declared, matrix)
         nrm = state.norm_squared
         if nrm > 1.0 + NORM_TOL:
             raise ValidationError(f"state squared norm {nrm!r} exceeds 1")
@@ -206,35 +295,68 @@ class TwoPhotonState:
 
     @property
     def norm_squared(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return 0.5 * float(np.vdot(self.matrix, self.matrix).real)
 
     def amplitude(self, l1: ModeLabel, l2: ModeLabel) -> complex:
-        """Coefficient of the (unordered) pair, zero when absent."""
-        return complex(self.amplitudes.get(_canonical_pair(l1, l2), 0j))
+        """Coefficient of the normalized (unordered) pair state, zero when absent."""
+        i, j = _find(self.paths, l1), _find(self.paths, l2)
+        if i is None or j is None:
+            return 0j
+        if i == j:
+            return complex(self.matrix[i, i]) / _SQRT2
+        return complex(self.matrix[min(i, j), max(i, j)])
 
-    def items(self) -> Iterable[tuple[PairKey, complex]]:
-        return self.amplitudes.items()
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SinglePhotonState:
-    """Sparse single-photon state, possibly subnormalized."""
+    """Single-photon state: amplitude ``vector`` over the modes of ``paths``.
 
-    amplitudes: Mapping[ModeLabel, complex]
+    The state may be subnormalized.  Equality is exact on both fields.
+    """
+
+    paths: tuple[str, ...]
+    vector: np.ndarray
+
+    def __post_init__(self) -> None:
+        paths, vector = _checked(self.vector, self.paths, 1)
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "vector", vector)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SinglePhotonState):
+            return NotImplemented
+        return self.paths == other.paths and np.array_equal(self.vector, other.vector)
 
     @classmethod
     def from_terms(
-        cls, terms: Mapping[ModeLabel, complex] | Iterable[tuple[ModeLabel, complex]]
+        cls,
+        terms: Mapping[ModeLabel, complex] | Iterable[tuple[ModeLabel, complex]],
+        paths: Iterable[str] = (),
     ) -> "SinglePhotonState":
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        merged: dict[ModeLabel, complex] = {}
+        """Build a state from amplitudes keyed by mode label; repeats add up.
+
+        The declared paths are ``paths`` followed by every further path a
+        label names.  The squared norm may not exceed 1 (within tolerance).
+        """
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        declared = _declare(paths, (label for label, _ in items))
+        vector = np.zeros(4 * len(declared), dtype=complex)
         for label, amp in items:
-            merged[label] = merged.get(label, 0j) + complex(amp)
-        return cls({k: v for k, v in merged.items() if abs(v) > AMPLITUDE_TOL})
+            vector[_find(declared, label)] += amp
+        state = cls(declared, vector)
+        nrm = state.norm_squared
+        if nrm > 1.0 + NORM_TOL:
+            raise ValidationError(f"state squared norm {nrm!r} exceeds 1")
+        return state
 
     @property
     def norm_squared(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return float(np.vdot(self.vector, self.vector).real)
+
+    def amplitude(self, label: ModeLabel) -> complex:
+        """Amplitude on one mode, zero when its path is not declared."""
+        i = _find(self.paths, label)
+        return 0j if i is None else complex(self.vector[i])
 
     def coherency(self) -> np.ndarray:
         """Polarization coherency matrix ``J = sum_g v_g v_g^dagger`` (2x2, H/V).
@@ -245,11 +367,7 @@ class SinglePhotonState:
         groups; ``J`` therefore fixes every analyzer probability, and its
         trace is the squared norm.
         """
-        groups: dict[tuple[str, int], list[complex]] = {}
-        for label, amp in self.amplitudes.items():
-            vec = groups.setdefault((label.path, label.temporal), [0j, 0j])
-            vec[0 if label.pol is Polarization.H else 1] += amp
-        vectors = np.array(list(groups.values()), dtype=complex).reshape(-1, 2)
+        vectors = self.vector.reshape(-1, 2, 2).transpose(0, 2, 1).reshape(-1, 2)
         return vectors.T @ vectors.conj()
 
     def projection_probability(self, jones: Sequence[complex]) -> float:
@@ -260,25 +378,6 @@ class SinglePhotonState:
         """
         vec = np.array(_as_jones(jones, "analyzer jones vector"))
         return max(float((vec.conj() @ self.coherency() @ vec).real), 0.0)
-
-
-@dataclass(frozen=True)
-class PolarizationProjector:
-    """Rank-one polarization projector on one spatial path."""
-
-    path: str
-    jones: Jones
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "jones", _as_jones(self.jones, "projector jones vector"))
-
-
-def computational_projector(path: str, value: int) -> PolarizationProjector:
-    return PolarizationProjector(path, computational_jones(value))
-
-
-def analyzer_projector(path: str, theta_deg: float) -> PolarizationProjector:
-    return PolarizationProjector(path, analyzer_jones(theta_deg))
 
 
 def product_state(
@@ -294,8 +393,10 @@ def product_state(
     element 1.  Identical wavepackets therefore land entirely on temporal
     index 0, orthogonal ones put the second photon on index 1.
 
-    The two specs may share a spatial path; double occupation of a single
-    mode is handled with the standard bosonic normalization.
+    With ``a`` and ``b`` the two photons' mode vectors the matrix is
+    ``a b^T + b a^T``, normalized; the two specs may share a spatial path,
+    even a mode.  The declared paths are the two photons' paths, then
+    ``paths``.
     """
     wp_a = photon_a.wavepacket
     wp_b = photon_b.wavepacket
@@ -307,114 +408,40 @@ def product_state(
     residual = [d - overlap * c for c, d in zip(ambient_a, ambient_b)]
     res_norm = math.sqrt(sum(abs(c) ** 2 for c in residual))
 
-    # Second photon's coefficients on the derived temporal basis (e0, e1).
-    coeffs_b: dict[int, complex] = {}
-    if abs(overlap) > AMPLITUDE_TOL:
-        coeffs_b[0] = overlap
-    if res_norm > AMPLITUDE_TOL:
-        coeffs_b[1] = complex(res_norm)
-
-    monomials: dict[PairKey, complex] = {}
-    for pol_a in Polarization:
-        amp_a = _component(photon_a.jones, pol_a)
-        if amp_a == 0:
-            continue
-        label_a = ModeLabel(photon_a.path, pol_a, 0)
-        for pol_b in Polarization:
-            amp_b = _component(photon_b.jones, pol_b)
-            if amp_b == 0:
-                continue
-            for t_b, coeff_t in coeffs_b.items():
-                label_b = ModeLabel(photon_b.path, pol_b, t_b)
-                key = _canonical_pair(label_a, label_b)
-                monomials[key] = monomials.get(key, 0j) + amp_a * amp_b * coeff_t
-
-    terms = {
-        key: (amp * _SQRT2 if key[0] == key[1] else amp) for key, amp in monomials.items()
-    }
-    nrm = math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
+    declared = tuple(dict.fromkeys((photon_a.path, photon_b.path, *paths)))
+    a = np.zeros(4 * len(declared), dtype=complex)
+    b = np.zeros_like(a)
+    start_a = 4 * declared.index(photon_a.path)
+    start_b = 4 * declared.index(photon_b.path)
+    (h_a, v_a), (h_b, v_b) = photon_a.jones, photon_b.jones
+    a[start_a : start_a + 4] = (h_a, 0j, v_a, 0j)
+    b[start_b : start_b + 4] = (h_b * overlap, h_b * res_norm, v_b * overlap, v_b * res_norm)
+    matrix = np.outer(a, b)
+    matrix = matrix + matrix.T
+    nrm = math.sqrt(0.5 * float(np.vdot(matrix, matrix).real))
     if nrm <= AMPLITUDE_TOL:
         raise ValidationError("product state vanished; input specs are degenerate")
-    normalized = {key: amp / nrm for key, amp in terms.items()}
-    declared = {photon_a.path, photon_b.path, *paths}
-    return TwoPhotonState.from_terms(normalized, paths=declared)
-
-
-def _apply_label_map(
-    state: TwoPhotonState,
-    expand: Callable[[ModeLabel], Iterable[tuple[ModeLabel, complex]]],
-    paths: Iterable[str] | None = None,
-) -> TwoPhotonState:
-    """Push the state through a linear map given per-label expansions.
-
-    ``expand(label)`` returns the image of one creation operator as
-    (label, coefficient) terms.  Monomial coefficients are accumulated with
-    the bosonic sqrt(2) bookkeeping for doubly occupied modes, so any
-    unitary expansion preserves the norm.
-    """
-    monomials: dict[PairKey, complex] = {}
-    for (l1, l2), amp in state.amplitudes.items():
-        coeff = amp * _INV_SQRT2 if l1 == l2 else amp
-        image_1 = tuple(expand(l1))
-        image_2 = image_1 if l2 == l1 else tuple(expand(l2))
-        for m1, c1 in image_1:
-            for m2, c2 in image_2:
-                key = _canonical_pair(m1, m2)
-                monomials[key] = monomials.get(key, 0j) + coeff * c1 * c2
-    terms = {
-        key: (amp * _SQRT2 if key[0] == key[1] else amp) for key, amp in monomials.items()
-    }
-    declared = state.paths if paths is None else frozenset(paths)
-    return TwoPhotonState.from_terms(terms, paths=declared)
+    return TwoPhotonState(declared, matrix / nrm)
 
 
 def apply_element(state: TwoPhotonState, element: "LinearElement") -> TwoPhotonState:
-    """Apply a linear optical element; modes off its channels pass through.
+    """Apply a linear optical element as ``A -> U A U^T``.
 
     The element's matrix columns index input channels and rows index output
-    channels.  Temporal indices ride along unchanged.
+    channels; it acts alike on both temporal indices, and modes off its
+    channels pass through.
     """
-    needed = {path for path, _ in element.channels}
-    missing = needed - state.paths
-    if missing:
-        raise ConfigurationError(
-            f"element {element.name!r} addresses undeclared paths {sorted(missing)}"
-        )
-    columns = {channel: j for j, channel in enumerate(element.channels)}
-    matrix = element.matrix
-
-    def expand(label: ModeLabel) -> tuple[tuple[ModeLabel, complex], ...]:
-        col = columns.get((label.path, label.pol))
-        if col is None:
-            return ((label, 1.0 + 0j),)
-        out = []
-        for row, (path, pol) in enumerate(element.channels):
-            coeff = matrix[row, col]
-            if coeff != 0:
-                out.append((ModeLabel(path, pol, label.temporal), complex(coeff)))
-        return tuple(out)
-
-    return _apply_label_map(state, expand)
+    groups = _element_groups(element)
+    return _transformed(state, element.matrix, groups, f"element {element.name!r}")
 
 
 def apply_element_single(
     state: SinglePhotonState, element: "LinearElement"
 ) -> SinglePhotonState:
-    """Single-photon version of :func:`apply_element`."""
-    columns = {channel: j for j, channel in enumerate(element.channels)}
-    matrix = element.matrix
-    out: dict[ModeLabel, complex] = {}
-    for label, amp in state.amplitudes.items():
-        col = columns.get((label.path, label.pol))
-        if col is None:
-            out[label] = out.get(label, 0j) + amp
-            continue
-        for row, (path, pol) in enumerate(element.channels):
-            coeff = matrix[row, col]
-            if coeff != 0:
-                target = ModeLabel(path, pol, label.temporal)
-                out[target] = out.get(target, 0j) + complex(coeff) * amp
-    return SinglePhotonState.from_terms(out)
+    """Single-photon version of :func:`apply_element`: ``v -> U v``."""
+    groups = _element_groups(element)
+    u = _mode_operator(state.paths, element.matrix, groups, f"element {element.name!r}")
+    return SinglePhotonState(state.paths, (u * state.vector).sum(axis=1))
 
 
 def relabel_paths(state: TwoPhotonState, mapping: Mapping[str, str]) -> TwoPhotonState:
@@ -423,95 +450,7 @@ def relabel_paths(state: TwoPhotonState, mapping: Mapping[str, str]) -> TwoPhoto
     The mapping must stay injective on the state's declared paths, since
     merging two paths is not a linear-optics relabeling.
     """
-    images = [mapping.get(p, p) for p in state.paths]
-    if len(set(images)) != len(state.paths):
+    images = tuple(mapping.get(p, p) for p in state.paths)
+    if len(set(images)) != len(images):
         raise ConfigurationError(f"path relabeling {dict(mapping)!r} merges declared paths")
-    terms = {}
-    for (l1, l2), amp in state.amplitudes.items():
-        new_1 = ModeLabel(mapping.get(l1.path, l1.path), l1.pol, l1.temporal)
-        new_2 = ModeLabel(mapping.get(l2.path, l2.path), l2.pol, l2.temporal)
-        terms[_canonical_pair(new_1, new_2)] = amp
-    return TwoPhotonState.from_terms(terms, paths=images)
-
-
-def joint_probability(
-    state: TwoPhotonState,
-    projector_a: PolarizationProjector,
-    projector_b: PolarizationProjector,
-) -> float:
-    """Coincidence probability for one polarization projector on each path.
-
-    Amplitudes interfere within each pair of temporal indices and add
-    incoherently across them.  Terms that do not put exactly one photon on
-    each projector path cannot produce this coincidence and contribute
-    nothing.
-    """
-    if projector_a.path == projector_b.path:
-        raise UsageError("joint probability requires projectors on two distinct paths")
-    buckets: dict[tuple[int, int], complex] = {}
-    for (l1, l2), amp in state.amplitudes.items():
-        if {l1.path, l2.path} != {projector_a.path, projector_b.path}:
-            continue
-        on_a, on_b = (l1, l2) if l1.path == projector_a.path else (l2, l1)
-        contrib = (
-            amp
-            * _component(projector_a.jones, on_a.pol).conjugate()
-            * _component(projector_b.jones, on_b.pol).conjugate()
-        )
-        key = (on_a.temporal, on_b.temporal)
-        buckets[key] = buckets.get(key, 0j) + contrib
-    return float(sum(abs(b) ** 2 for b in buckets.values()))
-
-
-@dataclass(frozen=True)
-class EnsembleMember:
-    """One temporal outcome of a destructive single-photon measurement."""
-
-    measured_temporal: int
-    state: SinglePhotonState
-
-
-@dataclass(frozen=True)
-class ConditionalEnsemble:
-    """Subnormalized conditional states keyed by the measured photon's temporal index."""
-
-    members: tuple[EnsembleMember, ...]
-
-    @property
-    def probability(self) -> float:
-        return float(sum(m.state.norm_squared for m in self.members))
-
-
-def condition_on(
-    state: TwoPhotonState, projector: PolarizationProjector
-) -> ConditionalEnsemble:
-    """Condition on detecting one photon behind a polarization projector.
-
-    Every amplitude must place exactly one photon on the projector's path;
-    anything else means the caller conditioned on the wrong path and raises
-    a structural error.  The detector does not resolve temporal structure,
-    so one subnormalized pure state is returned per measured temporal index;
-    their squared norms sum to the outcome probability.
-    """
-    partial: dict[int, dict[ModeLabel, complex]] = {}
-    for (l1, l2), amp in state.amplitudes.items():
-        on_path = (l1.path == projector.path, l2.path == projector.path)
-        if on_path == (True, False):
-            measured, rest = l1, l2
-        elif on_path == (False, True):
-            measured, rest = l2, l1
-        else:
-            count = sum(on_path)
-            raise StructureError(
-                f"path {projector.path!r} holds {count} photons in term "
-                f"({l1}, {l2}); conditioning requires exactly one"
-            )
-        contrib = amp * _component(projector.jones, measured.pol).conjugate()
-        bucket = partial.setdefault(measured.temporal, {})
-        bucket[rest] = bucket.get(rest, 0j) + contrib
-    members = []
-    for temporal in sorted(partial):
-        member_state = SinglePhotonState.from_terms(partial[temporal])
-        if member_state.amplitudes:
-            members.append(EnsembleMember(temporal, member_state))
-    return ConditionalEnsemble(tuple(members))
+    return TwoPhotonState(images, state.matrix)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from _oracle import element_transfer, expand_two_photon, hom_coincidence
+from _states import pair_terms
 from loqec import (
     PATH_A,
     PATH_B,
@@ -71,7 +72,7 @@ def test_encoder_code_words_at_half_probability(verdict):
         scale = 1.0 / math.sqrt(p)
         worst = max(worst, abs(scale * state.amplitude(*key_hh) - (alpha + beta) * R))
         worst = max(worst, abs(scale * state.amplitude(*key_vv) - (alpha - beta) * R))
-        stray = sum(abs(a) for k, a in state.amplitudes.items() if k not in (key_hh, key_vv))
+        stray = sum(abs(a) for k, a in pair_terms(state).items() if k not in (key_hh, key_vv))
         worst = max(worst, stray)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 1.0
@@ -259,9 +260,10 @@ def test_element_algebra_matches_the_permanent_expansion(verdict):
         element = _random_element(rng, paths)
         out = apply_element(state, element)
         worst = max(worst, abs(out.norm_squared - state.norm_squared))
-        labels = sorted({l for key in state.amplitudes for l in key})
-        expected = expand_two_photon(state.amplitudes, element_transfer(element, labels))
-        for key in set(out.amplitudes) | set(expected):
+        terms = pair_terms(state)
+        labels = sorted({l for key in terms for l in key})
+        expected = expand_two_photon(terms, element_transfer(element, labels))
+        for key in set(pair_terms(out)) | set(expected):
             worst = max(worst, abs(out.amplitude(*key) - expected.get(key, 0j)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 30.0

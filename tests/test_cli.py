@@ -147,6 +147,47 @@ class TestRunSweep:
         assert abs(summary["curves"]["d1_d3"]["visibility"]) < 1e-9
 
 
+    def test_failing_run_leaves_no_output(self, tmp_path, capsys):
+        """Runs are all computed before any file is written."""
+        document = {
+            "config_version": 1,
+            "runs": [
+                {"name": "ok", "experiment": {}},
+                {"name": "rank-deficient", "experiment": {"thetas": [0, 90, 180]}},
+            ],
+            "outputs": {"directory": str(tmp_path / "out"), "format": "csv"},
+        }
+        manifest = write_manifest(tmp_path / "m.json", document)
+        assert cli.main(["run-sweep", "--config", str(manifest)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_output_is_an_error_line(self, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("", encoding="utf-8")
+        manifest = write_manifest(tmp_path / "m.json", base_manifest(tmp_path / "out"))
+        code = cli.main(
+            ["run-sweep", "--config", str(manifest), "--output", str(blocker / "sub")]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: cannot write {blocker / 'sub'}")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("key,value", [("seed", -5), ("pair_rate", 1e30)])
+    def test_unsampleable_settings_are_error_lines(self, tmp_path, capsys, key, value):
+        document = base_manifest(tmp_path / "out", **{key: value})
+        manifest = write_manifest(tmp_path / "m.json", document)
+        assert cli.main(["run-sweep", "--config", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: experiment:") and key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_json_writer_refuses_non_finite_numbers(self):
+        with pytest.raises(ValueError):
+            cli._dump_json({"visibility": math.nan})
+
+
 class TestManifestValidation:
     def error_of(self, capsys, args):
         code = cli.main(args)
@@ -334,6 +375,13 @@ class TestFitCommand:
         data = self.sweep_csv(tmp_path)
         assert cli.main(["fit", str(data), "--column", "nope"]) == 1
         assert "nope" in capsys.readouterr().err
+
+    def test_unwritable_record_is_an_error_line(self, tmp_path, capsys):
+        data = self.sweep_csv(tmp_path)
+        assert cli.main(["fit", str(data), "--output", str(data / "fit.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write")
+        assert captured.out == ""
 
     def test_too_few_rows_rejected(self, tmp_path, capsys):
         path = tmp_path / "tiny.csv"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracle import element_transfer, expand_two_photon
+from _states import pair_terms
 from loqec import (
     ConfigurationError,
     LinearElement,
@@ -14,8 +15,8 @@ from loqec import (
     Polarization,
     SinglePhotonSpec,
     SinglePhotonState,
-    StructureError,
     TwoPhotonState,
+    ValidationError,
     DistinguishabilitySpec,
     WiringConfig,
     apply_element,
@@ -37,14 +38,17 @@ def label(path, pol, temporal=0):
     return ModeLabel(path, Polarization(pol), temporal)
 
 
-def single(path, pol, temporal=0):
-    return SinglePhotonState.from_terms({label(path, pol, temporal): 1.0})
+PORTS = ("in1", "in2", "out1", "out2")
+
+
+def single(path, pol, temporal=0, paths=()):
+    return SinglePhotonState.from_terms({label(path, pol, temporal): 1.0}, paths=paths)
 
 
 def jones_of(state, path, temporal=0):
     return (
-        state.amplitudes.get(label(path, "H", temporal), 0j),
-        state.amplitudes.get(label(path, "V", temporal), 0j),
+        state.amplitude(label(path, "H", temporal)),
+        state.amplitude(label(path, "V", temporal)),
     )
 
 
@@ -100,19 +104,11 @@ class TestPbs:
             pbs("a", "a", "c", "d")
 
     def test_transmits_h_and_reflects_v(self):
-        splitter = pbs("in1", "in2", "out1", "out2")
-        assert apply_element_single(single("in1", "H"), splitter).amplitudes == {
-            label("out1", "H"): 1.0
-        }
-        assert apply_element_single(single("in1", "V"), splitter).amplitudes == {
-            label("out2", "V"): 1.0
-        }
-        assert apply_element_single(single("in2", "H"), splitter).amplitudes == {
-            label("out2", "H"): 1.0
-        }
-        assert apply_element_single(single("in2", "V"), splitter).amplitudes == {
-            label("out1", "V"): 1.0
-        }
+        splitter = pbs(*PORTS)
+        routes = (("in1", "H", "out1"), ("in1", "V", "out2"), ("in2", "H", "out2"), ("in2", "V", "out1"))
+        for source, pol, target in routes:
+            out = apply_element_single(single(source, pol, paths=PORTS), splitter)
+            assert out == single(target, pol, paths=PORTS)
 
     def test_two_v_photons_exit_swapped_ports(self):
         """Opposite-port V inputs both reflect; no interference possible."""
@@ -123,9 +119,10 @@ class TestPbs:
         splitter = pbs("in1", "in2", "out1", "out2")
         out = apply_element(state, splitter)
         assert out.amplitude(label("out1", "V"), label("out2", "V")) == pytest.approx(1.0)
-        labels = sorted({l for key in state.amplitudes for l in key})
-        expected = expand_two_photon(state.amplitudes, element_transfer(splitter, labels))
-        assert set(out.amplitudes) == set(expected)
+        terms = pair_terms(state)
+        labels = sorted({l for key in terms for l in key})
+        expected = expand_two_photon(terms, element_transfer(splitter, labels))
+        assert set(pair_terms(out)) == set(expected)
 
     def test_coincidence_terms_of_the_encoder(self):
         """Generic qubit against a +45 ancilla: the four output terms."""
@@ -169,16 +166,16 @@ class TestBs5050:
             bs5050("a", "b", "c", "c")
 
     def test_single_photon_splits_evenly(self):
-        splitter = bs5050("in1", "in2", "out1", "out2")
-        out = apply_element_single(single("in1", "H"), splitter)
-        assert out.amplitudes[label("out1", "H")] == pytest.approx(R)
-        assert out.amplitudes[label("out2", "H")] == pytest.approx(R)
+        splitter = bs5050(*PORTS)
+        out = apply_element_single(single("in1", "H", paths=PORTS), splitter)
+        assert out.amplitude(label("out1", "H")) == pytest.approx(R)
+        assert out.amplitude(label("out2", "H")) == pytest.approx(R)
 
     def test_sign_convention_on_second_input(self):
-        splitter = bs5050("in1", "in2", "out1", "out2")
-        out = apply_element_single(single("in2", "V"), splitter)
-        assert out.amplitudes[label("out1", "V")] == pytest.approx(R)
-        assert out.amplitudes[label("out2", "V")] == pytest.approx(-R)
+        splitter = bs5050(*PORTS)
+        out = apply_element_single(single("in2", "V", paths=PORTS), splitter)
+        assert out.amplitude(label("out1", "V")) == pytest.approx(R)
+        assert out.amplitude(label("out2", "V")) == pytest.approx(-R)
 
     def test_identical_photons_never_coincide(self):
         state = TwoPhotonState.from_terms(
@@ -197,9 +194,10 @@ class TestBs5050:
         )
         splitter = bs5050("in1", "in2", "out1", "out2")
         out = apply_element(state, splitter)
-        labels = sorted({l for key in state.amplitudes for l in key})
-        expected = expand_two_photon(state.amplitudes, element_transfer(splitter, labels))
-        for key in set(out.amplitudes) | set(expected):
+        terms = pair_terms(state)
+        labels = sorted({l for key in terms for l in key})
+        expected = expand_two_photon(terms, element_transfer(splitter, labels))
+        for key in set(pair_terms(out)) | set(expected):
             assert abs(out.amplitude(*key) - expected.get(key, 0j)) < 1e-12
 
 
@@ -250,9 +248,16 @@ class TestDelay:
         assert abs(out.amplitude(label("P", "H", 1), label("Q", "H", 0))) == pytest.approx(1.0)
 
     def test_temporal_index_overflow_rejected(self):
-        state = TwoPhotonState.from_terms({(label("P", "H", 2), label("Q", "H")): 1.0})
-        with pytest.raises(StructureError):
-            delay("P", DistinguishabilitySpec(0.5))(state)
+        """A state holds temporal indices 0 and 1 only, the two the delay rotates."""
+        with pytest.raises(ValidationError):
+            TwoPhotonState.from_terms({(label("P", "H", 2), label("Q", "H")): 1.0})
+
+    def test_undeclared_path_rejected(self):
+        state = TwoPhotonState.from_terms({(label("P", "H"), label("Q", "H")): 1.0})
+        with pytest.raises(ConfigurationError):
+            delay("R", DistinguishabilitySpec(0.5))(state)
+        with pytest.raises(ConfigurationError):
+            apply_element_single(single("P", "H"), pockels("R", active=True))
 
     @given(st.floats(0.0, 1.0, allow_nan=False))
     def test_norm_preserved_for_any_overlap(self, overlap):

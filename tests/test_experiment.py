@@ -60,6 +60,9 @@ class TestExperimentConfig:
         ("qubit_hwp_angle", math.inf),
         ("thetas", (0.0, math.nan)),
         ("thetas", (-math.inf, 10.0)),
+        ("pair_rate", 1e30),
+        ("seed", -1),
+        ("seed", 2**64),
     ])
     def test_out_of_range_fields_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -122,6 +125,15 @@ class TestRunAnalytic:
         assert result.d1_d2.fit.phase_deg == pytest.approx(45.0, abs=1e-9)
         assert result.d1_d3.fit.phase_deg == pytest.approx(45.0, abs=1e-9)
         assert result.fidelity == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("pc_enabled", [False, True])
+    def test_flat_curves_report_zero_phase(self, pc_enabled):
+        """At zero overlap both curves are flat; their fitted amplitude is
+        rounding noise, which must not be reported as a phase."""
+        result = run_analytic(ExperimentConfig(overlap_v=0.0, pc_enabled=pc_enabled))
+        for curve in (result.d1_d2, result.d1_d3):
+            assert curve.fit.amplitude <= 1e-12 * curve.fit.offset
+            assert curve.fit.phase_deg == 0.0
 
     def test_uncorrected_transmit_curve_is_phase_flipped(self):
         result = run_analytic(ExperimentConfig(qubit_hwp_angle=22.5, pc_enabled=False))
@@ -313,6 +325,17 @@ class TestSampleCounts:
         with pytest.raises(ValidationError):
             sample_counts([0.1], -100.0, 1.0, seed=0)
 
+    def test_mean_count_above_the_poisson_limit_rejected(self):
+        with pytest.raises(ValidationError, match="pair_rate=1e\\+30, duration=60.0"):
+            sample_counts([0.1], 1e30, 60.0, seed=0)
+        assert sample_counts([0.5], 9.2e18, 1.0, seed=0)[0] > 0
+
+    def test_seeds_outside_64_bits_rejected_not_wrapped(self):
+        for seed in (-1, 2**64, -(2**64)):
+            with pytest.raises(ValidationError, match="seed"):
+                sample_counts([0.1], 1000.0, 60.0, seed=seed)
+        assert sample_counts([0.1], 1000.0, 60.0, seed=2**64 - 1).shape == (1,)
+
     def test_moments_match_poisson(self):
         counts = sample_counts([0.5] * 4000, 2000.0, 1.0, seed=21)
         mean = counts.mean()
@@ -444,3 +467,8 @@ class TestHomScan:
     def test_nonpositive_coherence_time_rejected(self):
         with pytest.raises(ValidationError):
             hom_scan((0.0,), 0.0)
+
+    @pytest.mark.parametrize("coherence_time", [math.inf, math.nan])
+    def test_non_finite_coherence_time_rejected(self, coherence_time):
+        with pytest.raises(ValidationError, match="coherence time"):
+            hom_scan((0.0,), coherence_time)

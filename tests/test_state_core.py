@@ -1,4 +1,4 @@
-"""Unit tests for mode labels, two-photon states, and conditioning."""
+"""Unit tests for mode labels, two-photon states, and conditioning on a detection."""
 import math
 
 import numpy as np
@@ -7,28 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracle import element_transfer, expand_two_photon, gram_schmidt_weights
+from _states import pair_terms
 from loqec import (
+    DetectorSpec,
     LinearElement,
     ModeLabel,
     Polarization,
-    PolarizationProjector,
     SinglePhotonSpec,
     SinglePhotonState,
     StructureError,
     TwoPhotonState,
-    UsageError,
     ValidationError,
     DistinguishabilitySpec,
     analyzer_jones,
-    analyzer_projector,
     apply_element,
     computational_jones,
-    computational_projector,
-    condition_on,
-    joint_probability,
     jones_to_computational,
     product_state,
     relabel_paths,
+    z_measure,
 )
 
 R = 1.0 / math.sqrt(2.0)
@@ -164,6 +161,16 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             DistinguishabilitySpec.from_delay(1e-12, 0.0)
 
+    @pytest.mark.parametrize("delay,coherence_time", [
+        (0.0, math.inf),
+        (0.0, math.nan),
+        (math.inf, 1e-12),
+        (math.nan, 1e-12),
+    ])
+    def test_non_finite_delay_inputs_rejected(self, delay, coherence_time):
+        with pytest.raises(ValidationError):
+            DistinguishabilitySpec.from_delay(delay, coherence_time)
+
 
 class TestModeLabel:
     def test_labels_order_canonically(self):
@@ -185,17 +192,21 @@ class TestFromTerms:
         state = TwoPhotonState.from_terms([((l1, l2), 0.25), ((l2, l1), 0.25)])
         assert state.amplitude(l1, l2) == 0.5
 
-    def test_tiny_amplitudes_pruned(self):
-        state = pair_state({(("P", "H"), ("Q", "H")): 0.5, (("P", "V"), ("Q", "V")): 1e-14})
-        assert len(state.amplitudes) == 1
-
     def test_overnormalized_state_rejected(self):
         with pytest.raises(ValidationError):
             pair_state({(("P", "H"), ("Q", "H")): 1.0, (("P", "V"), ("Q", "V")): 0.5})
 
+    def test_matrix_shape_must_fit_the_paths(self):
+        from loqec import ConfigurationError
+
+        with pytest.raises(ValidationError):
+            TwoPhotonState(("P", "Q"), np.zeros((4, 4)))
+        with pytest.raises(ConfigurationError):
+            TwoPhotonState(("P", "P"), np.zeros((8, 8)))
+
     def test_declared_paths_cover_amplitudes_and_extras(self):
         state = pair_state({(("P", "H"), ("Q", "H")): 0.5}, paths=("R",))
-        assert state.paths == frozenset({"P", "Q", "R"})
+        assert set(state.paths) == {"P", "Q", "R"}
 
 
 class TestProductState:
@@ -297,10 +308,10 @@ class TestApplyElement:
         )
         element = beam_splitter_h("P", "Q")
         out = apply_element(state, element)
-        labels = sorted({l for key in state.amplitudes for l in key})
-        expected = expand_two_photon(state.amplitudes, element_transfer(element, labels))
-        keys = set(out.amplitudes) | set(expected)
-        for key in keys:
+        terms = pair_terms(state)
+        labels = sorted({l for key in terms for l in key})
+        expected = expand_two_photon(terms, element_transfer(element, labels))
+        for key in set(pair_terms(out)) | set(expected):
             assert abs(out.amplitude(*key) - expected.get(key, 0j)) < 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -313,9 +324,10 @@ class TestApplyElement:
         element = LinearElement("random", channels, unitary)
         out = apply_element(state, element)
         assert out.norm_squared == pytest.approx(state.norm_squared, abs=1e-12)
-        labels = sorted({l for key in state.amplitudes for l in key})
-        expected = expand_two_photon(state.amplitudes, element_transfer(element, labels))
-        for key in set(out.amplitudes) | set(expected):
+        terms = pair_terms(state)
+        labels = sorted({l for key in terms for l in key})
+        expected = expand_two_photon(terms, element_transfer(element, labels))
+        for key in set(pair_terms(out)) | set(expected):
             assert abs(out.amplitude(*key) - expected.get(key, 0j)) < 1e-12
 
 
@@ -335,66 +347,48 @@ class TestRelabelPaths:
 
 
 class TestJointProbability:
-    def test_parallel_projectors_on_correlated_pair(self):
-        state = pair_state({(("A", "H"), ("B", "H")): R, (("A", "V"), ("B", "V")): R})
-        p = joint_probability(
-            state, computational_projector("A", 0), computational_projector("B", 0)
-        )
-        assert p == pytest.approx(0.5, abs=1e-12)
-
-    def test_orthogonal_projector_gives_zero(self):
-        state = pair_state({(("A", "H"), ("B", "H")): 1.0})
-        p = joint_probability(
-            state,
-            PolarizationProjector("A", (0.0, 1.0)),
-            PolarizationProjector("B", (1.0, 0.0)),
-        )
-        assert p == 0.0
-
-    def test_same_path_projectors_rejected(self):
-        state = pair_state({(("A", "H"), ("B", "H")): 1.0})
-        with pytest.raises(UsageError):
-            joint_probability(
-                state, computational_projector("A", 0), computational_projector("A", 1)
-            )
-
-    def test_temporally_tagged_terms_add_incoherently(self):
-        """Distinguishable contributions wash out the analyzer dependence."""
-        state = pair_state(
-            {(("A", "H", 0), ("B", "H", 1)): 0.5, (("A", "V", 1), ("B", "V", 0)): 0.5}
-        )
-        probe = computational_projector("B", 0)
-        values = {
-            theta: joint_probability(state, analyzer_projector("A", theta), probe)
-            for theta in (0.0, 30.0, 45.0, 90.0, 120.0)
-        }
-        for p in values.values():
-            assert p == pytest.approx(0.125, abs=1e-12)
-
     @settings(max_examples=60, deadline=None)
     @given(coincidence_states(), st.floats(-180, 180, allow_nan=False), st.floats(-180, 180, allow_nan=False))
     def test_consistent_with_conditioning(self, state, theta_a, theta_b):
-        projector_a = analyzer_projector("P", theta_a)
-        projector_b = analyzer_projector("Q", theta_b)
-        joint = joint_probability(state, projector_a, projector_b)
-        ensemble = condition_on(state, projector_b)
+        """Analyzers on both paths: the joint probability, interfering the
+        pair amplitudes within each pair of temporal indices, equals the
+        conditioned survivor's pass probability summed over the branches."""
+        jones_a, jones_b = analyzer_jones(theta_a), analyzer_jones(theta_b)
+        joint = 0.0
+        for t_a in (0, 1):
+            for t_b in (0, 1):
+                bucket = 0j
+                for k_a, pol_a in enumerate(Polarization):
+                    for k_b, pol_b in enumerate(Polarization):
+                        amp = state.amplitude(label("P", pol_a, t_a), label("Q", pol_b, t_b))
+                        bucket += amp * jones_a[k_a].conjugate() * jones_b[k_b].conjugate()
+                joint += abs(bucket) ** 2
+        detectors = (
+            DetectorSpec("pass", "Q", jones_b),
+            DetectorSpec("block", "Q", analyzer_jones(theta_b + 90.0)),
+        )
+        branches = z_measure(state, "Q", detectors)
         split = sum(
-            member.state.projection_probability(projector_a.jones)
-            for member in ensemble.members
+            branch.conditional.projection_probability(jones_a)
+            for branch in branches
+            if branch.detector == "pass"
         )
         assert joint == pytest.approx(split, abs=1e-12)
 
 
 class TestConditionOn:
+    """Conditioning on one detected photon: the Z measurement's contraction."""
+
     def test_correlated_pair_collapses_to_pure_member(self):
         state = pair_state({(("A", "H"), ("B", "H")): 0.5, (("A", "V"), ("B", "V")): 0.5})
-        ensemble = condition_on(state, computational_projector("B", 1))
-        assert len(ensemble.members) == 1
-        member = ensemble.members[0]
-        assert ensemble.probability == pytest.approx(0.25, abs=1e-12)
+        branches = [b for b in z_measure(state, "B") if b.detector == "D3"]
+        assert len(branches) == 1
+        member = branches[0]
+        assert member.probability == pytest.approx(0.25, abs=1e-12)
+        assert member.conditional.paths == ("A",)
         # The survivor is |1>: equal H and V magnitudes with opposite signs.
-        amp_h = member.state.amplitudes[label("A", "H")]
-        amp_v = member.state.amplitudes[label("A", "V")]
+        amp_h = member.conditional.amplitude(label("A", "H"))
+        amp_v = member.conditional.amplitude(label("A", "V"))
         assert amp_h == pytest.approx(0.25 * math.sqrt(2.0), abs=1e-12)
         assert amp_v == pytest.approx(-0.25 * math.sqrt(2.0), abs=1e-12)
 
@@ -402,34 +396,36 @@ class TestConditionOn:
         state = pair_state(
             {(("A", "H", 0), ("B", "H", 1)): 0.5, (("A", "V", 1), ("B", "V", 0)): 0.5}
         )
-        ensemble = condition_on(state, computational_projector("B", 0))
-        assert [m.measured_temporal for m in ensemble.members] == [0, 1]
-        weights = [m.state.norm_squared for m in ensemble.members]
+        branches = [b for b in z_measure(state, "B") if b.detector == "D2"]
+        assert [b.temporal for b in branches] == [0, 1]
+        weights = [b.conditional.norm_squared for b in branches]
         assert weights == pytest.approx([0.125, 0.125], abs=1e-12)
+        assert [b.probability for b in branches] == weights
 
     def test_zero_probability_outcome_gives_empty_ensemble(self):
         state = pair_state({(("A", "H"), ("B", "H")): 1.0})
-        ensemble = condition_on(state, PolarizationProjector("B", (0.0, 1.0)))
-        assert ensemble.members == ()
-        assert ensemble.probability == 0.0
+        detectors = (DetectorSpec("H", "B", (1.0, 0.0)), DetectorSpec("V", "B", (0.0, 1.0)))
+        branches = z_measure(state, "B", detectors)
+        assert [b.detector for b in branches] == ["H"]
+        assert branches[0].probability == pytest.approx(1.0, abs=1e-12)
 
     def test_two_photons_on_measured_path_rejected(self):
-        state = pair_state({(("B", "H"), ("B", "V")): 1.0})
+        state = pair_state({(("B", "H"), ("B", "V")): 1.0}, paths=("A",))
         with pytest.raises(StructureError):
-            condition_on(state, computational_projector("B", 0))
+            z_measure(state, "B")
 
     def test_no_photon_on_measured_path_rejected(self):
         state = pair_state({(("A", "H"), ("C", "V")): 1.0})
         with pytest.raises(StructureError):
-            condition_on(state, computational_projector("B", 0))
+            z_measure(state, "B")
+        declared = pair_state({(("A", "H"), ("C", "V")): 1.0}, paths=("B",))
+        with pytest.raises(StructureError):
+            z_measure(declared, "B")
 
     @settings(max_examples=60, deadline=None)
     @given(coincidence_states())
     def test_outcome_probabilities_resolve_the_norm(self, state):
-        total = sum(
-            condition_on(state, computational_projector("Q", value)).probability
-            for value in (0, 1)
-        )
+        total = sum(branch.probability for branch in z_measure(state, "Q"))
         assert total == pytest.approx(state.norm_squared, abs=1e-12)
 
 
@@ -451,6 +447,10 @@ class TestSinglePhotonState:
             )
             assert state.projection_probability((-math.sin(a), math.cos(a))) >= 0.0
 
+    def test_overnormalized_state_rejected(self):
+        with pytest.raises(ValidationError):
+            SinglePhotonState.from_terms({label("A", "H"): 0.8, label("A", "V"): 0.8})
+
     def test_norm_accumulates_squared_magnitudes(self):
         state = SinglePhotonState.from_terms({label("A", "H"): 0.6, label("B", "V"): 0.8j})
         assert state.norm_squared == pytest.approx(1.0, abs=1e-12)
@@ -464,7 +464,7 @@ class TestSinglePhotonState:
                 st.sampled_from(list(Polarization)),
                 st.integers(0, 1),
             ),
-            st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False),
+            st.complex_numbers(max_magnitude=0.35, allow_nan=False, allow_infinity=False),
             max_size=8,
         ),
         unit_jones(),
@@ -474,7 +474,7 @@ class TestSinglePhotonState:
         groups' squared magnitudes."""
         state = SinglePhotonState.from_terms(terms)
         groups = {}
-        for lab, amp in state.amplitudes.items():
+        for lab, amp in terms.items():
             component = jones[0] if lab.pol is Polarization.H else jones[1]
             key = (lab.path, lab.temporal)
             groups[key] = groups.get(key, 0j) + component.conjugate() * amp
