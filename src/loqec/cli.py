@@ -44,6 +44,8 @@ from .experiment import (
 MANIFEST_VERSION = 1
 #: Format of emitted JSON result documents.
 SCHEMA_VERSION = 2
+#: Most angles or delays one manifest grid may hold, checked before a range is built.
+MAX_GRID_POINTS = 100_000
 
 _TOP_KEYS = {"config_version", "experiment", "runs", "hom_scan", "outputs"}
 _EXPERIMENT_KEYS = {field.name for field in dataclasses.fields(ExperimentConfig)}
@@ -92,10 +94,16 @@ def _boolean(value: Any, where: str) -> bool:
     return value
 
 
+def _check_grid_size(count: float, what: str, where: str) -> None:
+    if count > MAX_GRID_POINTS:
+        _fail(where, f"grid of {count} {what} exceeds the cap of {MAX_GRID_POINTS}")
+
+
 def _angle_grid(value: Any, where: str) -> tuple[float, ...]:
     if isinstance(value, list):
         if not value:
             _fail(where, "angle list must not be empty")
+        _check_grid_size(len(value), "angles", where)
         return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
     if isinstance(value, dict):
         _check_keys(value, _THETA_RANGE_KEYS, where)
@@ -108,9 +116,11 @@ def _angle_grid(value: Any, where: str) -> tuple[float, ...]:
         if step == 0.0:
             _fail(f"{where}.step", "must be nonzero")
         span = (stop - start) / step
-        count = math.floor(span + 1e-9) + 1
+        # The span overflows to infinity for a huge range or a subnormal step.
+        count = math.floor(span + 1e-9) + 1 if math.isfinite(span) else span
         if count < 1:
             _fail(where, "range produces no angles")
+        _check_grid_size(count, "angles", where)
         return tuple(start + i * step for i in range(count))
     _fail(where, f"expected a list of angles or a start/stop/step object, got {value!r}")
     raise AssertionError("unreachable")
@@ -120,6 +130,7 @@ def _delay_grid(value: Any, where: str) -> tuple[float, ...]:
     if isinstance(value, list):
         if not value:
             _fail(where, "delay list must not be empty")
+        _check_grid_size(len(value), "delays", where)
         return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
     if isinstance(value, dict):
         _check_keys(value, _DELAY_RANGE_KEYS, where)
@@ -131,6 +142,7 @@ def _delay_grid(value: Any, where: str) -> tuple[float, ...]:
         num = _integer(value["num"], f"{where}.num")
         if num < 1:
             _fail(f"{where}.num", "must be at least 1")
+        _check_grid_size(num, "delays", where)
         return tuple(float(t) for t in np.linspace(start, stop, num))
     _fail(where, f"expected a list of delays or a start/stop/num object, got {value!r}")
     raise AssertionError("unreachable")

@@ -24,7 +24,6 @@ from .state_core import (
     computational_jones,
 )
 
-ANALYZER_DETECTOR = "D1"
 #: Z station: reflected output, heralds computational value 0.
 Z_VALUE0_DETECTOR = "D2"
 #: Z station: transmitted output, heralds computational value 1 (a bit flip).
@@ -61,7 +60,7 @@ def _check_measurement_pair(pair: Sequence[DetectorSpec], path: str) -> None:
     if first.id == second.id:
         raise ConfigurationError(f"detector ids must differ, both are {first.id!r}")
     inner = np.vdot(first.jones, second.jones)
-    if abs(inner) > _ORTHO_TOL:
+    if not abs(inner) <= _ORTHO_TOL:
         raise ConfigurationError(
             f"detector projections must be orthogonal, overlap {abs(inner):.3e}"
         )
@@ -128,20 +127,10 @@ def z_measure(
     )
 
 
-@dataclass(frozen=True)
-class FeedForwardRule:
-    """Which detector click fires the Pockels cell, and on which path."""
-
-    trigger: str = Z_VALUE1_DETECTOR
-    pockels_path: str = PATH_C
-
-
 def apply_feedforward(
-    branches: Iterable[MeasurementBranch],
-    rule: FeedForwardRule,
-    enabled: bool,
+    branches: Iterable[MeasurementBranch], enabled: bool
 ) -> tuple[MeasurementBranch, ...]:
-    """Fire the Pockels correction on every branch matching the trigger.
+    """Fire the Pockels cell on arm C for every bit-flip (D3) branch.
 
     The correction is unitary, so branch probabilities are untouched; with
     ``enabled=False`` the branches pass through unchanged.
@@ -149,10 +138,10 @@ def apply_feedforward(
     branches = tuple(branches)
     if not enabled:
         return branches
-    cell = pockels(rule.pockels_path, active=True)
+    cell = pockels(PATH_C, active=True)
     corrected = []
     for branch in branches:
-        if branch.detector == rule.trigger:
+        if branch.detector == Z_VALUE1_DETECTOR:
             flipped = apply_element_single(branch.conditional, cell)
             corrected.append(replace(branch, conditional=flipped))
         else:

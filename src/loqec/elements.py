@@ -10,18 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .state_core import (
-    DistinguishabilitySpec,
-    Polarization,
-    TwoPhotonState,
-    _transformed,
-    relabel_paths,
-)
+from .errors import ConfigurationError, ValidationError
+from .state_core import Polarization, TwoPhotonState, relabel_paths
 
 #: Canonical path names used by the experiment pipeline.
 PATH_QUBIT_IN = "qubit-in"
@@ -55,7 +49,7 @@ class LinearElement:
         if len(set(self.channels)) != n:
             raise ConfigurationError(f"element {self.name!r}: duplicate channels")
         deviation = np.abs(mat.conj().T @ mat - np.eye(n)).max() if n else 0.0
-        if deviation > _UNITARY_TOL:
+        if not deviation <= _UNITARY_TOL:
             raise ConfigurationError(
                 f"element {self.name!r}: matrix is not unitary "
                 f"(deviation {float(deviation):.3e})"
@@ -70,11 +64,34 @@ def hwp(angle_deg: float, path: str) -> LinearElement:
     At 22.5 degrees it maps |H> onto +45 degree polarization, i.e. prepares
     computational |0> from a horizontally polarized photon.
     """
-    w = math.radians(float(angle_deg))
+    angle = float(angle_deg)
+    if not math.isfinite(angle):
+        raise ValidationError(f"hwp angle must be finite, got {angle!r}")
+    w = math.radians(angle)
     c, s = math.cos(2.0 * w), math.sin(2.0 * w)
     matrix = np.array([[c, s], [s, -c]], dtype=complex)
     channels = ((path, Polarization.H), (path, Polarization.V))
-    return LinearElement(f"hwp[{float(angle_deg):g}]", channels, matrix)
+    return LinearElement(f"hwp[{angle:g}]", channels, matrix)
+
+
+def _four_port(
+    name: str, ports: tuple[str, str, str, str], blocks: Sequence[Sequence[Sequence[float]]]
+) -> LinearElement:
+    """Element from ``ports = (in1, in2, out1, out2)`` and one 2x2 block per polarization.
+
+    ``blocks[pol][o][i]`` is the amplitude from input ``i`` to output ``o``
+    (H first).  The matrix also holds each block's transpose, which routes
+    the reverse direction, so it stays unitary on all eight channels.
+    """
+    if len(set(ports)) != 4:
+        raise ConfigurationError(f"{name} requires four distinct paths, got {ports!r}")
+    channels = tuple((p, pol) for p in ports for pol in Polarization)
+    matrix = np.zeros((8, 8), dtype=complex)
+    for pol, block in enumerate(blocks):
+        inputs, outputs = [pol, 2 + pol], [4 + pol, 6 + pol]
+        matrix[np.ix_(outputs, inputs)] = block
+        matrix[np.ix_(inputs, outputs)] = np.transpose(block)
+    return LinearElement(name, channels, matrix)
 
 
 def pbs(in1: str, in2: str, out1: str, out2: str) -> LinearElement:
@@ -82,25 +99,9 @@ def pbs(in1: str, in2: str, out1: str, out2: str) -> LinearElement:
 
     ``in1`` transmits to ``out1`` and reflects to ``out2``; ``in2``
     transmits to ``out2`` and reflects to ``out1``.  All four paths must be
-    distinct.  The matrix also routes the reverse direction so it stays
-    unitary on the full eight-channel space.
+    distinct.
     """
-    ports = (in1, in2, out1, out2)
-    if len(set(ports)) != 4:
-        raise ConfigurationError(f"pbs requires four distinct paths, got {ports!r}")
-    channels = tuple((p, pol) for p in ports for pol in Polarization)
-    index = {ch: i for i, ch in enumerate(channels)}
-    matrix = np.zeros((8, 8), dtype=complex)
-    links = (
-        ((in1, Polarization.H), (out1, Polarization.H)),
-        ((in2, Polarization.H), (out2, Polarization.H)),
-        ((in1, Polarization.V), (out2, Polarization.V)),
-        ((in2, Polarization.V), (out1, Polarization.V)),
-    )
-    for src, dst in links:
-        matrix[index[dst], index[src]] = 1.0
-        matrix[index[src], index[dst]] = 1.0
-    return LinearElement("pbs", channels, matrix)
+    return _four_port("pbs", (in1, in2, out1, out2), ([[1, 0], [0, 1]], [[0, 1], [1, 0]]))
 
 
 def bs5050(in1: str, in2: str, out1: str, out2: str) -> LinearElement:
@@ -110,24 +111,9 @@ def bs5050(in1: str, in2: str, out1: str, out2: str) -> LinearElement:
     ``(a1, a2) -> ((a1 + a2), (a1 - a2)) / sqrt(2)``, the sign landing on
     the ``in2 -> out2`` transfer.
     """
-    ports = (in1, in2, out1, out2)
-    if len(set(ports)) != 4:
-        raise ConfigurationError(f"bs5050 requires four distinct paths, got {ports!r}")
-    channels = tuple((p, pol) for p in ports for pol in Polarization)
-    index = {ch: i for i, ch in enumerate(channels)}
-    matrix = np.zeros((8, 8), dtype=complex)
     r = 1.0 / math.sqrt(2.0)
-    for pol in Polarization:
-        block = (
-            ((in1, pol), (out1, pol), r),
-            ((in2, pol), (out1, pol), r),
-            ((in1, pol), (out2, pol), r),
-            ((in2, pol), (out2, pol), -r),
-        )
-        for src, dst, coeff in block:
-            matrix[index[dst], index[src]] = coeff
-            matrix[index[src], index[dst]] = coeff
-    return LinearElement("bs5050", channels, matrix)
+    block = [[r, r], [r, -r]]
+    return _four_port("bs5050", (in1, in2, out1, out2), (block, block))
 
 
 def pockels(path: str, active: bool) -> LinearElement:
@@ -140,26 +126,6 @@ def pockels(path: str, active: bool) -> LinearElement:
     matrix = np.diag([1.0, -1.0 if active else 1.0]).astype(complex)
     channels = ((path, Polarization.H), (path, Polarization.V))
     return LinearElement(f"pockels[{'on' if active else 'off'}]", channels, matrix)
-
-
-def delay(path: str, spec: DistinguishabilitySpec) -> Callable[[TwoPhotonState], TwoPhotonState]:
-    """Temporal delay stage on one path, parameterized by amplitude overlap.
-
-    Returns a transform that rotates the two-element temporal basis of
-    every mode on ``path``: index 0 goes to ``v * e0 + sqrt(1 - v^2) * e1``.
-    With ``v = 1`` the transform is the exact identity; with ``v = 0`` the
-    wavepacket moves entirely to temporal index 1.  Apply it before the
-    photons interfere; afterwards a shared delay is just a relabeling.
-    """
-    v = spec.overlap
-    w = math.sqrt(max(0.0, 1.0 - v * v))
-    rotation = np.array([[v, -w], [w, v]], dtype=complex)
-    groups = [[(path, pol, t) for t in (0, 1)] for pol in Polarization]
-
-    def transform(state: TwoPhotonState) -> TwoPhotonState:
-        return _transformed(state, rotation, groups, f"delay on {path!r}")
-
-    return transform
 
 
 class WiringConfig(Enum):

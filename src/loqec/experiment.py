@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .detection import (
-    FeedForwardRule,
     analyzer_curve,  # noqa: F401  (kept importable from this module)
     analyzer_probabilities,
     apply_feedforward,
@@ -36,12 +36,10 @@ from .elements import (
     PATH_A,
     PATH_ANCILLA_IN,
     PATH_B,
-    PATH_C,
     PATH_D,
     PATH_QUBIT_IN,
     WiringConfig,
     bs5050,
-    delay,
     hwp,
     pbs,
     rewire,
@@ -82,8 +80,20 @@ def _check_exposure(pair_rate: float, duration: float) -> None:
         )
 
 
+def _real(value: object, name: str) -> float:
+    """``value`` as a float; a bool, a string or another non-number is rejected."""
+    try:
+        if not isinstance(value, (bool, np.bool_, str, bytes)):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_seed(seed: int) -> int:
     """The seed as an int, which must fit the 64-bit Philox key unaltered."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
     value = int(seed)
     if not 0 <= value < 2**64:
         raise ValidationError(f"seed must lie in [0, 2**64), got {value!r}")
@@ -105,18 +115,24 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        angle = float(self.qubit_hwp_angle)
+        angle = _real(self.qubit_hwp_angle, "qubit_hwp_angle")
         if not math.isfinite(angle):
             raise ValidationError(f"qubit_hwp_angle must be finite, got {angle!r}")
         object.__setattr__(self, "qubit_hwp_angle", angle)
         if not isinstance(self.wiring, WiringConfig):
             object.__setattr__(self, "wiring", WiringConfig.parse(self.wiring))
         for name in ("overlap_v", "imperfection_eps"):
-            value = float(getattr(self, name))
+            value = _real(getattr(self, name), name)
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
             object.__setattr__(self, name, value)
-        thetas = tuple(float(t) for t in self.thetas)
+        if not isinstance(self.pc_enabled, (bool, np.bool_)):
+            raise ValidationError(f"pc_enabled must be a boolean, got {self.pc_enabled!r}")
+        object.__setattr__(self, "pc_enabled", bool(self.pc_enabled))
+        try:
+            thetas = tuple(_real(t, f"thetas[{i}]") for i, t in enumerate(self.thetas))
+        except TypeError:
+            raise ValidationError(f"thetas must be a sequence, got {self.thetas!r}") from None
         if not thetas:
             raise ValidationError("thetas must contain at least one angle")
         for index, theta in enumerate(thetas):
@@ -124,7 +140,7 @@ class ExperimentConfig:
                 raise ValidationError(f"thetas[{index}] must be finite, got {theta!r}")
         object.__setattr__(self, "thetas", thetas)
         for name in ("pair_rate", "duration"):
-            value = float(getattr(self, name))
+            value = _real(getattr(self, name), name)
             if value < 0.0 or not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
             object.__setattr__(self, name, value)
@@ -180,23 +196,20 @@ def encode_qubit(
     alpha = complex(alpha)
     beta = complex(beta)
     norm = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:
         raise ValidationError(f"qubit coefficients must be normalized, got norm^2 {norm!r}")
     if not 0.0 <= float(overlap_v) <= 1.0:
         raise ValidationError(f"overlap_v must lie in [0, 1], got {overlap_v!r}")
-    amp_overlap = math.sqrt(float(overlap_v))
-    residual = math.sqrt(max(0.0, 1.0 - amp_overlap * amp_overlap))
 
     zero, one = computational_jones(0), computational_jones(1)
     qubit_jones = (
         alpha * zero[0] + beta * one[0],
         alpha * zero[1] + beta * one[1],
     )
-    qubit = SinglePhotonSpec(PATH_QUBIT_IN, qubit_jones, (1.0 + 0j,))
-    ancilla = SinglePhotonSpec(
-        PATH_ANCILLA_IN, computational_jones(0), (amp_overlap + 0j, residual + 0j)
-    )
-    state = product_state(qubit, ancilla, paths=(PATH_A, PATH_B))
+    qubit = SinglePhotonSpec(PATH_QUBIT_IN, qubit_jones)
+    ancilla = SinglePhotonSpec(PATH_ANCILLA_IN, zero)
+    overlap = DistinguishabilitySpec(math.sqrt(float(overlap_v)))
+    state = product_state(qubit, ancilla, overlap, (PATH_A, PATH_B))
     state = apply_element(state, pbs(PATH_QUBIT_IN, PATH_ANCILLA_IN, PATH_A, PATH_B))
     return coincidence_postselect(state)
 
@@ -213,7 +226,7 @@ def run_analytic(config: ExperimentConfig) -> SweepResult:
     state, p_success = encode_qubit(*jones_to_computational(psi), config.overlap_v)
     state = rewire(state, config.wiring)
     branches = z_measure(state, PATH_D)
-    branches = apply_feedforward(branches, FeedForwardRule(), config.pc_enabled)
+    branches = apply_feedforward(branches, config.pc_enabled)
 
     eps = config.imperfection_eps
     coherency = herald_coherency(branches)
@@ -272,8 +285,12 @@ def sample_counts(
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1:
         raise ValidationError(f"probabilities must be one-dimensional, got shape {p.shape}")
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
-        raise ValidationError("probabilities must lie in [0, 1]")
+    outside = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+    if outside.size:
+        index = int(outside[0])
+        raise ValidationError(
+            f"probabilities must lie in [0, 1], got probabilities[{index}] = {float(p[index])!r}"
+        )
     rate = float(pair_rate)
     time = float(duration)
     if rate < 0.0 or time < 0.0 or not (math.isfinite(rate) and math.isfinite(time)):
@@ -300,6 +317,11 @@ def fit_malus(thetas: Sequence[float], values: Sequence[float]) -> MalusFit:
     y = np.asarray(values, dtype=float)
     if th.ndim != 1 or th.shape != y.shape:
         raise FitError(f"angle and value grids must match, got {th.shape} and {y.shape}")
+    for name, grid in (("thetas", th), ("values", y)):
+        non_finite = np.flatnonzero(~np.isfinite(grid))
+        if non_finite.size:
+            index = int(non_finite[0])
+            raise FitError(f"{name}[{index}] must be finite, got {float(grid[index])!r}")
     if np.unique(th).size < 3:
         raise FitError(f"need at least 3 distinct angles, got {np.unique(th).size}")
     angles = np.deg2rad(2.0 * th)
@@ -363,11 +385,11 @@ def hom_scan(delays: Sequence[float], coherence_time: float) -> HomScanResult:
     horizontal = (1.0 + 0j, 0j)
     first = SinglePhotonSpec(_HOM_IN1, horizontal)
     second = SinglePhotonSpec(_HOM_IN2, horizontal)
-    prepared = product_state(first, second, paths=(_HOM_OUT1, _HOM_OUT2))
+    outputs = (_HOM_OUT1, _HOM_OUT2)
     points = []
     for tau in grid:
         spec = DistinguishabilitySpec.from_delay(tau, sigma)
-        state = apply_element(delay(_HOM_IN1, spec)(prepared), splitter)
+        state = apply_element(product_state(first, second, spec, outputs), splitter)
         _, p_coincidence = coincidence_postselect(state)
         points.append(HomScanPoint(tau, spec.overlap, p_coincidence))
     return HomScanResult(sigma, tuple(points))

@@ -8,10 +8,11 @@ convention that value 0 is +45 degree linear polarization and value 1 is
     |0> = (|H> + |V>) / sqrt(2)        |1> = (|H> - |V>) / sqrt(2)
 
 Temporal indices 0 and 1 refer to an orthonormal two-element wavepacket
-basis chosen per state.  Partial distinguishability between two photons is
-produced by Gram-Schmidt decomposition of the second photon's wavepacket
-against the first, so an overlap ``v`` in this module is always an
-amplitude overlap.
+basis chosen per state.  Partial distinguishability between two photons
+enters in one place: :func:`product_state` puts the first photon on
+temporal index 0 and splits the second by its amplitude overlap ``v`` with
+the first, ``v`` on index 0 and ``sqrt(1 - v^2)`` on index 1.  An overlap
+in this module is always an amplitude overlap.
 
 A state declares a tuple of paths and holds every mode of them, ordered as
 ``(path, polarization, temporal)``: mode ``(paths[p], pol, t)`` has index
@@ -78,7 +79,7 @@ def _as_jones(values: Sequence[complex], what: str) -> Jones:
     if len(vec) != 2:
         raise ValidationError(f"{what} must have exactly two components, got {len(vec)}")
     nrm = abs(vec[0]) ** 2 + abs(vec[1]) ** 2
-    if abs(nrm - 1.0) > NORM_TOL:
+    if not abs(nrm - 1.0) <= NORM_TOL:
         raise ValidationError(f"{what} must be unit norm, got squared norm {nrm!r}")
     return vec
 
@@ -113,26 +114,13 @@ def analyzer_jones(theta_deg: float) -> Jones:
 
 @dataclass(frozen=True)
 class SinglePhotonSpec:
-    """Input description of one photon: path, polarization, wavepacket.
-
-    ``wavepacket`` holds amplitudes on an ambient orthonormal temporal basis
-    shared by both photons of a pair.  It must be unit norm; degenerate
-    (zero) vectors are rejected here rather than silently normalized.
-    """
+    """Input description of one photon: path and unit-norm Jones vector."""
 
     path: str
     jones: Jones
-    wavepacket: tuple[complex, ...] = (1.0 + 0j,)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "jones", _as_jones(self.jones, "jones vector"))
-        wp = tuple(complex(c) for c in self.wavepacket)
-        if not wp:
-            raise ValidationError("wavepacket must have at least one component")
-        nrm = sum(abs(c) ** 2 for c in wp)
-        if abs(nrm - 1.0) > NORM_TOL:
-            raise ValidationError(f"wavepacket must be unit norm, got squared norm {nrm!r}")
-        object.__setattr__(self, "wavepacket", wp)
 
 
 @dataclass(frozen=True)
@@ -156,7 +144,9 @@ class DistinguishabilitySpec:
         tau = float(delay)
         if not math.isfinite(tau):
             raise ValidationError(f"delay must be finite, got {tau!r}")
-        return cls(math.exp(-(tau * tau) / (2.0 * sigma * sigma)))
+        # The ratio keeps a tiny coherence time from squaring to zero.
+        ratio = tau / sigma
+        return cls(math.exp(-0.5 * ratio * ratio))
 
 
 def _mode(paths: tuple[str, ...], path: str, pol: Polarization, temporal: int) -> int:
@@ -192,53 +182,20 @@ def _checked(
     return paths, values
 
 
-def _mode_operator(
-    paths: tuple[str, ...],
-    block: np.ndarray,
-    groups: Iterable[Sequence[tuple[str, Polarization, int]]],
-    what: str,
-) -> np.ndarray:
-    """Identity on the modes of ``paths`` except ``block`` on each group of modes.
+def _mode_operator(paths: tuple[str, ...], element: "LinearElement") -> np.ndarray:
+    """The element's mode matrix over the modes of ``paths``.
 
-    A group lists ``(path, pol, temporal)`` modes in the order of ``block``'s
-    rows and columns.
+    The element's matrix acts alike on its channels at either temporal
+    index; every other mode passes through.
     """
-    groups = tuple(groups)
-    missing = sorted({path for group in groups for path, _, _ in group} - set(paths))
+    missing = sorted({path for path, _ in element.channels} - set(paths))
     if missing:
-        raise ConfigurationError(f"{what} addresses undeclared paths {missing}")
+        raise ConfigurationError(f"element {element.name!r} addresses undeclared paths {missing}")
     u = np.eye(4 * len(paths), dtype=complex)
-    for group in groups:
-        index = np.array([_mode(paths, *mode) for mode in group])
-        u[index[:, None], index] = block
+    for t in (0, 1):
+        index = np.array([_mode(paths, path, pol, t) for path, pol in element.channels])
+        u[index[:, None], index] = element.matrix
     return u
-
-
-def _transformed(
-    state: "TwoPhotonState",
-    block: np.ndarray,
-    groups: Iterable[Sequence[tuple[str, Polarization, int]]],
-    what: str,
-) -> "TwoPhotonState":
-    """``A -> U A U^T`` with ``U`` the identity except ``block`` on each group of modes.
-
-    Each product is rounded on its own before the sums.  A matrix product
-    may fuse multiply and add, which leaves the rounding error of one of
-    two exactly opposite terms (e.g. the two paths of a balanced splitter)
-    in place of an exact zero.  Only the occupied modes of ``A`` enter the
-    sums; the others would add exact zeros.
-    """
-    u = _mode_operator(state.paths, block, groups, what)
-    matrix = state.matrix
-    occupied = np.flatnonzero(matrix.any(axis=0) | matrix.any(axis=1))
-    u = u[:, occupied]
-    half = (u[:, :, None] * matrix[occupied[:, None], occupied][None]).sum(axis=1)
-    return TwoPhotonState(state.paths, (half[:, None, :] * u[None]).sum(axis=2))
-
-
-def _element_groups(element: "LinearElement") -> list[list[tuple[str, Polarization, int]]]:
-    """The element's channels on each temporal index: it acts alike on both."""
-    return [[(path, pol, t) for path, pol in element.channels] for t in (0, 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,7 +246,7 @@ class TwoPhotonState:
                 matrix[j, i] += amp
         state = cls(declared, matrix)
         nrm = state.norm_squared
-        if nrm > 1.0 + NORM_TOL:
+        if not nrm <= 1.0 + NORM_TOL:
             raise ValidationError(f"state squared norm {nrm!r} exceeds 1")
         return state
 
@@ -345,7 +302,7 @@ class SinglePhotonState:
             vector[_find(declared, label)] += amp
         state = cls(declared, vector)
         nrm = state.norm_squared
-        if nrm > 1.0 + NORM_TOL:
+        if not nrm <= 1.0 + NORM_TOL:
             raise ValidationError(f"state squared norm {nrm!r} exceeds 1")
         return state
 
@@ -383,31 +340,24 @@ class SinglePhotonState:
 def product_state(
     photon_a: SinglePhotonSpec,
     photon_b: SinglePhotonSpec,
+    overlap: DistinguishabilitySpec = DistinguishabilitySpec(),
     paths: Iterable[str] = (),
 ) -> TwoPhotonState:
     """Normalized two-photon product state of two input specs.
 
-    The first photon's wavepacket defines temporal basis element 0; the
-    second photon's wavepacket is split by Gram-Schmidt into its component
-    along element 0 (the amplitude overlap) and an orthogonal remainder on
-    element 1.  Identical wavepackets therefore land entirely on temporal
-    index 0, orthogonal ones put the second photon on index 1.
+    Photon a occupies temporal index 0.  Photon b's wavepacket has amplitude
+    overlap ``v = overlap.overlap`` with photon a's, so it puts ``v`` on
+    temporal index 0 and the orthogonal remainder ``sqrt(1 - v^2)`` on
+    index 1: indistinguishable photons share index 0, fully distinguishable
+    ones sit on different indices.
 
     With ``a`` and ``b`` the two photons' mode vectors the matrix is
     ``a b^T + b a^T``, normalized; the two specs may share a spatial path,
     even a mode.  The declared paths are the two photons' paths, then
     ``paths``.
     """
-    wp_a = photon_a.wavepacket
-    wp_b = photon_b.wavepacket
-    n = max(len(wp_a), len(wp_b))
-    ambient_a = wp_a + (0j,) * (n - len(wp_a))
-    ambient_b = wp_b + (0j,) * (n - len(wp_b))
-
-    overlap = sum(c.conjugate() * d for c, d in zip(ambient_a, ambient_b))
-    residual = [d - overlap * c for c, d in zip(ambient_a, ambient_b)]
-    res_norm = math.sqrt(sum(abs(c) ** 2 for c in residual))
-
+    u = overlap.overlap
+    w = math.sqrt(max(0.0, 1.0 - u * u))
     declared = tuple(dict.fromkeys((photon_a.path, photon_b.path, *paths)))
     a = np.zeros(4 * len(declared), dtype=complex)
     b = np.zeros_like(a)
@@ -415,7 +365,7 @@ def product_state(
     start_b = 4 * declared.index(photon_b.path)
     (h_a, v_a), (h_b, v_b) = photon_a.jones, photon_b.jones
     a[start_a : start_a + 4] = (h_a, 0j, v_a, 0j)
-    b[start_b : start_b + 4] = (h_b * overlap, h_b * res_norm, v_b * overlap, v_b * res_norm)
+    b[start_b : start_b + 4] = (h_b * u, h_b * w, v_b * u, v_b * w)
     matrix = np.outer(a, b)
     matrix = matrix + matrix.T
     nrm = math.sqrt(0.5 * float(np.vdot(matrix, matrix).real))
@@ -430,17 +380,26 @@ def apply_element(state: TwoPhotonState, element: "LinearElement") -> TwoPhotonS
     The element's matrix columns index input channels and rows index output
     channels; it acts alike on both temporal indices, and modes off its
     channels pass through.
+
+    Each product is rounded on its own before the sums.  A matrix product
+    may fuse multiply and add, which leaves the rounding error of one of
+    two exactly opposite terms (e.g. the two paths of a balanced splitter)
+    in place of an exact zero.  Only the occupied modes of ``A`` enter the
+    sums; the others would add exact zeros.
     """
-    groups = _element_groups(element)
-    return _transformed(state, element.matrix, groups, f"element {element.name!r}")
+    u = _mode_operator(state.paths, element)
+    matrix = state.matrix
+    occupied = np.flatnonzero(matrix.any(axis=0) | matrix.any(axis=1))
+    u = u[:, occupied]
+    half = (u[:, :, None] * matrix[occupied[:, None], occupied][None]).sum(axis=1)
+    return TwoPhotonState(state.paths, (half[:, None, :] * u[None]).sum(axis=2))
 
 
 def apply_element_single(
     state: SinglePhotonState, element: "LinearElement"
 ) -> SinglePhotonState:
     """Single-photon version of :func:`apply_element`: ``v -> U v``."""
-    groups = _element_groups(element)
-    u = _mode_operator(state.paths, element.matrix, groups, f"element {element.name!r}")
+    u = _mode_operator(state.paths, element)
     return SinglePhotonState(state.paths, (u * state.vector).sum(axis=1))
 
 

@@ -17,7 +17,6 @@ from loqec import (
     PATH_B,
     PATH_D,
     ExperimentConfig,
-    FeedForwardRule,
     LinearElement,
     ModeLabel,
     Polarization,
@@ -286,7 +285,7 @@ def test_branch_and_discard_probabilities_sum_to_one(verdict):
 
         state, p_success = encode_qubit(alpha, beta, overlap_v)
         branches = z_measure(rewire(state, wiring), PATH_D)
-        branches = apply_feedforward(branches, FeedForwardRule(), pc_enabled)
+        branches = apply_feedforward(branches, pc_enabled)
         total = sum(branch.probability for branch in branches) + (1.0 - p_success)
         worst = max(worst, abs(total - 1.0))
 

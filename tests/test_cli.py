@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -272,6 +273,24 @@ class TestManifestValidation:
         err = self.error_of(capsys, ["run-sweep", "--config", str(manifest)])
         assert "pc_enabled" in err
 
+    @pytest.mark.parametrize("thetas,count", [
+        ({"start": -90, "stop": 90, "step": 1e-9}, r"1800000000\d\d"),
+        ({"start": -1e308, "stop": 1e308, "step": 1.0}, "inf"),
+        ({"start": 0, "stop": 1, "step": 1e-320}, "inf"),
+        ([0.0] * 100_001, "100001"),
+    ])
+    def test_angle_grid_above_the_cap_rejected(self, tmp_path, capsys, thetas, count):
+        document = base_manifest(tmp_path / "out", thetas=thetas)
+        manifest = write_manifest(tmp_path / "m.json", document)
+        err = self.error_of(capsys, ["run-sweep", "--config", str(manifest)])
+        assert re.search(rf"experiment\.thetas: grid of {count} angles exceeds the cap of 100000", err)
+        assert not (tmp_path / "out").exists()
+
+    def test_grids_up_to_the_cap_are_built(self):
+        angles = cli._angle_grid({"start": 0, "stop": 99_999, "step": 1}, "thetas")
+        delays = cli._delay_grid({"start": 0.0, "stop": 1.0, "num": 100_000}, "delays")
+        assert len(angles) == len(delays) == cli.MAX_GRID_POINTS
+
 
 class TestHomScanCommand:
     def manifest(self, tmp_path, delays):
@@ -330,6 +349,32 @@ class TestHomScanCommand:
         )
         assert cli.main(["hom-scan", "--config", str(manifest)]) == 1
         assert "coherence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delays,count", [
+        ({"start": -1.0, "stop": 1.0, "num": 10**12}, "1000000000000"),
+        ([0.0] * 100_001, "100001"),
+    ])
+    def test_delay_grid_above_the_cap_rejected(self, tmp_path, capsys, delays, count):
+        manifest = self.manifest(tmp_path, delays)
+        assert cli.main(["hom-scan", "--config", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert f"hom_scan.delays: grid of {count} delays exceeds the cap of 100000" in err
+
+    def test_tiny_coherence_time_scans(self, tmp_path):
+        """The coherence time squared underflows to zero; the scan still runs."""
+        manifest = write_manifest(
+            tmp_path / "hom.json",
+            {
+                "config_version": 1,
+                "hom_scan": {"delays": [0.0, 1e-200, 1e-190], "coherence_time": 1e-200},
+                "outputs": {"directory": str(tmp_path / "out"), "format": "csv"},
+            },
+        )
+        assert cli.main(["hom-scan", "--config", str(manifest), "--quiet"]) == 0
+        rows = read_rows(tmp_path / "out" / "hom_scan.csv")
+        assert [float(row["p_coincidence"]) for row in rows] == pytest.approx(
+            [0.0, 0.5 * (1.0 - math.exp(-1.0)), 0.5], abs=1e-12
+        )
 
 
 class TestFitCommand:

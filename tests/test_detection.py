@@ -9,7 +9,6 @@ from _oracle import curve_formula, encoder_branch_states, encoder_curve
 from loqec import (
     ConfigurationError,
     DetectorSpec,
-    FeedForwardRule,
     ModeLabel,
     PATH_C,
     PATH_D,
@@ -150,6 +149,15 @@ class TestZMeasure:
         with pytest.raises(ConfigurationError):
             z_measure(encoded_on_bench(1.0, 0.0), PATH_D, detectors=skewed)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_detector_jones_fails_the_orthogonality_check(self, bad):
+        skewed = (
+            DetectorSpec("D2", PATH_D, computational_jones(0)),
+            DetectorSpec("D3", PATH_D, (bad, 0.0)),
+        )
+        with pytest.raises(ConfigurationError, match="orthogonal"):
+            z_measure(encoded_on_bench(1.0, 0.0), PATH_D, detectors=skewed)
+
     def test_custom_detectors_must_sit_on_the_measured_path(self):
         misplaced = (
             DetectorSpec("D2", PATH_C, computational_jones(0)),
@@ -168,7 +176,7 @@ class TestZMeasure:
 class TestFeedForward:
     def test_trigger_branch_is_flipped_back(self):
         branches = z_measure(encoded_on_bench(1.0, 0.0), PATH_D)
-        corrected = apply_feedforward(branches, FeedForwardRule(), enabled=True)
+        corrected = apply_feedforward(branches, enabled=True)
         by_id = {branch.detector: branch for branch in corrected}
         assert_proportional(
             survivor_jones(by_id[Z_VALUE1_DETECTOR]), computational_jones(0), 0.5
@@ -176,18 +184,18 @@ class TestFeedForward:
 
     def test_non_trigger_branch_is_untouched(self):
         branches = z_measure(encoded_on_bench(1.0, 0.0), PATH_D)
-        corrected = apply_feedforward(branches, FeedForwardRule(), enabled=True)
+        corrected = apply_feedforward(branches, enabled=True)
         for before, after in zip(branches, corrected):
             if before.detector != Z_VALUE1_DETECTOR:
                 assert after is before
 
     def test_disabled_feed_forward_is_a_no_op(self):
         branches = z_measure(encoded_on_bench(1.0, 0.0), PATH_D)
-        assert apply_feedforward(branches, FeedForwardRule(), enabled=False) == branches
+        assert apply_feedforward(branches, enabled=False) == branches
 
     def test_probabilities_are_preserved(self):
         branches = z_measure(encoded_on_bench(0.3, math.sqrt(1 - 0.09), 0.4), PATH_D)
-        corrected = apply_feedforward(branches, FeedForwardRule(), enabled=True)
+        corrected = apply_feedforward(branches, enabled=True)
         for before, after in zip(branches, corrected):
             assert after.probability == pytest.approx(before.probability, abs=1e-15)
             assert after.conditional.norm_squared == pytest.approx(
@@ -197,7 +205,7 @@ class TestFeedForward:
 
 def bench_curves(alpha, beta, overlap_v, thetas, pc_enabled):
     branches = z_measure(encoded_on_bench(alpha, beta, overlap_v), PATH_D)
-    branches = apply_feedforward(branches, FeedForwardRule(), pc_enabled)
+    branches = apply_feedforward(branches, pc_enabled)
     return analyzer_curve(branches, thetas)
 
 
@@ -277,7 +285,7 @@ class TestAnalyzerCurve:
         alpha = complex(math.cos(a))
         beta = complex(math.cos(phi), math.sin(phi)) * math.sin(a)
         branches = z_measure(encoded_on_bench(alpha, beta, overlap_v, wiring), PATH_D)
-        branches = apply_feedforward(branches, FeedForwardRule(), pc_enabled)
+        branches = apply_feedforward(branches, pc_enabled)
         curves = analyzer_curve(branches, thetas)
         u = math.sqrt(overlap_v)
         for i, theta in enumerate(thetas):

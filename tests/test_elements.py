@@ -23,7 +23,6 @@ from loqec import (
     apply_element_single,
     bs5050,
     computational_jones,
-    delay,
     hwp,
     pbs,
     pockels,
@@ -68,6 +67,13 @@ class TestLinearElement:
         with pytest.raises(ConfigurationError):
             LinearElement("bad", (channel, channel), np.eye(2))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        channels = (("P", Polarization.H), ("P", Polarization.V))
+        with pytest.raises(ConfigurationError, match="not unitary"):
+            LinearElement("bad", channels, np.array([[bad, 0.0], [0.0, 1.0]]))
+
     def test_matrix_is_frozen(self):
         element = hwp(10.0, "P")
         with pytest.raises(ValueError):
@@ -90,6 +96,11 @@ class TestHwp:
     def test_at_0_flips_v_sign(self):
         out = apply_element_single(single("P", "V"), hwp(0.0, "P"))
         assert jones_of(out, "P") == pytest.approx((0.0, -1.0), abs=1e-12)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(ValidationError, match="hwp angle must be finite"):
+            hwp(angle, "P")
 
     @given(st.floats(-180, 180, allow_nan=False))
     def test_same_plate_twice_is_identity(self, angle):
@@ -220,52 +231,62 @@ class TestPockels:
         state = SinglePhotonState.from_terms({label("C", "H"): 0.6, label("C", "V"): 0.8})
         assert apply_element_single(apply_element_single(state, cell), cell) == state
 
+    def test_undeclared_path_rejected(self):
+        with pytest.raises(ConfigurationError):
+            apply_element_single(single("P", "H"), pockels("R", active=True))
+
 
 class TestDelay:
+    """A relative delay enters a state as ``product_state``'s overlap on its second photon."""
+
     def test_full_overlap_is_exact_identity(self):
-        state = TwoPhotonState.from_terms(
-            {(label("P", "H"), label("Q", "H")): 0.6, (label("P", "V"), label("Q", "V")): 0.8}
+        """Overlap 1 leaves the second photon exactly on index 0, as with no delay at all."""
+        state = product_state(
+            SinglePhotonSpec("P", (1.0, 0.0)), SinglePhotonSpec("Q", (0.0, 1.0)),
+            DistinguishabilitySpec(1.0),
         )
-        stage = delay("Q", DistinguishabilitySpec(1.0))
-        assert stage(state) == state
+        assert state == TwoPhotonState.from_terms({(label("P", "H"), label("Q", "V")): 1.0})
 
     def test_zero_overlap_moves_wavepacket_to_index_one(self):
-        state = TwoPhotonState.from_terms({(label("P", "H"), label("Q", "H")): 1.0})
-        out = delay("Q", DistinguishabilitySpec(0.0))(state)
-        assert abs(out.amplitude(label("P", "H", 0), label("Q", "H", 1))) == pytest.approx(1.0)
+        h = (1.0, 0.0)
+        state = product_state(
+            SinglePhotonSpec("P", h), SinglePhotonSpec("Q", h), DistinguishabilitySpec(0.0)
+        )
+        assert abs(state.amplitude(label("P", "H", 0), label("Q", "H", 1))) == pytest.approx(1.0)
 
     def test_partial_overlap_weights(self):
-        state = TwoPhotonState.from_terms({(label("P", "H"), label("Q", "H")): 1.0})
-        out = delay("Q", DistinguishabilitySpec(0.5))(state)
-        assert out.amplitude(label("P", "H", 0), label("Q", "H", 0)) == pytest.approx(0.5)
-        assert out.amplitude(label("P", "H", 0), label("Q", "H", 1)) == pytest.approx(
+        h = (1.0, 0.0)
+        state = product_state(
+            SinglePhotonSpec("P", h), SinglePhotonSpec("Q", h), DistinguishabilitySpec(0.5)
+        )
+        assert state.amplitude(label("P", "H", 0), label("Q", "H", 0)) == pytest.approx(0.5)
+        assert state.amplitude(label("P", "H", 0), label("Q", "H", 1)) == pytest.approx(
             0.8660254037844386  # sqrt(3)/2
         )
 
     def test_only_the_named_path_is_touched(self):
-        state = TwoPhotonState.from_terms({(label("P", "H"), label("Q", "H")): 1.0})
-        out = delay("P", DistinguishabilitySpec(0.0))(state)
-        assert abs(out.amplitude(label("P", "H", 1), label("Q", "H", 0))) == pytest.approx(1.0)
-
-    def test_temporal_index_overflow_rejected(self):
-        """A state holds temporal indices 0 and 1 only, the two the delay rotates."""
-        with pytest.raises(ValidationError):
-            TwoPhotonState.from_terms({(label("P", "H", 2), label("Q", "H")): 1.0})
-
-    def test_undeclared_path_rejected(self):
-        state = TwoPhotonState.from_terms({(label("P", "H"), label("Q", "H")): 1.0})
-        with pytest.raises(ConfigurationError):
-            delay("R", DistinguishabilitySpec(0.5))(state)
-        with pytest.raises(ConfigurationError):
-            apply_element_single(single("P", "H"), pockels("R", active=True))
+        """The second photon, here on P, is the one that moves to index 1."""
+        h = (1.0, 0.0)
+        state = product_state(
+            SinglePhotonSpec("Q", h), SinglePhotonSpec("P", h), DistinguishabilitySpec(0.0)
+        )
+        assert abs(state.amplitude(label("P", "H", 1), label("Q", "H", 0))) == pytest.approx(1.0)
+        assert state.amplitude(label("P", "H", 0), label("Q", "H", 1)) == 0
 
     @given(st.floats(0.0, 1.0, allow_nan=False))
     def test_norm_preserved_for_any_overlap(self, overlap):
-        state = TwoPhotonState.from_terms(
-            {(label("P", "H"), label("Q", "H", 1)): 0.6, (label("P", "V"), label("Q", "V")): 0.8}
+        """The second photon's weight splits as v^2 on index 0 and 1 - v^2 on index 1."""
+        state = product_state(
+            SinglePhotonSpec("P", (0.6, 0.8)), SinglePhotonSpec("Q", (R, -R)),
+            DistinguishabilitySpec(overlap),
         )
-        out = delay("Q", DistinguishabilitySpec(overlap))(state)
-        assert out.norm_squared == pytest.approx(state.norm_squared, abs=1e-12)
+        late = sum(
+            abs(state.amplitude(label("P", pol_p), label("Q", pol_q, 1))) ** 2
+            for pol_p in "HV"
+            for pol_q in "HV"
+        )
+        assert state.norm_squared == pytest.approx(1.0, abs=1e-12)
+        assert late == pytest.approx(1.0 - overlap * overlap, abs=1e-12)
 
 
 class TestWiring:

@@ -68,6 +68,30 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError, match=field):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", math.nan),
+        ("seed", "3"),
+        ("pc_enabled", "no"),
+        ("pc_enabled", 1),
+        ("overlap_v", "x"),
+        ("overlap_v", True),
+        ("pair_rate", None),
+        ("thetas", 5.0),
+        ("thetas", (0.0, "10")),
+    ])
+    def test_values_of_the_wrong_type_rejected_not_aliased(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            ExperimentConfig(**{field: value})
+
+    def test_numpy_scalars_accepted(self):
+        config = ExperimentConfig(
+            seed=np.uint64(2**64 - 1), pc_enabled=np.bool_(False), overlap_v=np.float32(0.5)
+        )
+        assert (config.seed, config.pc_enabled, config.overlap_v) == (2**64 - 1, False, 0.5)
+        assert type(config.seed) is int and type(config.pc_enabled) is bool
+
 
 class TestEncodeQubit:
     def test_zero_input_makes_the_correlated_code_word(self):
@@ -99,6 +123,15 @@ class TestEncodeQubit:
     def test_overlap_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             encode_qubit(1.0, 0.0, overlap_v=1.5)
+
+    @pytest.mark.parametrize("alpha,beta,overlap_v", [
+        (math.nan, 0.0, 1.0),
+        (1.0, math.inf, 1.0),
+        (1.0, 0.0, math.nan),
+    ])
+    def test_non_finite_inputs_rejected(self, alpha, beta, overlap_v):
+        with pytest.raises(ValidationError):
+            encode_qubit(alpha, beta, overlap_v)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-90, 90, allow_nan=False), st.floats(0, 1, allow_nan=False))
@@ -321,6 +354,16 @@ class TestSampleCounts:
         with pytest.raises(ValidationError):
             sample_counts([-0.1], 100.0, 1.0, seed=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability_named(self, bad):
+        with pytest.raises(ValidationError, match=rf"probabilities\[1\] = {bad!r}"):
+            sample_counts([0.5, bad], 100.0, 1.0, seed=0)
+
+    @pytest.mark.parametrize("seed", [1.0, True, "7", math.nan])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            sample_counts([0.5], 100.0, 1.0, seed=seed)
+
     def test_negative_rate_rejected(self):
         with pytest.raises(ValidationError):
             sample_counts([0.1], -100.0, 1.0, seed=0)
@@ -411,6 +454,15 @@ class TestFitMalus:
         with pytest.raises(FitError):
             fit_malus([0.0, 90.0, 180.0, 270.0], [1.0, 2.0, 1.0, 2.0])
 
+    @pytest.mark.parametrize("grid,index", [("values", 2), ("thetas", 4)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_point_named(self, capfd, grid, index, bad):
+        data = {"thetas": list(DEFAULT_THETAS), "values": [0.5] * len(DEFAULT_THETAS)}
+        data[grid][index] = bad
+        with pytest.raises(FitError, match=rf"{grid}\[{index}\] must be finite, got {bad!r}"):
+            fit_malus(data["thetas"], data["values"])
+        assert capfd.readouterr().err == ""
+
     def test_mismatched_grids_rejected(self):
         with pytest.raises(FitError):
             fit_malus([0.0, 10.0, 20.0], [1.0, 2.0])
@@ -467,6 +519,16 @@ class TestHomScan:
     def test_nonpositive_coherence_time_rejected(self):
         with pytest.raises(ValidationError):
             hom_scan((0.0,), 0.0)
+
+    def test_tiny_coherence_time_scans(self):
+        """The coherence time squared underflows to zero; the delay ratio does not."""
+        sigma = 1e-200
+        result = hom_scan((0.0, 1e-200, -2e-200, 1e-190), sigma)
+        assert result.points[0].p_coincidence == 0.0
+        for point in result.points:
+            assert point.p_coincidence == pytest.approx(
+                hom_coincidence(point.delay, sigma), abs=1e-12
+            )
 
     @pytest.mark.parametrize("coherence_time", [math.inf, math.nan])
     def test_non_finite_coherence_time_rejected(self, coherence_time):

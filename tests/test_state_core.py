@@ -130,17 +130,16 @@ class TestPolarizationBasis:
 
 
 class TestSpecValidation:
-    def test_zero_wavepacket_rejected(self):
-        with pytest.raises(ValidationError):
-            SinglePhotonSpec("P", (1.0, 0.0), (0.0,))
-
-    def test_non_unit_wavepacket_rejected(self):
-        with pytest.raises(ValidationError):
-            SinglePhotonSpec("P", (1.0, 0.0), (0.5, 0.5))
-
     def test_non_unit_jones_rejected(self):
         with pytest.raises(ValidationError):
             SinglePhotonSpec("P", (0.9, 0.1))
+
+    @pytest.mark.parametrize(
+        "jones", [(math.nan, 0.0), (1.0, math.inf), (complex(0, math.nan), 1.0)]
+    )
+    def test_non_finite_jones_rejected(self, jones):
+        with pytest.raises(ValidationError, match="unit norm"):
+            SinglePhotonSpec("P", jones)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.01, 2.0])
     def test_overlap_out_of_range_rejected(self, bad):
@@ -160,6 +159,11 @@ class TestSpecValidation:
     def test_nonpositive_coherence_time_rejected(self):
         with pytest.raises(ValidationError):
             DistinguishabilitySpec.from_delay(1e-12, 0.0)
+
+    @pytest.mark.parametrize("delay,overlap", [(0.0, 1.0), (1e-200, math.exp(-0.5)), (1e-12, 0.0)])
+    def test_tiny_coherence_time_keeps_the_ratio(self, delay, overlap):
+        """The coherence time squared underflows to zero; the delay ratio does not."""
+        assert DistinguishabilitySpec.from_delay(delay, 1e-200).overlap == overlap
 
     @pytest.mark.parametrize("delay,coherence_time", [
         (0.0, math.inf),
@@ -181,6 +185,13 @@ class TestModeLabel:
         with pytest.raises(ValidationError):
             ModeLabel("A", Polarization.H, -1)
 
+    def test_temporal_index_overflow_rejected(self):
+        """A state holds temporal indices 0 and 1 only, the two an overlap splits into."""
+        with pytest.raises(ValidationError):
+            ModeLabel("P", Polarization.H, 2)
+        with pytest.raises(ValidationError):
+            TwoPhotonState.from_terms({(label("P", "H", 2), label("Q", "H")): 1.0})
+
     def test_amplitude_lookup_ignores_argument_order(self):
         state = pair_state({(("P", "H"), ("Q", "V")): 0.5})
         assert state.amplitude(label("Q", "V"), label("P", "H")) == 0.5
@@ -195,6 +206,13 @@ class TestFromTerms:
     def test_overnormalized_state_rejected(self):
         with pytest.raises(ValidationError):
             pair_state({(("P", "H"), ("Q", "H")): 1.0, (("P", "V"), ("Q", "V")): 0.5})
+
+    @pytest.mark.parametrize("amp", [math.nan, math.inf, complex(0.5, math.nan)])
+    def test_non_finite_amplitude_rejected(self, amp):
+        with pytest.raises(ValidationError, match="squared norm"):
+            pair_state({(("P", "H"), ("Q", "H")): amp})
+        with pytest.raises(ValidationError, match="squared norm"):
+            SinglePhotonState.from_terms({label("P", "H"): amp})
 
     def test_matrix_shape_must_fit_the_paths(self):
         from loqec import ConfigurationError
@@ -221,24 +239,26 @@ class TestProductState:
                 assert amp == pytest.approx(0.5, abs=1e-12)
 
     def test_orthogonal_wavepackets_split_temporal_indices(self):
-        a = SinglePhotonSpec("1", (1.0, 0.0), (1.0, 0.0))
-        b = SinglePhotonSpec("2", (1.0, 0.0), (0.0, 1.0))
-        state = product_state(a, b)
+        a = SinglePhotonSpec("1", (1.0, 0.0))
+        b = SinglePhotonSpec("2", (1.0, 0.0))
+        state = product_state(a, b, DistinguishabilitySpec(0.0))
         assert state.amplitude(label("1", "H", 0), label("2", "H", 1)) == pytest.approx(1.0)
         assert state.amplitude(label("1", "H", 0), label("2", "H", 0)) == 0
 
     def test_partial_overlap_splits_by_gram_schmidt(self):
+        """Overlap v splits photon 2 as Gram-Schmidt splits wavepacket (v, w) against (1, 0)."""
         v = 0.922
         w = 0.3871898759007006  # sqrt(1 - 0.922^2)
-        b_packet = (v, w)
         state = product_state(
             SinglePhotonSpec("1", (1.0, 0.0)),
-            SinglePhotonSpec("2", (1.0, 0.0), b_packet),
+            SinglePhotonSpec("2", (1.0, 0.0)),
+            DistinguishabilitySpec(v),
         )
-        assert state.amplitude(label("1", "H", 0), label("2", "H", 0)) == pytest.approx(v, abs=1e-12)
-        assert state.amplitude(label("1", "H", 0), label("2", "H", 1)) == pytest.approx(w, abs=1e-12)
-        overlap, residual = gram_schmidt_weights((1.0, 0.0), b_packet)
-        assert overlap == pytest.approx(v) and residual == pytest.approx(w)
+        overlap, residual = gram_schmidt_weights((1.0, 0.0), (v, w))
+        early = state.amplitude(label("1", "H", 0), label("2", "H", 0))
+        late = state.amplitude(label("1", "H", 0), label("2", "H", 1))
+        assert early == pytest.approx(overlap, abs=1e-12)
+        assert late == pytest.approx(residual, abs=1e-12)
 
     def test_same_mode_double_occupation(self):
         """Identical photons on one path make a single doubly occupied term."""
@@ -250,9 +270,10 @@ class TestProductState:
 
     @given(unit_jones(), unit_jones(), st.floats(0.0, 1.0, allow_nan=False))
     def test_result_is_normalized(self, jones_a, jones_b, overlap):
-        packet = (overlap + 0j, math.sqrt(max(0.0, 1.0 - overlap * overlap)) + 0j)
         state = product_state(
-            SinglePhotonSpec("1", jones_a), SinglePhotonSpec("2", jones_b, packet)
+            SinglePhotonSpec("1", jones_a),
+            SinglePhotonSpec("2", jones_b),
+            DistinguishabilitySpec(overlap),
         )
         assert state.norm_squared == pytest.approx(1.0, abs=1e-12)
 
