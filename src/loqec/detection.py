@@ -98,6 +98,10 @@ def z_measure(
     amplitude must put exactly one photon on ``path``; anything else
     raises a structural error.
     """
+    if state.matrix.ndim != 2:
+        raise ValidationError(
+            f"z_measure takes one state, got a batch of matrix shape {state.matrix.shape}"
+        )
     pair = tuple(detectors) if detectors is not None else z_detectors(path)
     _check_measurement_pair(pair, path)
     if path not in state.paths:
@@ -133,32 +137,35 @@ def apply_feedforward(
     """Fire the Pockels cell on arm C for every bit-flip (D3) branch.
 
     The correction is unitary, so branch probabilities are untouched; with
-    ``enabled=False`` the branches pass through unchanged.
+    ``enabled=False`` the branches pass through unchanged.  The cell acts
+    on every flipped branch in one call, so its operator is built once.
     """
     branches = tuple(branches)
     if not enabled:
         return branches
-    cell = pockels(PATH_C, active=True)
-    corrected = []
-    for branch in branches:
-        if branch.detector == Z_VALUE1_DETECTOR:
-            flipped = apply_element_single(branch.conditional, cell)
-            corrected.append(replace(branch, conditional=flipped))
-        else:
-            corrected.append(branch)
+    flips = [i for i, branch in enumerate(branches) if branch.detector == Z_VALUE1_DETECTOR]
+    flipped = apply_element_single(
+        [branches[i].conditional for i in flips], pockels(PATH_C, active=True)
+    )
+    corrected = list(branches)
+    for i, conditional in zip(flips, flipped):
+        corrected[i] = replace(branches[i], conditional=conditional)
     return tuple(corrected)
 
 
-def coincidence_postselect(state: TwoPhotonState) -> tuple[TwoPhotonState, float]:
+def coincidence_postselect(
+    state: TwoPhotonState,
+) -> tuple[TwoPhotonState, float | np.ndarray]:
     """Keep only amplitudes with one photon on each of two distinct paths.
 
     Returns the subnormalized kept state and its squared norm, which is the
     success probability of the coincidence-basis post-selection.  The kept
-    state is the amplitude matrix with every same-path block zeroed.
+    state is the amplitude matrix with every same-path block zeroed; for a
+    batch, every matrix is post-selected and the probability is an array.
     """
     n_paths = len(state.paths)
     same_path = np.eye(n_paths, dtype=bool)[:, None, :, None]
-    blocks = state.matrix.reshape(n_paths, 4, n_paths, 4)
+    blocks = state.matrix.reshape(state.matrix.shape[:-2] + (n_paths, 4, n_paths, 4))
     kept = np.where(same_path, 0j, blocks).reshape(state.matrix.shape)
     selected = TwoPhotonState(state.paths, kept)
     return selected, selected.norm_squared

@@ -1,4 +1,6 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the number check behind them."""
+
+import numpy as np
 
 
 class LoqecError(Exception):
@@ -27,3 +29,13 @@ class FitError(LoqecError):
 
 class ManifestError(LoqecError):
     """A run manifest does not satisfy the strict config schema."""
+
+
+def as_real(value: object, name: str) -> float:
+    """``value`` as a float; a bool, a string or another non-number is rejected."""
+    try:
+        if not isinstance(value, (bool, np.bool_, str, bytes)):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"{name} must be a real number, got {value!r}")

@@ -44,7 +44,7 @@ from .elements import (
     pbs,
     rewire,
 )
-from .errors import FitError, ValidationError
+from .errors import FitError, ValidationError, as_real
 from .state_core import (
     DistinguishabilitySpec,
     SinglePhotonSpec,
@@ -80,16 +80,6 @@ def _check_exposure(pair_rate: float, duration: float) -> None:
         )
 
 
-def _real(value: object, name: str) -> float:
-    """``value`` as a float; a bool, a string or another non-number is rejected."""
-    try:
-        if not isinstance(value, (bool, np.bool_, str, bytes)):
-            return float(value)
-    except (TypeError, ValueError):
-        pass
-    raise ValidationError(f"{name} must be a real number, got {value!r}")
-
-
 def _check_seed(seed: int) -> int:
     """The seed as an int, which must fit the 64-bit Philox key unaltered."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
@@ -115,14 +105,14 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        angle = _real(self.qubit_hwp_angle, "qubit_hwp_angle")
+        angle = as_real(self.qubit_hwp_angle, "qubit_hwp_angle")
         if not math.isfinite(angle):
             raise ValidationError(f"qubit_hwp_angle must be finite, got {angle!r}")
         object.__setattr__(self, "qubit_hwp_angle", angle)
         if not isinstance(self.wiring, WiringConfig):
             object.__setattr__(self, "wiring", WiringConfig.parse(self.wiring))
         for name in ("overlap_v", "imperfection_eps"):
-            value = _real(getattr(self, name), name)
+            value = as_real(getattr(self, name), name)
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
             object.__setattr__(self, name, value)
@@ -130,7 +120,7 @@ class ExperimentConfig:
             raise ValidationError(f"pc_enabled must be a boolean, got {self.pc_enabled!r}")
         object.__setattr__(self, "pc_enabled", bool(self.pc_enabled))
         try:
-            thetas = tuple(_real(t, f"thetas[{i}]") for i, t in enumerate(self.thetas))
+            thetas = tuple(as_real(t, f"thetas[{i}]") for i, t in enumerate(self.thetas))
         except TypeError:
             raise ValidationError(f"thetas must be a sequence, got {self.thetas!r}") from None
         if not thetas:
@@ -140,7 +130,7 @@ class ExperimentConfig:
                 raise ValidationError(f"thetas[{index}] must be finite, got {theta!r}")
         object.__setattr__(self, "thetas", thetas)
         for name in ("pair_rate", "duration"):
-            value = _real(getattr(self, name), name)
+            value = as_real(getattr(self, name), name)
             if value < 0.0 or not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
             object.__setattr__(self, name, value)
@@ -198,7 +188,8 @@ def encode_qubit(
     norm = abs(alpha) ** 2 + abs(beta) ** 2
     if not abs(norm - 1.0) <= 1e-12:
         raise ValidationError(f"qubit coefficients must be normalized, got norm^2 {norm!r}")
-    if not 0.0 <= float(overlap_v) <= 1.0:
+    overlap_v = as_real(overlap_v, "overlap_v")
+    if not 0.0 <= overlap_v <= 1.0:
         raise ValidationError(f"overlap_v must lie in [0, 1], got {overlap_v!r}")
 
     zero, one = computational_jones(0), computational_jones(1)
@@ -208,7 +199,7 @@ def encode_qubit(
     )
     qubit = SinglePhotonSpec(PATH_QUBIT_IN, qubit_jones)
     ancilla = SinglePhotonSpec(PATH_ANCILLA_IN, zero)
-    overlap = DistinguishabilitySpec(math.sqrt(float(overlap_v)))
+    overlap = DistinguishabilitySpec(math.sqrt(overlap_v))
     state = product_state(qubit, ancilla, overlap, (PATH_A, PATH_B))
     state = apply_element(state, pbs(PATH_QUBIT_IN, PATH_ANCILLA_IN, PATH_A, PATH_B))
     return coincidence_postselect(state)
@@ -282,7 +273,14 @@ def sample_counts(
     ``(seed, point index, stream)``, so results do not depend on evaluation
     order and distinct curves of one run stay decorrelated via ``stream``.
     """
-    p = np.asarray(probabilities, dtype=float)
+    try:
+        p = np.asarray(probabilities, dtype=float)
+    except (TypeError, ValueError):
+        for index, value in enumerate(probabilities):
+            as_real(value, f"probabilities[{index}]")
+        raise ValidationError(
+            f"probabilities must be a sequence of real numbers, got {probabilities!r}"
+        ) from None
     if p.ndim != 1:
         raise ValidationError(f"probabilities must be one-dimensional, got shape {p.shape}")
     outside = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
@@ -291,8 +289,8 @@ def sample_counts(
         raise ValidationError(
             f"probabilities must lie in [0, 1], got probabilities[{index}] = {float(p[index])!r}"
         )
-    rate = float(pair_rate)
-    time = float(duration)
+    rate = as_real(pair_rate, "pair_rate")
+    time = as_real(duration, "duration")
     if rate < 0.0 or time < 0.0 or not (math.isfinite(rate) and math.isfinite(time)):
         raise ValidationError("pair_rate and duration must be finite and >= 0")
     _check_exposure(rate, time)
@@ -375,21 +373,21 @@ def hom_scan(delays: Sequence[float], coherence_time: float) -> HomScanResult:
     overlap ``exp(-tau^2 / 2 sigma^2)``), interferes them on a 50/50 beam
     splitter, and records the probability of a coincidence across the two
     outputs.  Zero delay gives zero coincidences; far beyond the coherence
-    time the classical value one half is recovered.
+    time the classical value one half is recovered.  The whole grid is one
+    batch of states through the splitter and the post-selection.
     """
-    grid = tuple(float(t) for t in delays)
+    grid = tuple(as_real(t, f"delays[{i}]") for i, t in enumerate(delays))
     if not grid:
         raise ValidationError("delay grid must contain at least one value")
-    sigma = float(coherence_time)
-    splitter = bs5050(_HOM_IN1, _HOM_IN2, _HOM_OUT1, _HOM_OUT2)
+    sigma = as_real(coherence_time, "coherence_time")
+    specs = [DistinguishabilitySpec.from_delay(tau, sigma) for tau in grid]
     horizontal = (1.0 + 0j, 0j)
     first = SinglePhotonSpec(_HOM_IN1, horizontal)
     second = SinglePhotonSpec(_HOM_IN2, horizontal)
-    outputs = (_HOM_OUT1, _HOM_OUT2)
-    points = []
-    for tau in grid:
-        spec = DistinguishabilitySpec.from_delay(tau, sigma)
-        state = apply_element(product_state(first, second, spec, outputs), splitter)
-        _, p_coincidence = coincidence_postselect(state)
-        points.append(HomScanPoint(tau, spec.overlap, p_coincidence))
-    return HomScanResult(sigma, tuple(points))
+    state = product_state(first, second, specs, (_HOM_OUT1, _HOM_OUT2))
+    state = apply_element(state, bs5050(_HOM_IN1, _HOM_IN2, _HOM_OUT1, _HOM_OUT2))
+    _, p_coincidence = coincidence_postselect(state)
+    points = zip(grid, specs, p_coincidence.tolist())
+    return HomScanResult(
+        sigma, tuple(HomScanPoint(tau, spec.overlap, p) for tau, spec, p in points)
+    )

@@ -23,6 +23,14 @@ symmetric matrix ``A`` over these modes,
 matrix ``U`` acts as ``A -> U A U^T``, renaming paths leaves ``A`` alone,
 and a single-photon state is a vector ``v`` over the same modes with
 ``v -> U v``.
+
+A two-photon matrix may carry leading batch axes, shape ``(..., n, n)``:
+one state per batch index, all over the same paths.  :func:`product_state`
+builds a batch from a sequence of overlaps, :func:`apply_element`,
+:func:`relabel_paths` and ``detection.coincidence_postselect`` act on
+every matrix of it, and ``norm_squared`` is then an array.  Whatever reads
+one state (``amplitude``, ``from_terms``, ``detection.z_measure``) rejects
+a batch.
 """
 from __future__ import annotations
 
@@ -33,7 +41,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, ValidationError, as_real
 
 if TYPE_CHECKING:
     from .elements import LinearElement
@@ -130,7 +138,7 @@ class DistinguishabilitySpec:
     overlap: float = 1.0
 
     def __post_init__(self) -> None:
-        v = float(self.overlap)
+        v = as_real(self.overlap, "overlap")
         if not 0.0 <= v <= 1.0:
             raise ValidationError(f"overlap must lie in [0, 1], got {v!r}")
         object.__setattr__(self, "overlap", v)
@@ -138,10 +146,10 @@ class DistinguishabilitySpec:
     @classmethod
     def from_delay(cls, delay: float, coherence_time: float) -> "DistinguishabilitySpec":
         """Overlap of two Gaussian wavepackets offset by ``delay`` seconds."""
-        sigma = float(coherence_time)
+        sigma = as_real(coherence_time, "coherence time")
         if not (math.isfinite(sigma) and sigma > 0.0):
             raise ValidationError(f"coherence time must be finite and positive, got {sigma!r}")
-        tau = float(delay)
+        tau = as_real(delay, "delay")
         if not math.isfinite(tau):
             raise ValidationError(f"delay must be finite, got {tau!r}")
         # The ratio keeps a tiny coherence time from squaring to zero.
@@ -167,19 +175,38 @@ def _declare(paths: Iterable[str], labels: Iterable[ModeLabel]) -> tuple[str, ..
 
 
 def _checked(
-    values: np.ndarray, paths: Iterable[str], ndim: int
+    values: np.ndarray, paths: Iterable[str], ndim: int, batch: bool = False
 ) -> tuple[tuple[str, ...], np.ndarray]:
-    """Distinct paths, and the amplitudes as a read-only complex array of their modes."""
+    """Distinct paths, and the amplitudes as a read-only complex array of their modes.
+
+    The last ``ndim`` axes run over the modes; with ``batch`` any leading
+    axes are batch axes.  Every amplitude must be finite.
+    """
     paths = tuple(paths)
     if len(set(paths)) != len(paths):
         raise ConfigurationError(f"paths must be distinct, got {paths!r}")
     values = np.asarray(values, dtype=complex)
-    if values.shape != (4 * len(paths),) * ndim:
+    lead = values.ndim - ndim
+    if lead < 0 or (lead and not batch) or values.shape[lead:] != (4 * len(paths),) * ndim:
         raise ValidationError(
             f"amplitude array shape {values.shape} does not fit {len(paths)} paths"
         )
+    # A finite sum of squares has finite terms; only an overflow needs the full test.
+    if not math.isfinite(np.vdot(values, values).real) and not np.isfinite(values).all():
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+        raise ValidationError(
+            f"amplitudes must be finite, got {values[index]!r} at index {index} "
+            f"of shape {values.shape}"
+        )
     values.setflags(write=False)
     return paths, values
+
+
+def _norm_squared(matrix: np.ndarray) -> float | np.ndarray:
+    """``||A||_F^2 / 2`` of one matrix, or an array of them over the batch axes."""
+    if matrix.ndim == 2:
+        return 0.5 * float(np.vdot(matrix, matrix).real)
+    return 0.5 * (matrix.real**2 + matrix.imag**2).sum(axis=(-2, -1))
 
 
 def _mode_operator(paths: tuple[str, ...], element: "LinearElement") -> np.ndarray:
@@ -204,15 +231,16 @@ class TwoPhotonState:
 
     ``paths`` declares every path the state logically spans, which may
     include paths that currently hold no amplitude (e.g. the empty output
-    arms of an interferometer before light reaches them).  Equality is
-    exact on both fields.
+    arms of an interferometer before light reaches them).  ``matrix`` has
+    shape ``(..., n, n)``: leading axes, if any, make it a batch of states
+    on the same paths.  Equality is exact on both fields.
     """
 
     paths: tuple[str, ...]
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        paths, matrix = _checked(self.matrix, self.paths, 2)
+        paths, matrix = _checked(self.matrix, self.paths, 2, batch=True)
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "matrix", matrix)
 
@@ -238,24 +266,33 @@ class TwoPhotonState:
         declared = _declare(paths, (label for pair, _ in items for label in pair))
         matrix = np.zeros((4 * len(declared),) * 2, dtype=complex)
         for (l1, l2), amp in items:
+            if np.ndim(amp):
+                raise ValidationError(
+                    f"from_terms builds one state; the amplitude of ({l1}, {l2}) "
+                    f"has shape {np.shape(amp)}"
+                )
             i, j = _find(declared, l1), _find(declared, l2)
             if i == j:
                 matrix[i, i] += _SQRT2 * complex(amp)
             else:
                 matrix[i, j] += amp
                 matrix[j, i] += amp
-        state = cls(declared, matrix)
-        nrm = state.norm_squared
+        nrm = _norm_squared(matrix)
         if not nrm <= 1.0 + NORM_TOL:
             raise ValidationError(f"state squared norm {nrm!r} exceeds 1")
-        return state
+        return cls(declared, matrix)
 
     @property
-    def norm_squared(self) -> float:
-        return 0.5 * float(np.vdot(self.matrix, self.matrix).real)
+    def norm_squared(self) -> float | np.ndarray:
+        """Squared norm; an array over the batch axes for a batch."""
+        return _norm_squared(self.matrix)
 
     def amplitude(self, l1: ModeLabel, l2: ModeLabel) -> complex:
         """Coefficient of the normalized (unordered) pair state, zero when absent."""
+        if self.matrix.ndim != 2:
+            raise ValidationError(
+                f"amplitude reads one state, got a batch of matrix shape {self.matrix.shape}"
+            )
         i, j = _find(self.paths, l1), _find(self.paths, l2)
         if i is None or j is None:
             return 0j
@@ -300,11 +337,10 @@ class SinglePhotonState:
         vector = np.zeros(4 * len(declared), dtype=complex)
         for label, amp in items:
             vector[_find(declared, label)] += amp
-        state = cls(declared, vector)
-        nrm = state.norm_squared
+        nrm = float(np.vdot(vector, vector).real)
         if not nrm <= 1.0 + NORM_TOL:
             raise ValidationError(f"state squared norm {nrm!r} exceeds 1")
-        return state
+        return cls(declared, vector)
 
     @property
     def norm_squared(self) -> float:
@@ -340,7 +376,7 @@ class SinglePhotonState:
 def product_state(
     photon_a: SinglePhotonSpec,
     photon_b: SinglePhotonSpec,
-    overlap: DistinguishabilitySpec = DistinguishabilitySpec(),
+    overlap: DistinguishabilitySpec | Sequence[DistinguishabilitySpec] = DistinguishabilitySpec(),
     paths: Iterable[str] = (),
 ) -> TwoPhotonState:
     """Normalized two-photon product state of two input specs.
@@ -349,29 +385,47 @@ def product_state(
     overlap ``v = overlap.overlap`` with photon a's, so it puts ``v`` on
     temporal index 0 and the orthogonal remainder ``sqrt(1 - v^2)`` on
     index 1: indistinguishable photons share index 0, fully distinguishable
-    ones sit on different indices.
+    ones sit on different indices.  A sequence of overlaps gives a batch
+    with one matrix per overlap, in order.
 
     With ``a`` and ``b`` the two photons' mode vectors the matrix is
     ``a b^T + b a^T``, normalized; the two specs may share a spatial path,
     even a mode.  The declared paths are the two photons' paths, then
     ``paths``.
     """
-    u = overlap.overlap
-    w = math.sqrt(max(0.0, 1.0 - u * u))
+    batch = not isinstance(overlap, DistinguishabilitySpec)
+    try:
+        specs = tuple(overlap) if batch else (overlap,)
+    except TypeError:
+        raise ValidationError(
+            f"overlap must be a DistinguishabilitySpec or a sequence of them, got {overlap!r}"
+        ) from None
+    for index, spec in enumerate(specs):
+        if not isinstance(spec, DistinguishabilitySpec):
+            raise ValidationError(
+                f"overlap[{index}] must be a DistinguishabilitySpec, got {spec!r}"
+            )
+    u = np.array([spec.overlap for spec in specs])
+    w = np.sqrt(np.maximum(0.0, 1.0 - u * u))
     declared = tuple(dict.fromkeys((photon_a.path, photon_b.path, *paths)))
     a = np.zeros(4 * len(declared), dtype=complex)
-    b = np.zeros_like(a)
+    b = np.zeros((len(specs), a.size), dtype=complex)
     start_a = 4 * declared.index(photon_a.path)
     start_b = 4 * declared.index(photon_b.path)
-    (h_a, v_a), (h_b, v_b) = photon_a.jones, photon_b.jones
+    h_a, v_a = photon_a.jones
     a[start_a : start_a + 4] = (h_a, 0j, v_a, 0j)
-    b[start_b : start_b + 4] = (h_b * u, h_b * w, v_b * u, v_b * w)
-    matrix = np.outer(a, b)
-    matrix = matrix + matrix.T
-    nrm = math.sqrt(0.5 * float(np.vdot(matrix, matrix).real))
-    if nrm <= AMPLITUDE_TOL:
-        raise ValidationError("product state vanished; input specs are degenerate")
-    return TwoPhotonState(declared, matrix / nrm)
+    # (spec, polarization, temporal) -> the four modes of photon b's path
+    wavepackets = np.array((u, w)).T[:, None, :]
+    b[:, start_b : start_b + 4] = (np.array(photon_b.jones)[:, None] * wavepackets).reshape(-1, 4)
+    matrix = a[:, None] * b[:, None, :]
+    matrix = matrix + matrix.transpose(0, 2, 1)
+    if not batch:
+        matrix = matrix[0]
+    nrm = np.sqrt(_norm_squared(matrix))
+    if not (nrm > AMPLITUDE_TOL).all():
+        where = f" at overlap[{np.flatnonzero(~(nrm > AMPLITUDE_TOL))[0]}]" if batch else ""
+        raise ValidationError(f"product state vanished{where}; input specs are degenerate")
+    return TwoPhotonState(declared, matrix / nrm[..., None, None])
 
 
 def apply_element(state: TwoPhotonState, element: "LinearElement") -> TwoPhotonState:
@@ -379,28 +433,51 @@ def apply_element(state: TwoPhotonState, element: "LinearElement") -> TwoPhotonS
 
     The element's matrix columns index input channels and rows index output
     channels; it acts alike on both temporal indices, and modes off its
-    channels pass through.
+    channels pass through.  A batch is transformed matrix by matrix with
+    one operator ``U``.
 
     Each product is rounded on its own before the sums.  A matrix product
     may fuse multiply and add, which leaves the rounding error of one of
     two exactly opposite terms (e.g. the two paths of a balanced splitter)
-    in place of an exact zero.  Only the occupied modes of ``A`` enter the
-    sums; the others would add exact zeros.
+    in place of an exact zero.  Only the modes occupied somewhere in the
+    batch enter the sums, and only the modes ``U`` maps them onto are
+    computed; every other sum would be of exact zeros.
     """
     u = _mode_operator(state.paths, element)
     matrix = state.matrix
-    occupied = np.flatnonzero(matrix.any(axis=0) | matrix.any(axis=1))
+    occupancy = matrix.any(axis=-2) | matrix.any(axis=-1)
+    occupied = np.flatnonzero(occupancy.reshape(-1, u.shape[0]).any(axis=0))
     u = u[:, occupied]
-    half = (u[:, :, None] * matrix[occupied[:, None], occupied][None]).sum(axis=1)
-    return TwoPhotonState(state.paths, (half[:, None, :] * u[None]).sum(axis=2))
+    reached = np.flatnonzero(u.any(axis=1))
+    u = u[reached]
+    block = matrix[..., occupied[:, None], occupied]
+    half = (u[:, :, None] * block[..., None, :, :]).sum(axis=-2)
+    out = np.zeros(matrix.shape, dtype=complex)
+    out[..., reached[:, None], reached] = (half[..., :, None, :] * u).sum(axis=-1)
+    return TwoPhotonState(state.paths, out)
 
 
 def apply_element_single(
-    state: SinglePhotonState, element: "LinearElement"
-) -> SinglePhotonState:
-    """Single-photon version of :func:`apply_element`: ``v -> U v``."""
-    u = _mode_operator(state.paths, element)
-    return SinglePhotonState(state.paths, (u * state.vector).sum(axis=1))
+    state: SinglePhotonState | Sequence[SinglePhotonState], element: "LinearElement"
+) -> SinglePhotonState | tuple[SinglePhotonState, ...]:
+    """Single-photon version of :func:`apply_element`: ``v -> U v``.
+
+    A sequence of states on the same paths gives a tuple of results, all
+    from one operator ``U``.
+    """
+    single = isinstance(state, SinglePhotonState)
+    states = (state,) if single else tuple(state)
+    if not states:
+        return ()
+    paths = states[0].paths
+    for index, each in enumerate(states):
+        if each.paths != paths:
+            raise ConfigurationError(
+                f"states[{index}] declares paths {each.paths!r}, states[0] {paths!r}"
+            )
+    u = _mode_operator(paths, element)
+    out = tuple(SinglePhotonState(paths, (u * each.vector).sum(axis=1)) for each in states)
+    return out[0] if single else out
 
 
 def relabel_paths(state: TwoPhotonState, mapping: Mapping[str, str]) -> TwoPhotonState:

@@ -21,11 +21,13 @@ from loqec import (
     Z_VALUE1_DETECTOR,
     analyzer_curve,
     apply_element,
+    apply_element_single,
     apply_feedforward,
     coincidence_postselect,
     computational_jones,
     encode_qubit,
     pbs,
+    pockels,
     product_state,
     rewire,
     z_detectors,
@@ -201,6 +203,31 @@ class TestFeedForward:
             assert after.conditional.norm_squared == pytest.approx(
                 before.conditional.norm_squared, abs=1e-15
             )
+
+
+    def test_one_operator_flips_every_trigger_branch(self, monkeypatch):
+        """Two D3 branches (one per temporal index) share one Pockels operator,
+        and each comes out exactly as a flip of that branch alone."""
+        from loqec import state_core
+
+        branches = z_measure(encoded_on_bench(0.3, math.sqrt(1 - 0.09), 0.4), PATH_D)
+        assert [b.detector for b in branches].count(Z_VALUE1_DETECTOR) == 2
+        cell = pockels(PATH_C, active=True)
+        expected = [
+            apply_element_single(b.conditional, cell) if b.detector == Z_VALUE1_DETECTOR
+            else b.conditional
+            for b in branches
+        ]
+        built = []
+        original = state_core._mode_operator
+        monkeypatch.setattr(
+            state_core, "_mode_operator", lambda *args: built.append(args) or original(*args)
+        )
+        corrected = apply_feedforward(branches, enabled=True)
+        assert len(built) == 1
+        for after, want in zip(corrected, expected):
+            assert after.conditional.paths == want.paths
+            assert after.conditional.vector.tobytes() == want.vector.tobytes()
 
 
 def bench_curves(alpha, beta, overlap_v, thetas, pc_enabled):

@@ -102,6 +102,11 @@ class TestHwp:
         with pytest.raises(ValidationError, match="hwp angle must be finite"):
             hwp(angle, "P")
 
+    @pytest.mark.parametrize("angle", ["x", True])
+    def test_non_number_angle_named(self, angle):
+        with pytest.raises(ValidationError, match="hwp angle must be a real number"):
+            hwp(angle, "P")
+
     @given(st.floats(-180, 180, allow_nan=False))
     def test_same_plate_twice_is_identity(self, angle):
         plate = hwp(angle, "P")

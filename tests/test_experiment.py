@@ -133,6 +133,11 @@ class TestEncodeQubit:
         with pytest.raises(ValidationError):
             encode_qubit(alpha, beta, overlap_v)
 
+    @pytest.mark.parametrize("overlap_v", ["x", "0.5", True])
+    def test_non_number_overlap_named(self, overlap_v):
+        with pytest.raises(ValidationError, match="overlap_v must be a real number"):
+            encode_qubit(1.0, 0.0, overlap_v)
+
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-90, 90, allow_nan=False), st.floats(0, 1, allow_nan=False))
     def test_success_probability_is_half_for_any_setting(self, angle, overlap_v):
@@ -368,6 +373,16 @@ class TestSampleCounts:
         with pytest.raises(ValidationError):
             sample_counts([0.1], -100.0, 1.0, seed=0)
 
+    @pytest.mark.parametrize("args, name", [
+        ((["x"], 100.0, 1.0), r"probabilities\[0\]"),
+        (([0.5, "x"], 100.0, 1.0), r"probabilities\[1\]"),
+        (([0.5], "x", 1.0), "pair_rate"),
+        (([0.5], 100.0, "x"), "duration"),
+    ])
+    def test_non_number_input_named(self, args, name):
+        with pytest.raises(ValidationError, match=f"{name} must be a real number"):
+            sample_counts(*args, seed=0)
+
     def test_mean_count_above_the_poisson_limit_rejected(self):
         with pytest.raises(ValidationError, match="pair_rate=1e\\+30, duration=60.0"):
             sample_counts([0.1], 1e30, 60.0, seed=0)
@@ -534,3 +549,36 @@ class TestHomScan:
     def test_non_finite_coherence_time_rejected(self, coherence_time):
         with pytest.raises(ValidationError, match="coherence time"):
             hom_scan((0.0,), coherence_time)
+
+    @pytest.mark.parametrize("delays, coherence_time, name", [
+        (["x"], 1e-12, r"delays\[0\]"),
+        ((0.0, None), 1e-12, r"delays\[1\]"),
+        ((0.0,), "x", "coherence_time"),
+    ])
+    def test_non_number_input_named(self, delays, coherence_time, name):
+        with pytest.raises(ValidationError, match=f"{name} must be a real number"):
+            hom_scan(delays, coherence_time)
+
+    def test_zero_delay_is_exact_inside_a_batch(self):
+        result = hom_scan((0.0, 1e-12, -1e-12, 0.0), 1e-12)
+        assert result.points[0].p_coincidence == 0.0
+        assert result.points[3].p_coincidence == 0.0
+        for point in result.points:
+            assert point.p_coincidence == pytest.approx(
+                hom_coincidence(point.delay, 1e-12), abs=1e-12
+            )
+
+    def test_one_batched_call_per_stage(self, monkeypatch):
+        """State preparation, the splitter and the post-selection each run once per scan."""
+        from loqec import experiment
+
+        calls = []
+        for name in ("product_state", "apply_element", "coincidence_postselect"):
+            original = getattr(experiment, name)
+            monkeypatch.setattr(
+                experiment, name,
+                lambda *args, _name=name, _f=original: calls.append(_name) or _f(*args),
+            )
+        result = hom_scan(tuple(np.linspace(-3e-12, 3e-12, 7)), 1e-12)
+        assert len(result.points) == 7
+        assert sorted(calls) == ["apply_element", "coincidence_postselect", "product_state"]

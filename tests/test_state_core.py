@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from _oracle import element_transfer, expand_two_photon, gram_schmidt_weights
 from _states import pair_terms
 from loqec import (
+    ConfigurationError,
     DetectorSpec,
     LinearElement,
     ModeLabel,
@@ -21,8 +22,12 @@ from loqec import (
     DistinguishabilitySpec,
     analyzer_jones,
     apply_element,
+    apply_element_single,
+    bs5050,
+    coincidence_postselect,
     computational_jones,
     jones_to_computational,
+    pbs,
     product_state,
     relabel_paths,
     z_measure,
@@ -146,6 +151,16 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             DistinguishabilitySpec(bad)
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: DistinguishabilitySpec("x"), "overlap"),
+        (lambda: DistinguishabilitySpec(True), "overlap"),
+        (lambda: DistinguishabilitySpec.from_delay("x", 1e-12), "delay"),
+        (lambda: DistinguishabilitySpec.from_delay(0.0, "x"), "coherence time"),
+    ])
+    def test_non_number_inputs_named(self, make, name):
+        with pytest.raises(ValidationError, match=f"{name} must be a real number"):
+            make()
+
     def test_gaussian_overlap_from_delay(self):
         spec = DistinguishabilitySpec.from_delay(1e-12, 1e-12)
         assert spec.overlap == pytest.approx(math.exp(-0.5), abs=1e-15)
@@ -221,6 +236,26 @@ class TestFromTerms:
             TwoPhotonState(("P", "Q"), np.zeros((4, 4)))
         with pytest.raises(ConfigurationError):
             TwoPhotonState(("P", "P"), np.zeros((8, 8)))
+
+    def test_array_amplitude_rejected(self):
+        with pytest.raises(ValidationError, match=r"builds one state.*shape \(2,\)"):
+            pair_state({(("P", "H"), ("Q", "H")): np.array([0.5, 0.5])})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_matrix_or_vector_rejected(self, bad):
+        matrix = np.zeros((8, 8), dtype=complex)
+        matrix[0, 4] = matrix[4, 0] = bad
+        with pytest.raises(ValidationError, match=r"must be finite.*index \(0, 4\)"):
+            TwoPhotonState(("P", "Q"), matrix)
+        vector = np.zeros(8, dtype=complex)
+        vector[5] = bad
+        with pytest.raises(ValidationError, match=r"must be finite.*index \(5,\)"):
+            SinglePhotonState(("P", "Q"), vector)
+
+    def test_large_finite_amplitudes_are_not_taken_for_non_finite(self):
+        """Their squared norm overflows; each amplitude is still finite."""
+        assert TwoPhotonState(("P", "Q"), np.full((8, 8), 1e200)).paths == ("P", "Q")
+        assert SinglePhotonState(("P",), np.full(4, 1e200)).paths == ("P",)
 
     def test_declared_paths_cover_amplitudes_and_extras(self):
         state = pair_state({(("P", "H"), ("Q", "H")): 0.5}, paths=("R",))
@@ -350,6 +385,91 @@ class TestApplyElement:
         expected = expand_two_photon(terms, element_transfer(element, labels))
         for key in set(pair_terms(out)) | set(expected):
             assert abs(out.amplitude(*key) - expected.get(key, 0j)) < 1e-12
+
+
+def _spec_around_its_check(overlap):
+    """A spec holding a value its own check rejects; only such a spec makes a product vanish."""
+    spec = DistinguishabilitySpec()
+    object.__setattr__(spec, "overlap", overlap)
+    return spec
+
+
+_H1 = SinglePhotonSpec("1", (1.0, 0.0))
+_H2 = SinglePhotonSpec("2", (1.0, 0.0))
+
+
+class TestBatch:
+    """A leading batch axis on the two-photon matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        unit_jones(),
+        unit_jones(),
+        st.lists(st.floats(0.0, 1.0, allow_nan=False), max_size=6),
+        st.sampled_from([bs5050, pbs]),
+    )
+    def test_batch_matches_each_unbatched_state(self, jones_a, jones_b, drawn, make_element):
+        a, b = SinglePhotonSpec("1", jones_a), SinglePhotonSpec("2", jones_b)
+        specs = [DistinguishabilitySpec(v) for v in (0.0, *drawn, 1.0)]
+        element = make_element("1", "2", "3", "4")
+        batch = apply_element(product_state(a, b, specs, ("3", "4")), element)
+        selected, p = coincidence_postselect(batch)
+        assert selected.matrix.shape == (len(specs), 16, 16)
+        assert p.shape == (len(specs),)
+        for k, spec in enumerate(specs):
+            one = apply_element(product_state(a, b, spec, ("3", "4")), element)
+            one_selected, one_p = coincidence_postselect(one)
+            assert one_selected.paths == selected.paths
+            assert np.abs(selected.matrix[k] - one_selected.matrix).max() <= 1e-15
+            assert abs(p[k] - one_p) <= 1e-15
+            assert abs(batch.norm_squared[k] - one.norm_squared) <= 1e-15
+
+    def test_leading_axes_only_on_two_photon_matrices(self):
+        batch = TwoPhotonState(("P", "Q"), np.zeros((2, 3, 8, 8)))
+        assert batch.norm_squared.shape == (2, 3)
+        with pytest.raises(ValidationError, match=r"shape \(3, 8\)"):
+            SinglePhotonState(("P", "Q"), np.zeros((3, 8)))
+
+    def test_renaming_paths_keeps_the_batch(self):
+        batch = product_state(_H1, _H2, [DistinguishabilitySpec(0.5)] * 3)
+        renamed = relabel_paths(batch, {"1": "A"})
+        assert renamed.paths == ("A", "2")
+        assert renamed.matrix is batch.matrix
+
+    def test_one_state_readers_reject_a_batch(self):
+        batch = product_state(_H1, _H2, [DistinguishabilitySpec(1.0), DistinguishabilitySpec(0.5)])
+        with pytest.raises(ValidationError, match=r"batch of matrix shape \(2, 8, 8\)"):
+            batch.amplitude(label("1", "H"), label("2", "H"))
+        with pytest.raises(ValidationError, match=r"batch of matrix shape \(2, 8, 8\)"):
+            z_measure(batch, "1")
+
+    def test_vanished_product_names_its_spec(self):
+        specs = [
+            DistinguishabilitySpec(1.0), DistinguishabilitySpec(0.5), _spec_around_its_check(math.nan)
+        ]
+        with pytest.raises(ValidationError, match=r"vanished at overlap\[2\]"):
+            product_state(_H1, _H2, specs)
+        with pytest.raises(ValidationError, match="vanished; input specs are degenerate"):
+            product_state(_H1, _H2, _spec_around_its_check(math.nan))
+
+    def test_overlap_must_be_specs(self):
+        with pytest.raises(ValidationError, match=r"overlap\[1\] must be a DistinguishabilitySpec"):
+            product_state(_H1, _H2, [DistinguishabilitySpec(1.0), 0.5])
+        with pytest.raises(ValidationError, match="or a sequence of them, got 0.5"):
+            product_state(_H1, _H2, 0.5)
+
+    def test_single_photon_states_share_one_operator(self):
+        element = beam_splitter_h("P", "Q")
+        states = [
+            SinglePhotonState.from_terms({label("P", "H"): 0.6}, paths=("P", "Q")),
+            SinglePhotonState.from_terms({label("Q", "H", 1): 0.8j}, paths=("P", "Q")),
+        ]
+        together = apply_element_single(states, element)
+        assert together == tuple(apply_element_single(state, element) for state in states)
+        assert apply_element_single([], element) == ()
+        swapped = SinglePhotonState(("Q", "P"), states[1].vector)
+        with pytest.raises(ConfigurationError, match=r"states\[1\] declares paths"):
+            apply_element_single([states[0], swapped], element)
 
 
 class TestRelabelPaths:
