@@ -77,9 +77,13 @@ def _check_keys(section: Mapping[str, Any], allowed: set[str], where: str) -> No
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(where, f"expected a number, got {value!r}")
-    if not math.isfinite(float(value)):
+    try:
+        number = float(value)
+    except OverflowError:
+        _fail(where, f"expected a number within the float range, got a {len(str(value))}-digit integer")
+    if not math.isfinite(number):
         _fail(where, f"expected a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _integer(value: Any, where: str) -> int:
@@ -190,7 +194,7 @@ def load_manifest(path: Path) -> dict:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long for Python to parse
         raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
     data = _mapping(data, "manifest")
     _check_keys(data, _TOP_KEYS, "manifest")

@@ -1,25 +1,26 @@
-"""Detectors, post-selection, Z measurement, feed-forward, analyzer curves.
+"""Post-selection, Z measurement, feed-forward and the analyzer readout.
 
 Detector roles follow the bench layout: D1 sits behind the analyzer on arm
 C; the Z-measurement station on arm D splits the computational basis onto
 D2 (value 0) and D3 (value 1).  A D3 click heralds the encoded bit flip and
-triggers the Pockels correction on arm C.
+triggers the Pockels correction on arm C.  The photon surviving the Z
+measurement is one batched state (see :func:`z_measure`), and the
+feed-forward and the readout act on it as a whole.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .elements import PATH_C, pockels
-from .errors import ConfigurationError, StructureError, ValidationError
+from .errors import StructureError, ValidationError, as_real_array
 from .state_core import (
     AMPLITUDE_TOL,
-    Jones,
     SinglePhotonState,
     TwoPhotonState,
+    _one_state,
     apply_element_single,
     computational_jones,
 )
@@ -29,81 +30,36 @@ Z_VALUE0_DETECTOR = "D2"
 #: Z station: transmitted output, heralds computational value 1 (a bit flip).
 Z_VALUE1_DETECTOR = "D3"
 
-_ORTHO_TOL = 1e-12
+#: Conjugate Jones vectors of D2 and D3, shaped (detector, pol, 1, 1).
+_Z_BASIS = np.conj([computational_jones(0), computational_jones(1)])[:, :, None, None]
+#: The feed-forward's Pockels cell on arm C, fired by a D3 click.
+_FLIP = pockels(PATH_C, active=True)
 
 
-@dataclass(frozen=True)
-class DetectorSpec:
-    """Single-photon detector behind a polarization filter on one path."""
-
-    id: str
-    path: str
-    jones: Jones
+def _survivor_rows(survivor: SinglePhotonState) -> np.ndarray:
+    """The vector of a survivor, which has the shape ``z_measure`` gives."""
+    if survivor.vector.shape[:-1] != (2, 2):
+        raise ValidationError(f"a survivor has vector shape (2, 2, n), got {survivor.vector.shape}")
+    return survivor.vector
 
 
-def z_detectors(path: str) -> tuple[DetectorSpec, DetectorSpec]:
-    """The standard Z-measurement detector pair on ``path``."""
-    return (
-        DetectorSpec(Z_VALUE0_DETECTOR, path, computational_jones(0)),
-        DetectorSpec(Z_VALUE1_DETECTOR, path, computational_jones(1)),
-    )
+def z_measure(state: TwoPhotonState, path: str) -> SinglePhotonState:
+    """Destructively measure the photon on ``path`` in the computational basis.
 
+    Returns the survivor on the other paths as one batch of vector shape
+    ``(2, 2, n)``: axis 0 is the herald, D2 (value 0) then D3 (value 1),
+    and axis 1 the measured photon's temporal index.  Its ``norm_squared``
+    is the ``(2, 2)`` table of outcome weights, on the scale of the input's
+    squared norm; an outcome of zero weight is a row of zeros.
 
-def _check_measurement_pair(pair: Sequence[DetectorSpec], path: str) -> None:
-    if len(pair) != 2:
-        raise ConfigurationError(f"a Z measurement needs exactly two detectors, got {len(pair)}")
-    first, second = pair
-    if first.path != path or second.path != path:
-        raise ConfigurationError(
-            f"detectors {first.id!r}/{second.id!r} must both sit on path {path!r}"
-        )
-    if first.id == second.id:
-        raise ConfigurationError(f"detector ids must differ, both are {first.id!r}")
-    inner = np.vdot(first.jones, second.jones)
-    if not abs(inner) <= _ORTHO_TOL:
-        raise ConfigurationError(
-            f"detector projections must be orthogonal, overlap {abs(inner):.3e}"
-        )
-    # Two orthogonal unit vectors in a two-dimensional space are complete.
-
-
-@dataclass(frozen=True)
-class MeasurementBranch:
-    """One outcome of the Z measurement: detector, temporal index, remainder."""
-
-    detector: str
-    temporal: int
-    probability: float
-    conditional: SinglePhotonState
-
-
-def z_measure(
-    state: TwoPhotonState,
-    path: str,
-    detectors: Sequence[DetectorSpec] | None = None,
-) -> tuple[MeasurementBranch, ...]:
-    """Destructively measure the photon on ``path`` in the detector basis.
-
-    Returns one branch per (detector, temporal index) with nonzero weight.
-    Branch probabilities sum to the squared norm of the input state, so a
-    subnormalized post-selected state yields branch weights on the same
-    scale.
-
-    With ``beta`` the detector's conjugate Jones vector on the measured
-    path at one temporal index, the survivor is the contraction
-    ``v = beta^T A`` over the modes of the other paths, and the branch
-    weight is ``|v|^2``; an outcome of weight at most ``AMPLITUDE_TOL**2``
-    yields no branch.  The measured path's own block and the other paths'
-    block among themselves must hold no more weight than that, since every
-    amplitude must put exactly one photon on ``path``; anything else
-    raises a structural error.
+    With ``beta`` a detector's conjugate Jones vector on the measured path
+    at one temporal index, the survivor is the contraction ``v = beta^T A``
+    over the modes of the other paths.  The measured path's own block and
+    the other paths' block among themselves must hold no more weight than
+    ``AMPLITUDE_TOL**2``, since every amplitude must put exactly one photon
+    on ``path``; anything else raises a structural error.
     """
-    if state.matrix.ndim != 2:
-        raise ValidationError(
-            f"z_measure takes one state, got a batch of matrix shape {state.matrix.shape}"
-        )
-    pair = tuple(detectors) if detectors is not None else z_detectors(path)
-    _check_measurement_pair(pair, path)
+    _one_state(state.matrix, 2, "z_measure")
     if path not in state.paths:
         raise StructureError(f"path {path!r} is not declared, so it holds no photon")
     # Modes are (path, pol, temporal), four per path, in state_core's order.
@@ -117,40 +73,22 @@ def z_measure(
                 "a Z measurement requires exactly one"
             )
     # (detector, pol) x (pol, temporal, other mode) -> (detector, temporal, other mode)
-    beta = np.conj([det.jones for det in pair])[:, :, None, None]
-    survivors = (beta * rows[:, ~on_path].reshape(1, 2, 2, -1)).sum(axis=1)
-    weights = (survivors.real**2 + survivors.imag**2).sum(axis=2).tolist()
-    survivor_paths = tuple(p for p in state.paths if p != path)
-    return tuple(
-        MeasurementBranch(
-            det.id, t, weights[d][t], SinglePhotonState(survivor_paths, survivors[d, t])
-        )
-        for d, det in enumerate(pair)
-        for t in (0, 1)
-        if weights[d][t] > AMPLITUDE_TOL**2
-    )
+    survivors = (_Z_BASIS * rows[:, ~on_path].reshape(1, 2, 2, -1)).sum(axis=1)
+    return SinglePhotonState(tuple(p for p in state.paths if p != path), survivors)
 
 
-def apply_feedforward(
-    branches: Iterable[MeasurementBranch], enabled: bool
-) -> tuple[MeasurementBranch, ...]:
-    """Fire the Pockels cell on arm C for every bit-flip (D3) branch.
+def apply_feedforward(survivor: SinglePhotonState, enabled: bool) -> SinglePhotonState:
+    """Fire the Pockels cell on arm C for the bit-flip (D3) herald.
 
-    The correction is unitary, so branch probabilities are untouched; with
-    ``enabled=False`` the branches pass through unchanged.  The cell acts
-    on every flipped branch in one call, so its operator is built once.
+    The cell's one operator acts on the survivor's D3 row; the D2 row is
+    kept as it is.  The correction is unitary, so the outcome weights are
+    untouched; with ``enabled=False`` the survivor passes through unchanged.
     """
-    branches = tuple(branches)
+    rows = _survivor_rows(survivor)
     if not enabled:
-        return branches
-    flips = [i for i, branch in enumerate(branches) if branch.detector == Z_VALUE1_DETECTOR]
-    flipped = apply_element_single(
-        [branches[i].conditional for i in flips], pockels(PATH_C, active=True)
-    )
-    corrected = list(branches)
-    for i, conditional in zip(flips, flipped):
-        corrected[i] = replace(branches[i], conditional=conditional)
-    return tuple(corrected)
+        return survivor
+    flipped = apply_element_single(SinglePhotonState(survivor.paths, rows[1]), _FLIP)
+    return SinglePhotonState(survivor.paths, np.stack((rows[0], flipped.vector)))
 
 
 def coincidence_postselect(
@@ -180,18 +118,13 @@ class AnalyzerCurves:
     p_d1_d3: tuple[float, ...]
 
 
-def herald_coherency(branches: Iterable[MeasurementBranch]) -> np.ndarray:
-    """The survivor's coherency matrix summed over each herald's branches.
+def herald_coherency(survivor: SinglePhotonState) -> np.ndarray:
+    """Coherency matrices of the D2 (value 0), then the D3 (value 1), herald.
 
-    Returns a (2, 2, 2) array: index 0 is the D2 (value 0) herald, index 1
-    the D3 (value 1) herald.  Branches of any other detector are ignored.
+    Each is summed over the measured temporal index; the shape is (2, 2, 2).
     """
-    heralds = (Z_VALUE0_DETECTOR, Z_VALUE1_DETECTOR)
-    total = np.zeros((2, 2, 2), dtype=complex)
-    for branch in branches:
-        if branch.detector in heralds:
-            total[heralds.index(branch.detector)] += branch.conditional.coherency()
-    return total
+    _survivor_rows(survivor)
+    return survivor.coherency().sum(axis=1)
 
 
 def analyzer_probabilities(coherency: np.ndarray, thetas: Sequence[float]) -> np.ndarray:
@@ -211,20 +144,18 @@ def analyzer_probabilities(coherency: np.ndarray, thetas: Sequence[float]) -> np
     return np.maximum(p, 0.0)
 
 
-def analyzer_curve(
-    branches: Iterable[MeasurementBranch], thetas: Sequence[float]
-) -> AnalyzerCurves:
-    """Sweep the analyzer over ``thetas`` for both heralded branch families.
+def analyzer_curve(survivor: SinglePhotonState, thetas: Sequence[float]) -> AnalyzerCurves:
+    """Sweep the analyzer over ``thetas`` for both heralds of a survivor.
 
     Each point is the total probability that the surviving photon passes
-    the analyzer, incoherently summed over the temporal branches of the
-    matching herald.
+    the analyzer, incoherently summed over the measured temporal index.
     """
-    grid = tuple(float(t) for t in thetas)
-    if not grid:
+    grid = as_real_array(thetas, "thetas")
+    if not grid.size:
         raise ValidationError("analyzer sweep needs at least one angle")
-    for index, theta in enumerate(grid):
-        if not math.isfinite(theta):
-            raise ValidationError(f"thetas[{index}] must be finite, got {theta!r}")
-    p_d2, p_d3 = analyzer_probabilities(herald_coherency(branches), grid).tolist()
-    return AnalyzerCurves(grid, tuple(p_d2), tuple(p_d3))
+    non_finite = np.flatnonzero(~np.isfinite(grid))
+    if non_finite.size:
+        index = int(non_finite[0])
+        raise ValidationError(f"thetas[{index}] must be finite, got {float(grid[index])!r}")
+    p_d2, p_d3 = analyzer_probabilities(herald_coherency(survivor), grid).tolist()
+    return AnalyzerCurves(tuple(grid.tolist()), tuple(p_d2), tuple(p_d3))

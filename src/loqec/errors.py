@@ -1,4 +1,4 @@
-"""Exception types shared across the simulator, and the number check behind them."""
+"""Exception types shared across the simulator, and the number checks behind them."""
 
 import numpy as np
 
@@ -31,11 +31,48 @@ class ManifestError(LoqecError):
     """A run manifest does not satisfy the strict config schema."""
 
 
-def as_real(value: object, name: str) -> float:
-    """``value`` as a float; a bool, a string or another non-number is rejected."""
+#: Inputs that convert to a number but must not count as one.
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+
+
+def _convert(kind: type, value: object, name: str, what: str):
     try:
-        if not isinstance(value, (bool, np.bool_, str, bytes)):
-            return float(value)
+        if not isinstance(value, _NOT_NUMBERS):
+            return kind(value)
     except (TypeError, ValueError):
         pass
-    raise ValidationError(f"{name} must be a real number, got {value!r}")
+    except OverflowError:  # an int or a fraction beyond the largest float
+        raise ValidationError(f"{name} must be {what} within the float range") from None
+    raise ValidationError(f"{name} must be {what}, got {value!r}")
+
+
+def as_real(value: object, name: str) -> float:
+    """``value`` as a float; a bool, a string or another non-number is rejected."""
+    return _convert(float, value, name, "a real number")
+
+
+def as_complex(value: object, name: str) -> complex:
+    """``value`` as a complex number, under the same rules as :func:`as_real`."""
+    return _convert(complex, value, name, "a number")
+
+
+def as_real_array(values: object, name: str) -> np.ndarray:
+    """``values`` as a one-dimensional float array, converted in one numpy pass.
+
+    Every entry must pass :func:`as_real`; the entries are walked, to name
+    the first bad one ``name[i]``, only when the array is not all numbers.
+    """
+    try:
+        array = np.asarray(values)
+    except (TypeError, ValueError):  # a ragged nest of sequences
+        array = np.empty(0, dtype=object)
+    if array.dtype.kind in "iuf":
+        if array.ndim != 1:
+            raise ValidationError(f"{name} must be one-dimensional, got shape {array.shape}")
+        if isinstance(values, np.ndarray) or {bool, np.bool_}.isdisjoint(map(type, values)):
+            return array.astype(float)
+    try:
+        items = list(values)
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence of real numbers, got {values!r}") from None
+    return np.array([as_real(item, f"{name}[{i}]") for i, item in enumerate(items)], dtype=float)

@@ -44,7 +44,7 @@ from .elements import (
     pbs,
     rewire,
 )
-from .errors import FitError, ValidationError, as_real
+from .errors import FitError, ValidationError, as_complex, as_real, as_real_array
 from .state_core import (
     DistinguishabilitySpec,
     SinglePhotonSpec,
@@ -69,6 +69,12 @@ _HOM_IN2 = "hom-in-2"
 _HOM_OUT1 = "hom-out-1"
 _HOM_OUT2 = "hom-out-2"
 
+#: Fixed parts of the bench: the encoder's polarizing beam splitter, and
+#: the HOM scan's two horizontal photons and 50/50 splitter.
+_ENCODER_PBS = pbs(PATH_QUBIT_IN, PATH_ANCILLA_IN, PATH_A, PATH_B)
+_HOM_PHOTONS = (SinglePhotonSpec(_HOM_IN1, (1.0, 0.0)), SinglePhotonSpec(_HOM_IN2, (1.0, 0.0)))
+_HOM_SPLITTER = bs5050(_HOM_IN1, _HOM_IN2, _HOM_OUT1, _HOM_OUT2)
+
 
 def _check_exposure(pair_rate: float, duration: float) -> None:
     """Reject a run whose largest mean count numpy cannot draw from."""
@@ -86,7 +92,9 @@ def _check_seed(seed: int) -> int:
         raise ValidationError(f"seed must be an integer, got {seed!r}")
     value = int(seed)
     if not 0 <= value < 2**64:
-        raise ValidationError(f"seed must lie in [0, 2**64), got {value!r}")
+        # Python refuses to print an integer of more than 4300 digits.
+        shown = repr(value) if value.bit_length() <= 256 else f"a {value.bit_length()}-bit integer"
+        raise ValidationError(f"seed must lie in [0, 2**64), got {shown}")
     return value
 
 
@@ -119,16 +127,14 @@ class ExperimentConfig:
         if not isinstance(self.pc_enabled, (bool, np.bool_)):
             raise ValidationError(f"pc_enabled must be a boolean, got {self.pc_enabled!r}")
         object.__setattr__(self, "pc_enabled", bool(self.pc_enabled))
-        try:
-            thetas = tuple(as_real(t, f"thetas[{i}]") for i, t in enumerate(self.thetas))
-        except TypeError:
-            raise ValidationError(f"thetas must be a sequence, got {self.thetas!r}") from None
-        if not thetas:
+        thetas = as_real_array(self.thetas, "thetas")
+        if not thetas.size:
             raise ValidationError("thetas must contain at least one angle")
-        for index, theta in enumerate(thetas):
-            if not math.isfinite(theta):
-                raise ValidationError(f"thetas[{index}] must be finite, got {theta!r}")
-        object.__setattr__(self, "thetas", thetas)
+        non_finite = np.flatnonzero(~np.isfinite(thetas))
+        if non_finite.size:
+            index = int(non_finite[0])
+            raise ValidationError(f"thetas[{index}] must be finite, got {float(thetas[index])!r}")
+        object.__setattr__(self, "thetas", tuple(thetas.tolist()))
         for name in ("pair_rate", "duration"):
             value = as_real(getattr(self, name), name)
             if value < 0.0 or not math.isfinite(value):
@@ -183,8 +189,8 @@ def encode_qubit(
     success probability, which is exactly one half for any normalized
     input.
     """
-    alpha = complex(alpha)
-    beta = complex(beta)
+    alpha = as_complex(alpha, "alpha")
+    beta = as_complex(beta, "beta")
     norm = abs(alpha) ** 2 + abs(beta) ** 2
     if not abs(norm - 1.0) <= 1e-12:
         raise ValidationError(f"qubit coefficients must be normalized, got norm^2 {norm!r}")
@@ -201,7 +207,7 @@ def encode_qubit(
     ancilla = SinglePhotonSpec(PATH_ANCILLA_IN, zero)
     overlap = DistinguishabilitySpec(math.sqrt(overlap_v))
     state = product_state(qubit, ancilla, overlap, (PATH_A, PATH_B))
-    state = apply_element(state, pbs(PATH_QUBIT_IN, PATH_ANCILLA_IN, PATH_A, PATH_B))
+    state = apply_element(state, _ENCODER_PBS)
     return coincidence_postselect(state)
 
 
@@ -216,11 +222,11 @@ def run_analytic(config: ExperimentConfig) -> SweepResult:
     psi = hwp(config.qubit_hwp_angle, PATH_QUBIT_IN).matrix[:, 0]  # |H> after the wave plate
     state, p_success = encode_qubit(*jones_to_computational(psi), config.overlap_v)
     state = rewire(state, config.wiring)
-    branches = z_measure(state, PATH_D)
-    branches = apply_feedforward(branches, config.pc_enabled)
+    survivor = z_measure(state, PATH_D)
+    survivor = apply_feedforward(survivor, config.pc_enabled)
 
     eps = config.imperfection_eps
-    coherency = herald_coherency(branches)
+    coherency = herald_coherency(survivor)
     weights = np.trace(coherency, axis1=1, axis2=2).real
     coherency = (1.0 - eps) * coherency + eps * 0.5 * weights[:, None, None] * np.eye(2)
     p_d2, p_d3 = (tuple(p) for p in analyzer_probabilities(coherency, config.thetas).tolist())
@@ -273,16 +279,7 @@ def sample_counts(
     ``(seed, point index, stream)``, so results do not depend on evaluation
     order and distinct curves of one run stay decorrelated via ``stream``.
     """
-    try:
-        p = np.asarray(probabilities, dtype=float)
-    except (TypeError, ValueError):
-        for index, value in enumerate(probabilities):
-            as_real(value, f"probabilities[{index}]")
-        raise ValidationError(
-            f"probabilities must be a sequence of real numbers, got {probabilities!r}"
-        ) from None
-    if p.ndim != 1:
-        raise ValidationError(f"probabilities must be one-dimensional, got shape {p.shape}")
+    p = as_real_array(probabilities, "probabilities")
     outside = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
     if outside.size:
         index = int(outside[0])
@@ -311,9 +308,9 @@ def fit_malus(thetas: Sequence[float], values: Sequence[float]) -> MalusFit:
     amplitude is nonnegative and the phase lies in (-90, 90] degrees; it is
     0 for a flat curve, whose amplitude is at most 1e-12 times the offset.
     """
-    th = np.asarray(thetas, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if th.ndim != 1 or th.shape != y.shape:
+    th = as_real_array(thetas, "thetas")
+    y = as_real_array(values, "values")
+    if th.shape != y.shape:
         raise FitError(f"angle and value grids must match, got {th.shape} and {y.shape}")
     for name, grid in (("thetas", th), ("values", y)):
         non_finite = np.flatnonzero(~np.isfinite(grid))
@@ -376,16 +373,13 @@ def hom_scan(delays: Sequence[float], coherence_time: float) -> HomScanResult:
     time the classical value one half is recovered.  The whole grid is one
     batch of states through the splitter and the post-selection.
     """
-    grid = tuple(as_real(t, f"delays[{i}]") for i, t in enumerate(delays))
+    grid = as_real_array(delays, "delays").tolist()
     if not grid:
         raise ValidationError("delay grid must contain at least one value")
     sigma = as_real(coherence_time, "coherence_time")
     specs = [DistinguishabilitySpec.from_delay(tau, sigma) for tau in grid]
-    horizontal = (1.0 + 0j, 0j)
-    first = SinglePhotonSpec(_HOM_IN1, horizontal)
-    second = SinglePhotonSpec(_HOM_IN2, horizontal)
-    state = product_state(first, second, specs, (_HOM_OUT1, _HOM_OUT2))
-    state = apply_element(state, bs5050(_HOM_IN1, _HOM_IN2, _HOM_OUT1, _HOM_OUT2))
+    state = product_state(*_HOM_PHOTONS, specs, (_HOM_OUT1, _HOM_OUT2))
+    state = apply_element(state, _HOM_SPLITTER)
     _, p_coincidence = coincidence_postselect(state)
     points = zip(grid, specs, p_coincidence.tolist())
     return HomScanResult(

@@ -28,9 +28,12 @@ A two-photon matrix may carry leading batch axes, shape ``(..., n, n)``:
 one state per batch index, all over the same paths.  :func:`product_state`
 builds a batch from a sequence of overlaps, :func:`apply_element`,
 :func:`relabel_paths` and ``detection.coincidence_postselect`` act on
-every matrix of it, and ``norm_squared`` is then an array.  Whatever reads
-one state (``amplitude``, ``from_terms``, ``detection.z_measure``) rejects
-a batch.
+every matrix of it, and ``norm_squared`` is then an array.  A
+single-photon vector batches alike, shape ``(..., n)``: it is how
+``detection.z_measure`` returns its survivor, and :func:`apply_element_single`,
+``norm_squared`` and ``coherency()`` act per vector.  Whatever reads one
+state (``amplitude``, ``from_terms``, ``projection_probability``,
+``detection.z_measure``) rejects a batch.
 """
 from __future__ import annotations
 
@@ -202,6 +205,13 @@ def _checked(
     return paths, values
 
 
+def _one_state(values: np.ndarray, ndim: int, reader: str) -> None:
+    """Reject a batch, which ``reader`` cannot read."""
+    if values.ndim != ndim:
+        kind = "matrix" if ndim == 2 else "vector"
+        raise ValidationError(f"{reader} reads one state, got a batch of {kind} shape {values.shape}")
+
+
 def _norm_squared(matrix: np.ndarray) -> float | np.ndarray:
     """``||A||_F^2 / 2`` of one matrix, or an array of them over the batch axes."""
     if matrix.ndim == 2:
@@ -289,10 +299,7 @@ class TwoPhotonState:
 
     def amplitude(self, l1: ModeLabel, l2: ModeLabel) -> complex:
         """Coefficient of the normalized (unordered) pair state, zero when absent."""
-        if self.matrix.ndim != 2:
-            raise ValidationError(
-                f"amplitude reads one state, got a batch of matrix shape {self.matrix.shape}"
-            )
+        _one_state(self.matrix, 2, "amplitude")
         i, j = _find(self.paths, l1), _find(self.paths, l2)
         if i is None or j is None:
             return 0j
@@ -305,14 +312,15 @@ class TwoPhotonState:
 class SinglePhotonState:
     """Single-photon state: amplitude ``vector`` over the modes of ``paths``.
 
-    The state may be subnormalized.  Equality is exact on both fields.
+    Leading axes of ``vector``, shape ``(..., n)``, make it a batch on the
+    same paths.  It may be subnormalized.  Equality is exact on both fields.
     """
 
     paths: tuple[str, ...]
     vector: np.ndarray
 
     def __post_init__(self) -> None:
-        paths, vector = _checked(self.vector, self.paths, 1)
+        paths, vector = _checked(self.vector, self.paths, 1, batch=True)
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "vector", vector)
 
@@ -343,11 +351,14 @@ class SinglePhotonState:
         return cls(declared, vector)
 
     @property
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.vector, self.vector).real)
+    def norm_squared(self) -> float | np.ndarray:
+        """Squared norm; an array over the batch axes for a batch."""
+        nrm = (self.vector.real**2 + self.vector.imag**2).sum(axis=-1)
+        return float(nrm) if self.vector.ndim == 1 else nrm
 
     def amplitude(self, label: ModeLabel) -> complex:
         """Amplitude on one mode, zero when its path is not declared."""
+        _one_state(self.vector, 1, "amplitude")
         i = _find(self.paths, label)
         return 0j if i is None else complex(self.vector[i])
 
@@ -358,10 +369,11 @@ class SinglePhotonState:
         A polarization analyzer resolves neither path nor wavepacket, so
         amplitudes interfere within a group and add incoherently across
         groups; ``J`` therefore fixes every analyzer probability, and its
-        trace is the squared norm.
+        trace is the squared norm.  A batch gives one ``J`` per vector.
         """
-        vectors = self.vector.reshape(-1, 2, 2).transpose(0, 2, 1).reshape(-1, 2)
-        return vectors.T @ vectors.conj()
+        lead = self.vector.shape[:-1]
+        vectors = self.vector.reshape(lead + (-1, 2, 2)).swapaxes(-1, -2).reshape(lead + (-1, 2))
+        return vectors.swapaxes(-1, -2) @ vectors.conj()
 
     def projection_probability(self, jones: Sequence[complex]) -> float:
         """Probability ``Re(j^dagger J j)`` of passing an analyzer set to ``jones``.
@@ -369,6 +381,7 @@ class SinglePhotonState:
         Clamped at zero: for a pure state blocked by the analyzer the
         product is rounding noise of either sign.
         """
+        _one_state(self.vector, 1, "projection_probability")
         vec = np.array(_as_jones(jones, "analyzer jones vector"))
         return max(float((vec.conj() @ self.coherency() @ vec).real), 0.0)
 
@@ -457,27 +470,14 @@ def apply_element(state: TwoPhotonState, element: "LinearElement") -> TwoPhotonS
     return TwoPhotonState(state.paths, out)
 
 
-def apply_element_single(
-    state: SinglePhotonState | Sequence[SinglePhotonState], element: "LinearElement"
-) -> SinglePhotonState | tuple[SinglePhotonState, ...]:
+def apply_element_single(state: SinglePhotonState, element: "LinearElement") -> SinglePhotonState:
     """Single-photon version of :func:`apply_element`: ``v -> U v``.
 
-    A sequence of states on the same paths gives a tuple of results, all
-    from one operator ``U``.
+    A batch is transformed vector by vector with one operator ``U``, each
+    product rounded on its own before the sum, as in :func:`apply_element`.
     """
-    single = isinstance(state, SinglePhotonState)
-    states = (state,) if single else tuple(state)
-    if not states:
-        return ()
-    paths = states[0].paths
-    for index, each in enumerate(states):
-        if each.paths != paths:
-            raise ConfigurationError(
-                f"states[{index}] declares paths {each.paths!r}, states[0] {paths!r}"
-            )
-    u = _mode_operator(paths, element)
-    out = tuple(SinglePhotonState(paths, (u * each.vector).sum(axis=1)) for each in states)
-    return out[0] if single else out
+    u = _mode_operator(state.paths, element)
+    return SinglePhotonState(state.paths, (u * state.vector[..., None, :]).sum(axis=-1))
 
 
 def relabel_paths(state: TwoPhotonState, mapping: Mapping[str, str]) -> TwoPhotonState:

@@ -284,9 +284,9 @@ def test_branch_and_discard_probabilities_sum_to_one(verdict):
         pc_enabled = bool(rng.integers(0, 2))
 
         state, p_success = encode_qubit(alpha, beta, overlap_v)
-        branches = z_measure(rewire(state, wiring), PATH_D)
-        branches = apply_feedforward(branches, pc_enabled)
-        total = sum(branch.probability for branch in branches) + (1.0 - p_success)
+        survivor = z_measure(rewire(state, wiring), PATH_D)
+        survivor = apply_feedforward(survivor, pc_enabled)
+        total = survivor.norm_squared.sum() + (1.0 - p_success)
         worst = max(worst, abs(total - 1.0))
 
         result = run_analytic(

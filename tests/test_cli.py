@@ -241,6 +241,19 @@ class TestManifestValidation:
         err = self.error_of(capsys, ["run-sweep", "--config", str(manifest)])
         assert "experiment" in err and "overlap_v" in err
 
+    def test_integer_beyond_the_float_range_is_located(self, tmp_path, capsys):
+        document = base_manifest(tmp_path / "out", overlap_v=10**400)
+        manifest = write_manifest(tmp_path / "m.json", document)
+        err = self.error_of(capsys, ["run-sweep", "--config", str(manifest)])
+        assert err.startswith("error: experiment.overlap_v:") and "401-digit integer" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_too_long_to_parse_is_invalid_json(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text('{"config_version": 1' + "0" * 5000 + "}", encoding="utf-8")
+        err = self.error_of(capsys, ["run-sweep", "--config", str(manifest)])
+        assert err.startswith("error: manifest") and "not valid JSON" in err
+
     def test_bad_wiring_string_is_located(self, tmp_path, capsys):
         document = base_manifest(tmp_path / "out", wiring="C:A")
         manifest = write_manifest(tmp_path / "m.json", document)

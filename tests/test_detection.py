@@ -1,19 +1,19 @@
 """Unit tests for post-selection, Z measurement, feed-forward, and curves."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracle import curve_formula, encoder_branch_states, encoder_curve
 from loqec import (
-    ConfigurationError,
-    DetectorSpec,
     ModeLabel,
     PATH_C,
     PATH_D,
     Polarization,
     SinglePhotonSpec,
+    SinglePhotonState,
     TwoPhotonState,
     ValidationError,
     WiringConfig,
@@ -30,9 +30,9 @@ from loqec import (
     pockels,
     product_state,
     rewire,
-    z_detectors,
     z_measure,
 )
+from loqec.detection import herald_coherency
 
 R = 1.0 / math.sqrt(2.0)
 
@@ -46,10 +46,15 @@ def encoded_on_bench(alpha, beta, overlap_v=1.0, wiring=WiringConfig.A_TO_C_B_TO
     return rewire(state, wiring)
 
 
-def survivor_jones(branch):
-    """The survivor's (H, V) pair on arm C, at its one occupied temporal index."""
+def member(survivor, herald, temporal):
+    """One (herald, measured temporal index) row of a survivor, as a state of its own."""
+    return SinglePhotonState(survivor.paths, survivor.vector[herald, temporal])
+
+
+def survivor_jones(row):
+    """A survivor row's (H, V) pair on arm C, at its one occupied temporal index."""
     per_temporal = [
-        (branch.conditional.amplitude(label(PATH_C, "H", t)), branch.conditional.amplitude(label(PATH_C, "V", t)))
+        (row.amplitude(label(PATH_C, "H", t)), row.amplitude(label(PATH_C, "V", t)))
         for t in (0, 1)
     ]
     occupied = [jones for jones in per_temporal if jones != (0j, 0j)]
@@ -97,41 +102,29 @@ class TestCoincidencePostselect:
 
 class TestZMeasure:
     def test_ideal_heralds_project_onto_computational_states(self):
-        branches = z_measure(encoded_on_bench(1.0, 0.0), PATH_D)
-        assert len(branches) == 2
-        by_id = {branch.detector: branch for branch in branches}
-        for branch in branches:
-            assert branch.probability == pytest.approx(0.25, abs=1e-12)
-        assert_proportional(
-            survivor_jones(by_id[Z_VALUE0_DETECTOR]), computational_jones(0), 0.5
-        )
-        assert_proportional(
-            survivor_jones(by_id[Z_VALUE1_DETECTOR]), computational_jones(1), 0.5
-        )
+        survivor = z_measure(encoded_on_bench(1.0, 0.0), PATH_D)
+        assert survivor.vector.shape == (2, 2, 12)
+        weights = survivor.norm_squared
+        assert weights[:, 0] == pytest.approx([0.25, 0.25], abs=1e-12)
+        assert not survivor.vector[:, 1].any()
+        assert_proportional(survivor_jones(member(survivor, 0, 0)), computational_jones(0), 0.5)
+        assert_proportional(survivor_jones(member(survivor, 1, 0)), computational_jones(1), 0.5)
 
     def test_value_one_herald_marks_the_bit_flip(self):
         """Encoding |1>: a transmitted-arm click leaves the survivor in |0>."""
-        branches = z_measure(encoded_on_bench(0.0, 1.0), PATH_D)
-        by_id = {branch.detector: branch for branch in branches}
-        assert_proportional(
-            survivor_jones(by_id[Z_VALUE1_DETECTOR]), computational_jones(0), 0.5
-        )
-        assert_proportional(
-            survivor_jones(by_id[Z_VALUE0_DETECTOR]), computational_jones(1), 0.5
-        )
+        survivor = z_measure(encoded_on_bench(0.0, 1.0), PATH_D)
+        assert_proportional(survivor_jones(member(survivor, 1, 0)), computational_jones(0), 0.5)
+        assert_proportional(survivor_jones(member(survivor, 0, 0)), computational_jones(1), 0.5)
 
     def test_partial_overlap_adds_temporal_branches(self):
-        branches = z_measure(encoded_on_bench(1.0, 0.0, overlap_v=0.5), PATH_D)
-        assert len(branches) == 4
-        weights = {}
-        for branch in branches:
-            weights[(branch.detector, branch.temporal)] = branch.probability
-        expected = {}
+        weights = z_measure(encoded_on_bench(1.0, 0.0, overlap_v=0.5), PATH_D).norm_squared
+        assert (weights > 0.0).all()
+        expected = np.zeros((2, 2))
         u = math.sqrt(0.5)
-        for outcome, detector in ((0, Z_VALUE0_DETECTOR), (1, Z_VALUE1_DETECTOR)):
+        for outcome in (0, 1):
             for t, amps in encoder_branch_states(1.0, 0.0, u, outcome).items():
-                expected[(detector, t)] = sum(abs(a) ** 2 for a in amps.values())
-        assert weights == pytest.approx(expected, abs=1e-12)
+                expected[outcome, t] = sum(abs(a) ** 2 for a in amps.values())
+        assert np.abs(weights - expected).max() <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0, 90, allow_nan=False), st.floats(0, 1, allow_nan=False))
@@ -139,101 +132,120 @@ class TestZMeasure:
         alpha = math.cos(math.radians(angle))
         beta = math.sin(math.radians(angle))
         state, p_success = encode_qubit(alpha, beta, overlap_v)
-        branches = z_measure(rewire(state, WiringConfig.A_TO_C_B_TO_D), PATH_D)
-        total = sum(branch.probability for branch in branches)
-        assert total == pytest.approx(p_success, abs=1e-12)
+        survivor = z_measure(rewire(state, WiringConfig.A_TO_C_B_TO_D), PATH_D)
+        assert survivor.norm_squared.sum() == pytest.approx(p_success, abs=1e-12)
 
-    def test_custom_detectors_must_be_orthogonal(self):
-        skewed = (
-            DetectorSpec("D2", PATH_D, computational_jones(0)),
-            DetectorSpec("D3", PATH_D, (1.0, 0.0)),
-        )
-        with pytest.raises(ConfigurationError):
-            z_measure(encoded_on_bench(1.0, 0.0), PATH_D, detectors=skewed)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_detector_jones_fails_the_orthogonality_check(self, bad):
-        skewed = (
-            DetectorSpec("D2", PATH_D, computational_jones(0)),
-            DetectorSpec("D3", PATH_D, (bad, 0.0)),
-        )
-        with pytest.raises(ConfigurationError, match="orthogonal"):
-            z_measure(encoded_on_bench(1.0, 0.0), PATH_D, detectors=skewed)
-
-    def test_custom_detectors_must_sit_on_the_measured_path(self):
-        misplaced = (
-            DetectorSpec("D2", PATH_C, computational_jones(0)),
-            DetectorSpec("D3", PATH_C, computational_jones(1)),
-        )
-        with pytest.raises(ConfigurationError):
-            z_measure(encoded_on_bench(1.0, 0.0), PATH_D, detectors=misplaced)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(0, 2 * math.pi, allow_nan=False),
+        st.floats(0, 2 * math.pi, allow_nan=False),
+        st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0, 1, allow_nan=False)),
+        st.sampled_from(list(WiringConfig)),
+    )
+    def test_survivor_matches_the_branch_oracle(self, a, phi, overlap_v, wiring):
+        """Each herald's coherency, summed over the measured temporal index,
+        is the oracle's for either wiring.  On the standard wiring each
+        (herald, temporal) row holds exactly the oracle's amplitudes on arm
+        C, a row the oracle lacks is exact zeros, and the weights resolve
+        the post-selection probability."""
+        alpha = complex(math.cos(a))
+        beta = complex(math.cos(phi), math.sin(phi)) * math.sin(a)
+        state, p_success = encode_qubit(alpha, beta, overlap_v)
+        survivor = z_measure(rewire(state, wiring), PATH_D)
+        assert survivor.vector.shape == (2, 2, 12)
+        assert survivor.norm_squared.sum() == pytest.approx(p_success, abs=1e-12)
+        coherency = herald_coherency(survivor)
+        for outcome in (0, 1):
+            branches = encoder_branch_states(alpha, beta, math.sqrt(overlap_v), outcome)
+            want = np.zeros((2, 2), dtype=complex)
+            for amps in branches.values():
+                for t_c in (0, 1):
+                    jones = np.array([amps.get((pol, t_c), 0j) for pol in "HV"])
+                    want += np.outer(jones, jones.conj())
+            assert np.abs(coherency[outcome] - want).max() <= 1e-12
+            if wiring is not WiringConfig.A_TO_C_B_TO_D:
+                continue
+            for t in (0, 1):
+                row = member(survivor, outcome, t)
+                on_c = {
+                    label(PATH_C, pol, t_c): branches.get(t, {}).get((pol, t_c), 0j)
+                    for pol in "HV" for t_c in (0, 1)
+                }
+                for lab, amp in on_c.items():
+                    assert abs(row.amplitude(lab) - amp) <= 1e-12
+                assert survivor.paths.index(PATH_C) == 2 and not row.vector[:8].any()
+                if t not in branches:
+                    assert not row.vector.any()
 
     def test_default_detector_pair_layout(self):
-        d2, d3 = z_detectors(PATH_D)
-        assert (d2.id, d3.id) == (Z_VALUE0_DETECTOR, Z_VALUE1_DETECTOR)
-        assert d2.jones == computational_jones(0)
-        assert d3.jones == computational_jones(1)
+        """Axis 0 of the survivor is D2 (value 0, +45) then D3 (value 1, -45)."""
+        assert (Z_VALUE0_DETECTOR, Z_VALUE1_DETECTOR) == ("D2", "D3")
+        for value in (0, 1):
+            h, v = computational_jones(value)
+            state = TwoPhotonState.from_terms(
+                {(label("A", "H"), label("B", "H")): h, (label("A", "H"), label("B", "V")): v}
+            )
+            weights = z_measure(state, "B").norm_squared
+            assert weights[value, 0] == pytest.approx(1.0, abs=1e-12)
+            assert weights[1 - value].tolist() == [0.0, 0.0]
 
 
 class TestFeedForward:
     def test_trigger_branch_is_flipped_back(self):
-        branches = z_measure(encoded_on_bench(1.0, 0.0), PATH_D)
-        corrected = apply_feedforward(branches, enabled=True)
-        by_id = {branch.detector: branch for branch in corrected}
-        assert_proportional(
-            survivor_jones(by_id[Z_VALUE1_DETECTOR]), computational_jones(0), 0.5
-        )
+        survivor = z_measure(encoded_on_bench(1.0, 0.0), PATH_D)
+        corrected = apply_feedforward(survivor, enabled=True)
+        assert_proportional(survivor_jones(member(corrected, 1, 0)), computational_jones(0), 0.5)
 
     def test_non_trigger_branch_is_untouched(self):
-        branches = z_measure(encoded_on_bench(1.0, 0.0), PATH_D)
-        corrected = apply_feedforward(branches, enabled=True)
-        for before, after in zip(branches, corrected):
-            if before.detector != Z_VALUE1_DETECTOR:
-                assert after is before
+        survivor = z_measure(encoded_on_bench(0.3, math.sqrt(1 - 0.09), 0.4), PATH_D)
+        corrected = apply_feedforward(survivor, enabled=True)
+        assert corrected.paths == survivor.paths
+        assert corrected.vector[0].tobytes() == survivor.vector[0].tobytes()
+        assert corrected.vector[1].tobytes() != survivor.vector[1].tobytes()
 
     def test_disabled_feed_forward_is_a_no_op(self):
-        branches = z_measure(encoded_on_bench(1.0, 0.0), PATH_D)
-        assert apply_feedforward(branches, enabled=False) == branches
+        survivor = z_measure(encoded_on_bench(1.0, 0.0), PATH_D)
+        assert apply_feedforward(survivor, enabled=False) is survivor
 
     def test_probabilities_are_preserved(self):
-        branches = z_measure(encoded_on_bench(0.3, math.sqrt(1 - 0.09), 0.4), PATH_D)
-        corrected = apply_feedforward(branches, enabled=True)
-        for before, after in zip(branches, corrected):
-            assert after.probability == pytest.approx(before.probability, abs=1e-15)
-            assert after.conditional.norm_squared == pytest.approx(
-                before.conditional.norm_squared, abs=1e-15
-            )
-
+        survivor = z_measure(encoded_on_bench(0.3, math.sqrt(1 - 0.09), 0.4), PATH_D)
+        corrected = apply_feedforward(survivor, enabled=True)
+        assert np.abs(corrected.norm_squared - survivor.norm_squared).max() <= 1e-15
 
     def test_one_operator_flips_every_trigger_branch(self, monkeypatch):
-        """Two D3 branches (one per temporal index) share one Pockels operator,
-        and each comes out exactly as a flip of that branch alone."""
+        """Both D3 rows (one per temporal index) share one Pockels operator,
+        and the D3 row comes out exactly as a flip of that row alone."""
         from loqec import state_core
 
-        branches = z_measure(encoded_on_bench(0.3, math.sqrt(1 - 0.09), 0.4), PATH_D)
-        assert [b.detector for b in branches].count(Z_VALUE1_DETECTOR) == 2
-        cell = pockels(PATH_C, active=True)
-        expected = [
-            apply_element_single(b.conditional, cell) if b.detector == Z_VALUE1_DETECTOR
-            else b.conditional
-            for b in branches
-        ]
+        survivor = z_measure(encoded_on_bench(0.3, math.sqrt(1 - 0.09), 0.4), PATH_D)
+        assert (survivor.norm_squared[1] > 0.0).all()
+        alone = SinglePhotonState(survivor.paths, survivor.vector[1])
+        want = apply_element_single(alone, pockels(PATH_C, active=True))
         built = []
         original = state_core._mode_operator
         monkeypatch.setattr(
             state_core, "_mode_operator", lambda *args: built.append(args) or original(*args)
         )
-        corrected = apply_feedforward(branches, enabled=True)
+        corrected = apply_feedforward(survivor, enabled=True)
         assert len(built) == 1
-        for after, want in zip(corrected, expected):
-            assert after.conditional.paths == want.paths
-            assert after.conditional.vector.tobytes() == want.vector.tobytes()
+        assert corrected.vector[1].tobytes() == want.vector.tobytes()
+
+    @pytest.mark.parametrize("reader", [
+        lambda s: apply_feedforward(s, True),
+        lambda s: apply_feedforward(s, False),
+        herald_coherency,
+    ], ids=["feedforward-on", "feedforward-off", "herald_coherency"])
+    def test_a_state_of_another_shape_is_rejected(self, reader):
+        survivor = z_measure(encoded_on_bench(1.0, 0.0), PATH_D)
+        for vector in (survivor.vector[0], survivor.vector[0, 0], survivor.vector[:, :, None]):
+            with pytest.raises(ValidationError, match="vector shape"):
+                reader(SinglePhotonState(survivor.paths, vector))
 
 
 def bench_curves(alpha, beta, overlap_v, thetas, pc_enabled):
-    branches = z_measure(encoded_on_bench(alpha, beta, overlap_v), PATH_D)
-    branches = apply_feedforward(branches, pc_enabled)
-    return analyzer_curve(branches, thetas)
+    survivor = z_measure(encoded_on_bench(alpha, beta, overlap_v), PATH_D)
+    survivor = apply_feedforward(survivor, pc_enabled)
+    return analyzer_curve(survivor, thetas)
 
 
 class TestAnalyzerCurve:
@@ -311,9 +323,9 @@ class TestAnalyzerCurve:
         that no linear analyzer may see; angles beyond 180 wrap exactly."""
         alpha = complex(math.cos(a))
         beta = complex(math.cos(phi), math.sin(phi)) * math.sin(a)
-        branches = z_measure(encoded_on_bench(alpha, beta, overlap_v, wiring), PATH_D)
-        branches = apply_feedforward(branches, pc_enabled)
-        curves = analyzer_curve(branches, thetas)
+        survivor = z_measure(encoded_on_bench(alpha, beta, overlap_v, wiring), PATH_D)
+        survivor = apply_feedforward(survivor, pc_enabled)
+        curves = analyzer_curve(survivor, thetas)
         u = math.sqrt(overlap_v)
         for i, theta in enumerate(thetas):
             assert curves.p_d1_d2[i] == pytest.approx(
@@ -324,12 +336,12 @@ class TestAnalyzerCurve:
             )
 
     def test_empty_angle_grid_rejected(self):
-        branches = z_measure(encoded_on_bench(1.0, 0.0), PATH_D)
+        survivor = z_measure(encoded_on_bench(1.0, 0.0), PATH_D)
         with pytest.raises(ValidationError):
-            analyzer_curve(branches, ())
+            analyzer_curve(survivor, ())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_rejected(self, bad):
-        branches = z_measure(encoded_on_bench(1.0, 0.0), PATH_D)
+        survivor = z_measure(encoded_on_bench(1.0, 0.0), PATH_D)
         with pytest.raises(ValidationError, match=r"thetas\[1\]"):
-            analyzer_curve(branches, (0.0, bad))
+            analyzer_curve(survivor, (0.0, bad))

@@ -1,6 +1,7 @@
 """Unit tests for the sweep pipeline, fitting, sampling, and HOM scans."""
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from _oracle import curve_formula, encoder_branch_states, encoder_curve, hom_coincidence
 from loqec import (
     DEFAULT_THETAS,
+    DistinguishabilitySpec,
     ExperimentConfig,
     FitError,
     MalusFit,
@@ -20,6 +22,7 @@ from loqec import (
     encode_qubit,
     fit_malus,
     hom_scan,
+    hwp,
     run_analytic,
     run_experiment,
     sample_counts,
@@ -582,3 +585,112 @@ class TestHomScan:
         result = hom_scan(tuple(np.linspace(-3e-12, 3e-12, 7)), 1e-12)
         assert len(result.points) == 7
         assert sorted(calls) == ["apply_element", "coincidence_postselect", "product_state"]
+
+
+class TestNumberChecks:
+    """Numbers from the caller: one array pass, and the bad entry named."""
+
+    @pytest.mark.parametrize("call, name", [
+        pytest.param(lambda: ExperimentConfig(overlap_v=10**400), "overlap_v", id="config"),
+        pytest.param(
+            lambda: ExperimentConfig(thetas=(0.0, 10**400)), r"thetas\[1\]", id="config-thetas"
+        ),
+        pytest.param(lambda: hwp(-(10**400), "P"), "hwp angle", id="hwp"),
+        pytest.param(lambda: hom_scan([10**400], 1.0), r"delays\[0\]", id="hom_scan-delays"),
+        pytest.param(lambda: hom_scan([0.0], 10**400), "coherence_time", id="hom_scan-sigma"),
+        pytest.param(lambda: DistinguishabilitySpec(10**400), "overlap", id="overlap-spec"),
+        pytest.param(lambda: encode_qubit(10**400, 0.0), "alpha", id="encode_qubit"),
+        pytest.param(
+            lambda: sample_counts([0.5], 10**400, 1.0, seed=0), "pair_rate", id="sample_counts"
+        ),
+    ])
+    def test_integers_beyond_the_float_range_named(self, call, name):
+        with pytest.raises(ValidationError, match=f"{name} must be .* within the float range"):
+            call()
+
+    @pytest.mark.parametrize("alpha, beta, name", [
+        ("x", 0.0, "alpha"), ("1", 0.0, "alpha"), (1.0, None, "beta"), (True, 0.0, "alpha"),
+    ])
+    def test_qubit_coefficients_must_be_numbers(self, alpha, beta, name):
+        with pytest.raises(ValidationError, match=f"{name} must be a number"):
+            encode_qubit(alpha, beta)
+
+    def test_a_seed_too_long_to_print_is_named(self):
+        with pytest.raises(ValidationError, match="seed must lie in .* got a 16610-bit integer"):
+            ExperimentConfig(seed=10**5000)
+        with pytest.raises(ValidationError, match="seed must lie in"):
+            sample_counts([0.5], 1.0, 1.0, seed=-(10**5000))
+
+    def test_complex_coefficients_accepted(self):
+        _, p = encode_qubit(np.complex128(R), 1j * R)
+        assert p == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("call, name", [
+        pytest.param(
+            lambda: sample_counts(["0.5"], 100.0, 1.0, seed=0), r"probabilities\[0\]",
+            id="sample_counts-str",
+        ),
+        pytest.param(
+            lambda: sample_counts(np.array(["0.5", "1"]), 100.0, 1.0, seed=0),
+            r"probabilities\[0\]", id="sample_counts-str-array",
+        ),
+        pytest.param(
+            lambda: sample_counts([0.5, True], 100.0, 1.0, seed=0), r"probabilities\[1\]",
+            id="sample_counts-bool",
+        ),
+        pytest.param(
+            lambda: fit_malus(["a", "b", "c"], [1.0, 2.0, 3.0]), r"thetas\[0\]", id="fit-thetas"
+        ),
+        pytest.param(
+            lambda: fit_malus([0.0, 10.0, 20.0], [1.0, "2", 3.0]), r"values\[1\]", id="fit-values"
+        ),
+        pytest.param(
+            lambda: ExperimentConfig(thetas=(0.0, 10.0, np.True_)), r"thetas\[2\]",
+            id="config-bool",
+        ),
+        pytest.param(lambda: hom_scan([0.0, False], 1e-12), r"delays\[1\]", id="hom_scan-bool"),
+    ])
+    def test_strings_and_bools_in_a_sequence_named(self, call, name):
+        with pytest.raises(ValidationError, match=f"{name} must be a real number"):
+            call()
+
+    @pytest.mark.parametrize("call, name", [
+        pytest.param(
+            lambda: sample_counts([[0.5]], 100.0, 1.0, seed=0), "probabilities", id="sample_counts"
+        ),
+        pytest.param(lambda: fit_malus(np.zeros((3, 1)), np.zeros(3)), "thetas", id="fit"),
+        pytest.param(lambda: ExperimentConfig(thetas=5.0), "thetas", id="config"),
+    ])
+    def test_grids_must_be_one_dimensional(self, call, name):
+        with pytest.raises(ValidationError, match=f"{name} must be one-dimensional"):
+            call()
+
+    def test_numeric_arrays_take_the_one_pass_route(self):
+        config = ExperimentConfig(thetas=np.arange(-90, 91, 10, dtype=np.int16))
+        assert config.thetas == DEFAULT_THETAS
+        assert all(type(theta) is float for theta in config.thetas)
+        assert ExperimentConfig(thetas=[Fraction(1, 2), 10**20]).thetas == (0.5, 1e20)
+
+    def test_a_ragged_grid_names_its_entry(self):
+        with pytest.raises(ValidationError, match=r"delays\[1\] must be a real number"):
+            hom_scan([0.0, [1.0, 2.0]], 1e-12)
+
+
+class TestConstantElements:
+    """Elements with fixed ports are built once, not on every call."""
+
+    @pytest.mark.parametrize("name, call", [
+        ("pbs", lambda: encode_qubit(1.0, 0.0)),
+        ("bs5050", lambda: hom_scan([0.0], 1e-12)),
+        ("pockels", lambda: run_analytic(ExperimentConfig(pc_enabled=True))),
+    ], ids=["pbs", "bs5050", "pockels"])
+    def test_no_element_is_rebuilt_per_call(self, monkeypatch, name, call):
+        from loqec import detection, elements, experiment
+
+        def rebuilt(*args):
+            raise AssertionError(f"{name} was rebuilt")
+
+        for module in (elements, experiment, detection):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, rebuilt)
+        call()

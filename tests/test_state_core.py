@@ -10,7 +10,6 @@ from _oracle import element_transfer, expand_two_photon, gram_schmidt_weights
 from _states import pair_terms
 from loqec import (
     ConfigurationError,
-    DetectorSpec,
     LinearElement,
     ModeLabel,
     Polarization,
@@ -26,6 +25,7 @@ from loqec import (
     bs5050,
     coincidence_postselect,
     computational_jones,
+    hwp,
     jones_to_computational,
     pbs,
     product_state,
@@ -424,11 +424,14 @@ class TestBatch:
             assert abs(p[k] - one_p) <= 1e-15
             assert abs(batch.norm_squared[k] - one.norm_squared) <= 1e-15
 
-    def test_leading_axes_only_on_two_photon_matrices(self):
+    def test_leading_axes_on_matrices_and_vectors(self):
         batch = TwoPhotonState(("P", "Q"), np.zeros((2, 3, 8, 8)))
         assert batch.norm_squared.shape == (2, 3)
-        with pytest.raises(ValidationError, match=r"shape \(3, 8\)"):
-            SinglePhotonState(("P", "Q"), np.zeros((3, 8)))
+        singles = SinglePhotonState(("P", "Q"), np.zeros((2, 3, 8)))
+        assert singles.norm_squared.shape == (2, 3)
+        assert singles.coherency().shape == (2, 3, 2, 2)
+        with pytest.raises(ValidationError, match=r"shape \(3, 7\)"):
+            SinglePhotonState(("P", "Q"), np.zeros((3, 7)))
 
     def test_renaming_paths_keeps_the_batch(self):
         batch = product_state(_H1, _H2, [DistinguishabilitySpec(0.5)] * 3)
@@ -442,6 +445,13 @@ class TestBatch:
             batch.amplitude(label("1", "H"), label("2", "H"))
         with pytest.raises(ValidationError, match=r"batch of matrix shape \(2, 8, 8\)"):
             z_measure(batch, "1")
+
+    def test_single_photon_readers_reject_a_batch(self):
+        batch = SinglePhotonState(("P",), np.full((2, 4), 0.5))
+        with pytest.raises(ValidationError, match=r"amplitude reads one state.*\(2, 4\)"):
+            batch.amplitude(label("P", "H"))
+        with pytest.raises(ValidationError, match=r"projection_probability reads one.*\(2, 4\)"):
+            batch.projection_probability((1.0, 0.0))
 
     def test_vanished_product_names_its_spec(self):
         specs = [
@@ -458,18 +468,31 @@ class TestBatch:
         with pytest.raises(ValidationError, match="or a sequence of them, got 0.5"):
             product_state(_H1, _H2, 0.5)
 
-    def test_single_photon_states_share_one_operator(self):
+    def test_single_photon_states_share_one_operator(self, monkeypatch):
+        """A batch of vectors goes through one operator, each vector exactly
+        as on its own."""
+        from loqec import state_core
+
         element = beam_splitter_h("P", "Q")
         states = [
             SinglePhotonState.from_terms({label("P", "H"): 0.6}, paths=("P", "Q")),
             SinglePhotonState.from_terms({label("Q", "H", 1): 0.8j}, paths=("P", "Q")),
+            SinglePhotonState.from_terms(
+                {label("P", "V"): 0.3, label("Q", "H"): -0.4j}, paths=("P", "Q")
+            ),
         ]
-        together = apply_element_single(states, element)
-        assert together == tuple(apply_element_single(state, element) for state in states)
-        assert apply_element_single([], element) == ()
-        swapped = SinglePhotonState(("Q", "P"), states[1].vector)
-        with pytest.raises(ConfigurationError, match=r"states\[1\] declares paths"):
-            apply_element_single([states[0], swapped], element)
+        alone = [apply_element_single(state, element) for state in states]
+        batch = SinglePhotonState(("P", "Q"), np.stack([s.vector for s in states]).reshape(3, 1, 8))
+        built = []
+        original = state_core._mode_operator
+        monkeypatch.setattr(
+            state_core, "_mode_operator", lambda *args: built.append(args) or original(*args)
+        )
+        together = apply_element_single(batch, element)
+        assert len(built) == 1
+        assert together.paths == batch.paths and together.vector.shape == (3, 1, 8)
+        for k, one in enumerate(alone):
+            assert together.vector[k, 0].tobytes() == one.vector.tobytes()
 
 
 class TestRelabelPaths:
@@ -504,15 +527,12 @@ class TestJointProbability:
                         amp = state.amplitude(label("P", pol_a, t_a), label("Q", pol_b, t_b))
                         bucket += amp * jones_a[k_a].conjugate() * jones_b[k_b].conjugate()
                 joint += abs(bucket) ** 2
-        detectors = (
-            DetectorSpec("pass", "Q", jones_b),
-            DetectorSpec("block", "Q", analyzer_jones(theta_b + 90.0)),
-        )
-        branches = z_measure(state, "Q", detectors)
+        # A half-wave plate at (45 + theta_b) / 2 maps the analyzer's pass
+        # axis onto +45 degrees, the Z station's value 0, seen by D2.
+        survivor = z_measure(apply_element(state, hwp(0.5 * (45.0 + theta_b), "Q")), "Q")
         split = sum(
-            branch.conditional.projection_probability(jones_a)
-            for branch in branches
-            if branch.detector == "pass"
+            SinglePhotonState(survivor.paths, row).projection_probability(jones_a)
+            for row in survivor.vector[0]
         )
         assert joint == pytest.approx(split, abs=1e-12)
 
@@ -522,14 +542,14 @@ class TestConditionOn:
 
     def test_correlated_pair_collapses_to_pure_member(self):
         state = pair_state({(("A", "H"), ("B", "H")): 0.5, (("A", "V"), ("B", "V")): 0.5})
-        branches = [b for b in z_measure(state, "B") if b.detector == "D3"]
-        assert len(branches) == 1
-        member = branches[0]
-        assert member.probability == pytest.approx(0.25, abs=1e-12)
-        assert member.conditional.paths == ("A",)
-        # The survivor is |1>: equal H and V magnitudes with opposite signs.
-        amp_h = member.conditional.amplitude(label("A", "H"))
-        amp_v = member.conditional.amplitude(label("A", "V"))
+        survivor = z_measure(state, "B")
+        assert survivor.paths == ("A",)
+        assert survivor.norm_squared[1] == pytest.approx([0.25, 0.0], abs=1e-12)
+        assert not survivor.vector[1, 1].any()
+        member = SinglePhotonState(survivor.paths, survivor.vector[1, 0])
+        # The D3 survivor is |1>: equal H and V magnitudes with opposite signs.
+        amp_h = member.amplitude(label("A", "H"))
+        amp_v = member.amplitude(label("A", "V"))
         assert amp_h == pytest.approx(0.25 * math.sqrt(2.0), abs=1e-12)
         assert amp_v == pytest.approx(-0.25 * math.sqrt(2.0), abs=1e-12)
 
@@ -537,18 +557,20 @@ class TestConditionOn:
         state = pair_state(
             {(("A", "H", 0), ("B", "H", 1)): 0.5, (("A", "V", 1), ("B", "V", 0)): 0.5}
         )
-        branches = [b for b in z_measure(state, "B") if b.detector == "D2"]
-        assert [b.temporal for b in branches] == [0, 1]
-        weights = [b.conditional.norm_squared for b in branches]
+        survivor = z_measure(state, "B")
+        weights = survivor.norm_squared[0].tolist()
         assert weights == pytest.approx([0.125, 0.125], abs=1e-12)
-        assert [b.probability for b in branches] == weights
+        members = [SinglePhotonState(survivor.paths, row) for row in survivor.vector[0]]
+        assert [member.norm_squared for member in members] == pytest.approx(weights, abs=1e-15)
 
     def test_zero_probability_outcome_gives_empty_ensemble(self):
-        state = pair_state({(("A", "H"), ("B", "H")): 1.0})
-        detectors = (DetectorSpec("H", "B", (1.0, 0.0)), DetectorSpec("V", "B", (0.0, 1.0)))
-        branches = z_measure(state, "B", detectors)
-        assert [b.detector for b in branches] == ["H"]
-        assert branches[0].probability == pytest.approx(1.0, abs=1e-12)
+        """Photon B in |0>: the D3 row is exact zeros, not a pruned branch."""
+        state = pair_state({(("A", "H"), ("B", "H")): R, (("A", "H"), ("B", "V")): R})
+        survivor = z_measure(state, "B")
+        assert survivor.vector.shape == (2, 2, 4)
+        assert survivor.norm_squared[0] == pytest.approx([1.0, 0.0], abs=1e-12)
+        assert survivor.norm_squared[1].tolist() == [0.0, 0.0]
+        assert not survivor.vector[1].any()
 
     def test_two_photons_on_measured_path_rejected(self):
         state = pair_state({(("B", "H"), ("B", "V")): 1.0}, paths=("A",))
@@ -566,7 +588,7 @@ class TestConditionOn:
     @settings(max_examples=60, deadline=None)
     @given(coincidence_states())
     def test_outcome_probabilities_resolve_the_norm(self, state):
-        total = sum(branch.probability for branch in z_measure(state, "Q"))
+        total = z_measure(state, "Q").norm_squared.sum()
         assert total == pytest.approx(state.norm_squared, abs=1e-12)
 
 
@@ -624,3 +646,25 @@ class TestSinglePhotonState:
         assert np.allclose(coherency, coherency.conj().T, rtol=0, atol=1e-15)
         assert np.trace(coherency).real == pytest.approx(state.norm_squared, abs=1e-12)
         assert state.projection_probability(jones) == pytest.approx(reference, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_batched_coherency_is_each_states_own(self, lead, n_paths, seed):
+        """A batch gives, byte for byte, the coherency of each vector alone."""
+        rng = np.random.default_rng(seed)
+        shape = (*lead, 4 * n_paths)
+        vector = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        vector[rng.random(shape) < 0.3] = 0.0
+        paths = tuple("PQR"[:n_paths])
+        batch = SinglePhotonState(paths, vector)
+        coherency = batch.coherency()
+        norms = batch.norm_squared
+        assert coherency.shape == (*lead, 2, 2) and norms.shape == tuple(lead)
+        for index in np.ndindex(*lead):
+            one = SinglePhotonState(paths, vector[index])
+            assert coherency[index].tobytes() == one.coherency().tobytes()
+            assert norms[index] == one.norm_squared
