@@ -58,6 +58,12 @@ class LinearElement:
         object.__setattr__(self, "matrix", mat)
 
 
+def _hwp_image_of_h(angle: float) -> tuple[float, float]:
+    """``(cos 2w, sin 2w)``: the Jones vector a plate at finite ``angle`` degrees makes of |H>."""
+    w = math.radians(angle)
+    return math.cos(2.0 * w), math.sin(2.0 * w)
+
+
 def hwp(angle_deg: float, path: str) -> LinearElement:
     """Half-wave plate with its fast axis at ``angle_deg`` from horizontal.
 
@@ -67,8 +73,7 @@ def hwp(angle_deg: float, path: str) -> LinearElement:
     angle = as_real(angle_deg, "hwp angle")
     if not math.isfinite(angle):
         raise ValidationError(f"hwp angle must be finite, got {angle!r}")
-    w = math.radians(angle)
-    c, s = math.cos(2.0 * w), math.sin(2.0 * w)
+    c, s = _hwp_image_of_h(angle)
     matrix = np.array([[c, s], [s, -c]], dtype=complex)
     channels = ((path, Polarization.H), (path, Polarization.V))
     return LinearElement(f"hwp[{angle:g}]", channels, matrix)

@@ -17,6 +17,7 @@ scan, which measures amplitude overlaps directly, uses
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -39,8 +40,8 @@ from .elements import (
     PATH_D,
     PATH_QUBIT_IN,
     WiringConfig,
+    _hwp_image_of_h,
     bs5050,
-    hwp,
     pbs,
     rewire,
 )
@@ -86,16 +87,40 @@ def _check_exposure(pair_rate: float, duration: float) -> None:
         )
 
 
-def _check_seed(seed: int) -> int:
-    """The seed as an int, which must fit the 64-bit Philox key unaltered."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
-    value = int(seed)
+def _check_word(value: int, name: str) -> int:
+    """``value`` as an int, which must fit one 64-bit Philox word unaltered."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
     if not 0 <= value < 2**64:
         # Python refuses to print an integer of more than 4300 digits.
         shown = repr(value) if value.bit_length() <= 256 else f"a {value.bit_length()}-bit integer"
-        raise ValidationError(f"seed must lie in [0, 2**64), got {shown}")
+        raise ValidationError(f"{name} must lie in [0, 2**64), got {shown}")
     return value
+
+
+@functools.cache
+def _key_sequence_type() -> type:
+    """The seed sequence that hands each point's Philox its key ``[seed, 0]``.
+
+    Built on first use: subclassing numpy's ``ISeedSequence`` imports
+    ``numpy.random``, which an import of loqec should not pay for.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySequence(ISeedSequence):
+        def __init__(self, seed: int) -> None:
+            self._words = np.array([seed, 0], dtype=np.uint64)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # Exact types only: this runs once per point, and Philox asks for nothing else.
+            if type(n_words) is not int or n_words != 2 or dtype is not np.uint64:
+                raise ValidationError(
+                    f"a Philox key is two uint64 words, not {n_words!r} of {dtype!r}"
+                )
+            return self._words.copy()
+
+    return KeySequence
 
 
 @dataclass(frozen=True)
@@ -141,7 +166,7 @@ class ExperimentConfig:
                 raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
             object.__setattr__(self, name, value)
         _check_exposure(self.pair_rate, self.duration)
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        object.__setattr__(self, "seed", _check_word(self.seed, "seed"))
 
 
 @dataclass(frozen=True)
@@ -219,7 +244,7 @@ def run_analytic(config: ExperimentConfig) -> SweepResult:
     The fidelity is the input state's weight in the admixed D2 survivor,
     ``<psi|J|psi> / tr J``, which holds for any input polarization.
     """
-    psi = hwp(config.qubit_hwp_angle, PATH_QUBIT_IN).matrix[:, 0]  # |H> after the wave plate
+    psi = np.array(_hwp_image_of_h(config.qubit_hwp_angle), dtype=complex)  # |H> after the plate
     state, p_success = encode_qubit(*jones_to_computational(psi), config.overlap_v)
     state = rewire(state, config.wiring)
     survivor = z_measure(state, PATH_D)
@@ -275,9 +300,13 @@ def sample_counts(
 ) -> np.ndarray:
     """Poisson coincidence counts for a probability grid, reproducibly.
 
-    Each grid point draws from its own counter-based generator keyed by
-    ``(seed, point index, stream)``, so results do not depend on evaluation
-    order and distinct curves of one run stay decorrelated via ``stream``.
+    Each grid point draws from its own counter-based Philox with key
+    ``[seed, 0]`` and counter ``[0, point index, stream, 0]``, so results do
+    not depend on evaluation order and distinct curves of one run stay
+    decorrelated via ``stream``.  ``seed`` and ``stream`` are integers in
+    ``[0, 2**64)``.  The key goes in through a seed sequence that returns
+    it as is: the generator state is the one ``Philox(key=seed)`` builds,
+    without the OS entropy read that ``Philox(key=...)`` makes and discards.
     """
     p = as_real_array(probabilities, "probabilities")
     outside = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
@@ -291,11 +320,14 @@ def sample_counts(
     if rate < 0.0 or time < 0.0 or not (math.isfinite(rate) and math.isfinite(time)):
         raise ValidationError("pair_rate and duration must be finite and >= 0")
     _check_exposure(rate, time)
-    key = _check_seed(seed)
+    key = _key_sequence_type()(_check_word(seed, "seed"))
+    counters = np.zeros((p.size, 4), dtype=np.uint64)
+    counters[:, 1] = np.arange(p.size)
+    counters[:, 2] = _check_word(stream, "stream")
     means = rate * time * p
     counts = np.empty(p.size, dtype=np.int64)
     for index, mean in enumerate(means):
-        bits = np.random.Philox(key=key, counter=[0, index, int(stream), 0])
+        bits = np.random.Philox(key, counter=counters[index])
         counts[index] = np.random.Generator(bits).poisson(mean)
     return counts
 

@@ -471,6 +471,25 @@ class TestFitCommand:
 
 
 class TestEntryPoints:
+    def test_main_builds_one_parser_per_process(self, tmp_path, monkeypatch, capsys):
+        built = []
+        build_parser = cli.build_parser
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            missing = str(tmp_path / "missing.json")
+            for _ in range(3):
+                assert cli.main(["run-sweep", "--config", missing, "--quiet"]) == 1
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert capsys.readouterr().err.count("error: ") == 3
+
     def test_module_invocation_works(self, tmp_path):
         manifest = write_manifest(tmp_path / "m.json", base_manifest(tmp_path / "out"))
         proc = subprocess.run(

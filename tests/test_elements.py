@@ -113,6 +113,13 @@ class TestHwp:
         matrix = plate.matrix @ plate.matrix
         assert np.allclose(matrix, np.eye(2), atol=1e-12)
 
+    @pytest.mark.parametrize("angle", [0.0, 10.0, 22.5, -22.5, 45.0, 81.1, 1e6])
+    def test_image_of_h_is_the_first_column(self, angle):
+        from loqec.elements import _hwp_image_of_h
+
+        column = np.array(_hwp_image_of_h(angle), dtype=complex)
+        assert column.tobytes() == hwp(angle, "P").matrix[:, 0].tobytes()
+
 
 class TestPbs:
     def test_ports_must_be_distinct(self):

@@ -372,6 +372,53 @@ class TestSampleCounts:
         with pytest.raises(ValidationError, match="seed must be an integer"):
             sample_counts([0.5], 100.0, 1.0, seed=seed)
 
+    @pytest.mark.parametrize("stream, message", [
+        (1.5, "stream must be an integer"),
+        ("1", "stream must be an integer"),
+        (True, "stream must be an integer"),
+        (None, "stream must be an integer"),
+        (math.nan, "stream must be an integer"),
+        (-1, r"stream must lie in \[0, 2\*\*64\), got -1"),
+        (2**64, r"stream must lie in \[0, 2\*\*64\), got 18446744073709551616"),
+        (10**5000, "stream must lie in .* got a 16610-bit integer"),
+    ], ids=["float", "str", "bool", "None", "nan", "negative", "2**64", "10**5000"])
+    def test_bad_stream_rejected(self, stream, message):
+        with pytest.raises(ValidationError, match=message):
+            sample_counts([0.5], 1000.0, 60.0, seed=5, stream=stream)
+
+    @pytest.mark.parametrize("stream", [0, 1, 2**63, 2**63 + 1, 2**64 - 1])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_counts_equal_one_keyed_philox_per_point(self, seed, stream):
+        """Point ``i`` draws from ``Philox(key=seed)`` at counter ``[0, i, stream, 0]``.
+
+        The means straddle numpy's switch of Poisson method at 10 and reach
+        the largest mean the exposure check lets through.
+        """
+        rate = 9.2e18
+        p = np.array([0.0, 1e-3, 9.99, 10.0, 1e3, 9.2e18]) / rate
+        means = rate * 1.0 * p
+        reference = [
+            np.random.Generator(np.random.Philox(
+                key=seed, counter=np.array([0, i, stream, 0], dtype=np.uint64)
+            )).poisson(mean)
+            for i, mean in enumerate(means)
+        ]
+        assert sample_counts(p, rate, 1.0, seed, stream=stream).tolist() == reference
+
+    @pytest.mark.parametrize("n_words, dtype", [
+        (1, np.uint64), (3, np.uint64), (4, np.uint64), (2, np.uint32), (2, np.float64),
+        (2.0, np.uint64), (True, np.uint64),
+    ])
+    def test_key_sequence_serves_only_a_philox_key(self, n_words, dtype):
+        from loqec.experiment import _key_sequence_type
+
+        keys = _key_sequence_type()(2**64 - 1)
+        words = keys.generate_state(2, np.uint64)
+        assert words.dtype == np.uint64 and words.tolist() == [2**64 - 1, 0]
+        assert keys.generate_state(2, np.uint64) is not words
+        with pytest.raises(ValidationError, match="two uint64 words"):
+            keys.generate_state(n_words, dtype)
+
     def test_negative_rate_rejected(self):
         with pytest.raises(ValidationError):
             sample_counts([0.1], -100.0, 1.0, seed=0)
@@ -683,7 +730,8 @@ class TestConstantElements:
         ("pbs", lambda: encode_qubit(1.0, 0.0)),
         ("bs5050", lambda: hom_scan([0.0], 1e-12)),
         ("pockels", lambda: run_analytic(ExperimentConfig(pc_enabled=True))),
-    ], ids=["pbs", "bs5050", "pockels"])
+        ("hwp", lambda: run_analytic(ExperimentConfig(qubit_hwp_angle=10.0))),
+    ], ids=["pbs", "bs5050", "pockels", "hwp"])
     def test_no_element_is_rebuilt_per_call(self, monkeypatch, name, call):
         from loqec import detection, elements, experiment
 
