@@ -56,19 +56,27 @@ def as_complex(value: object, name: str) -> complex:
     return _convert(complex, value, name, "a number")
 
 
-def as_real_array(values: object, name: str) -> np.ndarray:
+def as_real_array(values: object, name: str, *, stack: bool = False) -> np.ndarray:
     """``values`` as a one-dimensional float array, converted in one numpy pass.
 
     Every entry must pass :func:`as_real`; the entries are walked, to name
     the first bad one ``name[i]``, only when the array is not all numbers.
+    With ``stack``, a two-dimensional array of rows is accepted as well, and
+    a walk goes row by row, naming ``name[k][i]``.
     """
     try:
         array = np.asarray(values)
     except (TypeError, ValueError):  # a ragged nest of sequences
         array = np.empty(0, dtype=object)
+    if stack and array.ndim == 2:
+        if isinstance(values, np.ndarray) and array.dtype.kind in "iuf":
+            return array.astype(float)
+        rows = [as_real_array(row, f"{name}[{k}]") for k, row in enumerate(values)]
+        return np.array(rows, dtype=float).reshape(array.shape)
     if array.dtype.kind in "iuf":
         if array.ndim != 1:
-            raise ValidationError(f"{name} must be one-dimensional, got shape {array.shape}")
+            dims = "one- or two-dimensional" if stack else "one-dimensional"
+            raise ValidationError(f"{name} must be {dims}, got shape {array.shape}")
         if isinstance(values, np.ndarray) or {bool, np.bool_}.isdisjoint(map(type, values)):
             return array.astype(float)
     try:

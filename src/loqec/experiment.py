@@ -242,7 +242,10 @@ def run_analytic(config: ExperimentConfig) -> SweepResult:
     The flat background replaces a share ``imperfection_eps`` of each
     herald's coherency matrix ``J`` with the unpolarized ``tr(J) I / 2``.
     The fidelity is the input state's weight in the admixed D2 survivor,
-    ``<psi|J|psi> / tr J``, which holds for any input polarization.
+    ``<psi|J|psi> / tr J``, which holds for any input polarization.  Both
+    it and ``fidelity_fit = (1 + V) / 2`` are clamped into [0, 1], where
+    rounding can put an ideal run a few ulp above 1; the visibilities are
+    not clamped.
     """
     psi = np.array(_hwp_image_of_h(config.qubit_hwp_angle), dtype=complex)  # |H> after the plate
     state, p_success = encode_qubit(*jones_to_computational(psi), config.overlap_v)
@@ -254,13 +257,14 @@ def run_analytic(config: ExperimentConfig) -> SweepResult:
     coherency = herald_coherency(survivor)
     weights = np.trace(coherency, axis1=1, axis2=2).real
     coherency = (1.0 - eps) * coherency + eps * 0.5 * weights[:, None, None] * np.eye(2)
-    p_d2, p_d3 = (tuple(p) for p in analyzer_probabilities(coherency, config.thetas).tolist())
+    curves = analyzer_probabilities(coherency, config.thetas)
+    p_d2, p_d3 = (tuple(p) for p in curves.tolist())
 
-    fit_d2 = fit_malus(config.thetas, p_d2)
-    fit_d3 = fit_malus(config.thetas, p_d3)
+    fit_d2, fit_d3 = fit_malus(config.thetas, curves)
     vis_d2 = visibility(fit_d2)
     vis_d3 = visibility(fit_d3)
     fidelity = float((psi.conj() @ coherency[0] @ psi).real / weights[0])
+    fidelity_fit = 0.5 * (1.0 + vis_d2)
 
     return SweepResult(
         config=config,
@@ -269,8 +273,8 @@ def run_analytic(config: ExperimentConfig) -> SweepResult:
         d1_d3=CurveResult(p_d3, None, fit_d3, vis_d3),
         success_probability=p_success,
         discarded_probability=1.0 - p_success,
-        fidelity=fidelity,
-        fidelity_fit=0.5 * (1.0 + vis_d2),
+        fidelity=min(max(fidelity, 0.0), 1.0),
+        fidelity_fit=min(max(fidelity_fit, 0.0), 1.0),
     )
 
 
@@ -332,34 +336,77 @@ def sample_counts(
     return counts
 
 
-def fit_malus(thetas: Sequence[float], values: Sequence[float]) -> MalusFit:
-    """Least-squares fit of a fixed-period analyzer curve.
+def fit_malus(
+    thetas: Sequence[float], values: Sequence[float] | Sequence[Sequence[float]]
+) -> MalusFit | tuple[MalusFit, ...]:
+    """Least-squares fit of fixed-period analyzer curves on one angle grid.
 
     The model is ``offset + amplitude * cos(2(theta - phase))``, linearized
     on the basis ``{1, cos(2 theta), sin(2 theta)}``.  The returned
     amplitude is nonnegative and the phase lies in (-90, 90] degrees; it is
     0 for a flat curve, whose amplitude is at most 1e-12 times the offset.
+
+    ``values`` is one curve of shape ``(n,)``, which returns one fit, or a
+    stack of curves of shape ``(k, n)``, which returns a tuple of ``k``
+    fits.  The grid's checks and its least-squares solver depend on the
+    grid alone: the solver is the design's pseudo-inverse, built from one
+    SVD and cached per grid (see :func:`_malus_solver`), so a sweep of many
+    configs on one grid checks and factors it once.  The coefficients are
+    elementwise products with the solver, summed over the grid, not a BLAS
+    matrix product, whose blocking may depend on the stack size: a curve's
+    fit has the same bytes alone as in any stack.
     """
     th = as_real_array(thetas, "thetas")
-    y = as_real_array(values, "values")
-    if th.shape != y.shape:
+    y = as_real_array(values, "values", stack=True)
+    if th.shape != y.shape[-1:]:
         raise FitError(f"angle and value grids must match, got {th.shape} and {y.shape}")
-    for name, grid in (("thetas", th), ("values", y)):
-        non_finite = np.flatnonzero(~np.isfinite(grid))
-        if non_finite.size:
-            index = int(non_finite[0])
-            raise FitError(f"{name}[{index}] must be finite, got {float(grid[index])!r}")
-    if np.unique(th).size < 3:
-        raise FitError(f"need at least 3 distinct angles, got {np.unique(th).size}")
+    solver = _malus_solver(tuple(th.tolist()))
+    finite = np.isfinite(y)
+    if not finite.all():
+        index = tuple(np.argwhere(~finite)[0].tolist())
+        shown = ", ".join(map(str, index))
+        raise FitError(f"values[{shown}] must be finite, got {float(y[index])!r}")
+    coeffs = (y[..., None, :] * solver).sum(axis=-1)
+    if y.ndim == 1:
+        return _malus_fit(*coeffs.tolist())
+    return tuple(_malus_fit(*row) for row in coeffs.tolist())
+
+
+@functools.lru_cache(maxsize=8)
+def _malus_solver(thetas: tuple[float, ...]) -> np.ndarray:
+    """The read-only ``(3, n)`` least-squares solver of the grid ``thetas``.
+
+    The grid is checked here, once per grid: its angles must be finite and
+    hold at least 3 distinct values.  The solver is the pseudo-inverse
+    ``V diag(1/s) U^T`` of the design ``{1, cos 2 theta, sin 2 theta}``,
+    from a thin SVD, under the rank rule ``np.linalg.lstsq`` applies by
+    default: a singular value counts when it exceeds ``eps * max(n, 3)``
+    times the largest.  A bad grid raises, and ``lru_cache`` keeps no
+    exception, so it raises on every call.
+    """
+    th = np.array(thetas)
+    non_finite = np.flatnonzero(~np.isfinite(th))
+    if non_finite.size:
+        index = int(non_finite[0])
+        raise FitError(f"thetas[{index}] must be finite, got {float(th[index])!r}")
+    distinct = np.unique(th).size
+    if distinct < 3:
+        raise FitError(f"need at least 3 distinct angles, got {distinct}")
     angles = np.deg2rad(2.0 * th)
     design = np.column_stack([np.ones_like(angles), np.cos(angles), np.sin(angles)])
-    coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < 3:
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    if not s[-1] > np.finfo(float).eps * max(design.shape) * s[0]:
         raise FitError(
             "analyzer grid is rank-deficient for a fixed-period fit "
             "(angles congruent modulo 90 degrees?)"
         )
-    offset, c, s = (float(x) for x in coeffs)
+    solver = (vt.T / s) @ u.T
+    solver.flags.writeable = False
+    return solver
+
+
+def _malus_fit(offset: float, c: float, s: float) -> MalusFit:
+    """The fit ``offset + c cos 2 theta + s sin 2 theta`` as amplitude and phase."""
     amplitude = math.hypot(c, s)
     if amplitude <= _FLAT_FIT_TOL * abs(offset):
         # A flat curve has no phase; the fitted one would be rounding noise.

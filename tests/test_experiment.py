@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracle import curve_formula, encoder_branch_states, encoder_curve, hom_coincidence
@@ -253,6 +253,24 @@ class TestRunAnalytic:
                 rho += np.outer(v, v.conj())
         expected = (psi @ rho @ psi).real / np.trace(rho).real
         assert run_analytic(config).fidelity == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(-360, 360, allow_nan=False),
+        st.one_of(st.just(1.0), st.floats(0, 1, allow_nan=False)),
+        st.one_of(st.just(0.0), st.floats(0, 1, allow_nan=False)),
+        st.booleans(),
+        st.sampled_from(list(WiringConfig)),
+    )
+    @example(22.5, 1.0, 0.0, True, WiringConfig.A_TO_C_B_TO_D)
+    def test_fidelities_lie_in_the_unit_interval(self, angle, overlap_v, eps, pc_enabled, wiring):
+        """Rounding put the ideal run's fidelity at 1 + 2**-52; both are clamped."""
+        result = run_analytic(ExperimentConfig(
+            qubit_hwp_angle=angle, overlap_v=overlap_v, imperfection_eps=eps,
+            pc_enabled=pc_enabled, wiring=wiring,
+        ))
+        assert 0.0 <= result.fidelity <= 1.0
+        assert 0.0 <= result.fidelity_fit <= 1.0
 
     def test_wiring_swap_leaves_statistics_unchanged(self):
         for pc_enabled in (False, True):
@@ -538,6 +556,120 @@ class TestFitMalus:
     def test_visibility_needs_positive_offset(self):
         with pytest.raises(ValidationError):
             visibility(MalusFit(0.0, 0.1, 0.0))
+
+
+def _design(thetas):
+    angles = np.deg2rad(2.0 * np.asarray(thetas, dtype=float))
+    return np.column_stack([np.ones_like(angles), np.cos(angles), np.sin(angles)])
+
+
+def _coefficients(fit):
+    """The fit's ``(offset, c, s)`` on the basis ``{1, cos 2 theta, sin 2 theta}``."""
+    phase = math.radians(2.0 * fit.phase_deg)
+    return np.array([fit.offset, fit.amplitude * math.cos(phase), fit.amplitude * math.sin(phase)])
+
+
+def _bytes(fit):
+    return [x.hex() for x in dataclasses.astuple(fit)]
+
+
+class TestMalusSolver:
+    """The cached per-grid solver against ``np.linalg.lstsq``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_coefficients_agree_with_lstsq(self, data):
+        # Distinct angles at least 5 degrees apart modulo 180, shifted and
+        # turned by whole periods, with repeats: 3 to 40 points in all.
+        steps = data.draw(st.lists(st.integers(0, 35), min_size=3, max_size=36, unique=True))
+        repeats = data.draw(st.lists(st.sampled_from(steps), max_size=40 - len(steps)))
+        shift = data.draw(st.floats(-90, 90, allow_nan=False))
+        picks = steps + repeats
+        turns = data.draw(st.lists(st.integers(-2, 2), min_size=len(picks), max_size=len(picks)))
+        thetas = [5.0 * step + shift + 180.0 * turn for step, turn in zip(picks, turns)]
+        values = data.draw(st.lists(
+            st.floats(-1e3, 1e3, allow_nan=False), min_size=len(thetas), max_size=len(thetas)
+        ))
+        expected, _, rank, _ = np.linalg.lstsq(_design(thetas), values, rcond=None)
+        assert rank == 3
+        tol = 1e-12 * max(1.0, max(abs(v) for v in values))
+        assert np.abs(_coefficients(fit_malus(thetas, values)) - expected).max() <= tol
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(st.floats(-180, 180, allow_nan=False), st.integers(-180, 180).map(float)),
+        st.lists(st.integers(-4, 4), min_size=3, max_size=40),
+    )
+    def test_congruent_grids_raise_where_lstsq_loses_rank(self, base, turns):
+        thetas = [base + 90.0 * turn for turn in turns]
+        values = [float(turn % 3) for turn in turns]
+        rank = np.linalg.lstsq(_design(thetas), values, rcond=None)[2]
+        if rank < 3:
+            with pytest.raises(FitError):
+                fit_malus(thetas, values)
+        else:
+            fit_malus(thetas, values)
+
+    def test_a_bad_grid_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(FitError, match="rank-deficient"):
+                fit_malus([0.0, 90.0, 180.0, 270.0], [1.0, 2.0, 1.0, 2.0])
+
+    def test_a_sweep_on_one_grid_factors_it_once(self, monkeypatch):
+        from loqec import experiment
+
+        fits = []
+        monkeypatch.setattr(
+            experiment, "fit_malus", lambda *args: fits.append(args) or fit_malus(*args)
+        )
+        experiment._malus_solver.cache_clear()
+        rng = np.random.default_rng(8)
+        for angle, overlap_v in rng.uniform([-90.0, 0.0], [90.0, 1.0], size=(200, 2)):
+            run_analytic(ExperimentConfig(qubit_hwp_angle=angle, overlap_v=overlap_v))
+        info = experiment._malus_solver.cache_info()
+        assert (info.misses, info.hits) == (1, 199)
+        assert len(fits) == 200
+
+
+class TestFitStack:
+    """A stack of curves is fitted in one call, each with its own bytes."""
+
+    @pytest.mark.parametrize("thetas", [DEFAULT_THETAS, (-7.0, 3.5, 3.5, 41.0, 88.0, 130.0)])
+    def test_each_fit_has_the_bytes_of_its_curve_alone(self, thetas):
+        rng = np.random.default_rng(3)
+        for k in (1, 2, 5):
+            stack = rng.uniform(0.0, 1.0, size=(k, len(thetas)))
+            fits = fit_malus(thetas, stack)
+            assert type(fits) is tuple and len(fits) == k
+            for row, fit in zip(stack, fits):
+                assert _bytes(fit) == _bytes(fit_malus(thetas, row))
+                assert _bytes(fit) == _bytes(fit_malus(thetas, row.tolist()))
+            assert [_bytes(f) for f in fit_malus(thetas, stack.tolist())] == [_bytes(f) for f in fits]
+
+    def test_the_sweep_fits_match_each_curve_fitted_alone(self):
+        config = ExperimentConfig(qubit_hwp_angle=31.0, overlap_v=0.8, imperfection_eps=0.1)
+        result = run_analytic(config)
+        for curve in (result.d1_d2, result.d1_d3):
+            assert _bytes(curve.fit) == _bytes(fit_malus(config.thetas, curve.probabilities))
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_a_non_finite_entry_is_named_by_row_and_column(self, bad):
+        stack = np.full((3, len(DEFAULT_THETAS)), 0.5)
+        stack[2, 7] = bad
+        with pytest.raises(FitError, match=rf"values\[2, 7\] must be finite, got {bad!r}"):
+            fit_malus(DEFAULT_THETAS, stack)
+
+    def test_a_stack_of_the_wrong_width_is_rejected(self):
+        with pytest.raises(FitError, match="grids must match"):
+            fit_malus(DEFAULT_THETAS, np.zeros((2, len(DEFAULT_THETAS) - 1)))
+
+    def test_a_string_in_a_stack_is_named(self):
+        with pytest.raises(ValidationError, match=r"values\[1\]\[2\] must be a real number"):
+            fit_malus([0.0, 10.0, 20.0], [[1.0, 2.0, 3.0], [1.0, 2.0, "3"]])
+
+    def test_three_dimensional_values_are_rejected(self):
+        with pytest.raises(ValidationError, match="values must be one- or two-dimensional"):
+            fit_malus([0.0, 10.0, 20.0], np.zeros((1, 2, 3)))
 
 
 class TestHomScan:
