@@ -190,12 +190,13 @@ def _experiment_config(
 def load_manifest(path: Path) -> dict:
     """Read and structurally validate a JSON run manifest."""
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     try:
-        data = json.loads(text)
-    except ValueError as exc:  # also an integer too long for Python to parse
+        data = json.loads(raw.decode("utf-8"))
+    # ValueError is also bad UTF-8 or an integer too long to parse; RecursionError, a nest too deep.
+    except (ValueError, RecursionError) as exc:
         raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
     data = _mapping(data, "manifest")
     _check_keys(data, _TOP_KEYS, "manifest")
@@ -264,8 +265,8 @@ def _float_str(value: float) -> str:
     return repr(float(value))
 
 
-def _sweep_csv(result: SweepResult) -> str:
-    rows = _sweep_rows(result)
+def _csv_text(rows: list[dict]) -> str:
+    """A header of the rows' keys, then one line of values per row."""
     lines = [",".join(rows[0])]
     for row in rows:
         lines.append(
@@ -349,7 +350,7 @@ def _cmd_run_sweep(args: argparse.Namespace) -> int:
     files: dict[Path, str] = {}
     for name, config, result in results:
         if fmt == "csv":
-            files[directory / f"{name}.csv"] = _sweep_csv(result)
+            files[directory / f"{name}.csv"] = _csv_text(_sweep_rows(result))
             files[directory / f"{name}_summary.json"] = _dump_json(_sweep_summary(name, result))
         else:
             document = {
@@ -366,13 +367,11 @@ def _cmd_run_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _hom_csv(result: HomScanResult) -> str:
-    lines = ["delay_s,overlap_v,p_coincidence"]
-    for point in result.points:
-        lines.append(
-            ",".join((_float_str(point.delay), _float_str(point.overlap), _float_str(point.p_coincidence)))
-        )
-    return "\n".join(lines) + "\n"
+def _hom_rows(result: HomScanResult) -> list[dict]:
+    return [
+        {"delay_s": point.delay, "overlap_v": point.overlap, "p_coincidence": point.p_coincidence}
+        for point in result.points
+    ]
 
 
 def _cmd_hom_scan(args: argparse.Namespace) -> int:
@@ -394,7 +393,7 @@ def _cmd_hom_scan(args: argparse.Namespace) -> int:
         _fail("hom_scan", str(exc))
     if fmt == "csv":
         path = directory / "hom_scan.csv"
-        text = _hom_csv(result)
+        text = _csv_text(_hom_rows(result))
     else:
         probabilities = [point.p_coincidence for point in result.points]
         document = {
@@ -403,14 +402,7 @@ def _cmd_hom_scan(args: argparse.Namespace) -> int:
                 "delays": [point.delay for point in result.points],
                 "coherence_time": result.coherence_time,
             },
-            "rows": [
-                {
-                    "delay_s": point.delay,
-                    "overlap_v": point.overlap,
-                    "p_coincidence": point.p_coincidence,
-                }
-                for point in result.points
-            ],
+            "rows": _hom_rows(result),
             "summary": {
                 "min_p_coincidence": min(probabilities),
                 "max_p_coincidence": max(probabilities),
@@ -428,17 +420,21 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     path = Path(args.input)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     reader = csv.DictReader(io.StringIO(text))
-    fields = reader.fieldnames or []
+    try:
+        fields = reader.fieldnames or []
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a field beyond csv's size limit
+        raise FitError(f"{path.name} is not a readable CSV: {exc}") from exc
     if "theta_deg" not in fields:
         raise FitError(f"{path.name} has no 'theta_deg' column (found: {', '.join(fields) or 'none'})")
     if args.column not in fields:
         raise FitError(f"{path.name} has no {args.column!r} column (found: {', '.join(fields)})")
     thetas: list[float] = []
     values: list[float] = []
-    for line, row in enumerate(reader, start=2):
+    for line, row in enumerate(rows, start=2):
         try:
             theta, value = float(row["theta_deg"]), float(row[args.column])
         except (TypeError, ValueError) as exc:

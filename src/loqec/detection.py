@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .elements import PATH_C, pockels
-from .errors import StructureError, ValidationError, as_real_array
+from .errors import StructureError, ValidationError, as_grid
 from .state_core import (
     AMPLITUDE_TOL,
     SinglePhotonState,
@@ -150,12 +150,6 @@ def analyzer_curve(survivor: SinglePhotonState, thetas: Sequence[float]) -> Anal
     Each point is the total probability that the surviving photon passes
     the analyzer, incoherently summed over the measured temporal index.
     """
-    grid = as_real_array(thetas, "thetas")
-    if not grid.size:
-        raise ValidationError("analyzer sweep needs at least one angle")
-    non_finite = np.flatnonzero(~np.isfinite(grid))
-    if non_finite.size:
-        index = int(non_finite[0])
-        raise ValidationError(f"thetas[{index}] must be finite, got {float(grid[index])!r}")
+    grid = as_grid(thetas, "thetas")
     p_d2, p_d3 = analyzer_probabilities(herald_coherency(survivor), grid).tolist()
     return AnalyzerCurves(tuple(grid.tolist()), tuple(p_d2), tuple(p_d3))

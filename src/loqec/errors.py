@@ -84,3 +84,19 @@ def as_real_array(values: object, name: str, *, stack: bool = False) -> np.ndarr
     except TypeError:
         raise ValidationError(f"{name} must be a sequence of real numbers, got {values!r}") from None
     return np.array([as_real(item, f"{name}[{i}]") for i, item in enumerate(items)], dtype=float)
+
+
+def as_grid(values: object, name: str) -> np.ndarray:
+    """``values`` as a non-empty one-dimensional array of finite floats.
+
+    Entries are checked as by :func:`as_real_array`; the first non-finite
+    one is named ``name[i]``.
+    """
+    grid = as_real_array(values, name)
+    if not grid.size:
+        raise ValidationError(f"{name} must hold at least one value")
+    non_finite = np.flatnonzero(~np.isfinite(grid))
+    if non_finite.size:
+        index = int(non_finite[0])
+        raise ValidationError(f"{name}[{index}] must be finite, got {float(grid[index])!r}")
+    return grid

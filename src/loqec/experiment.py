@@ -10,9 +10,9 @@ Overlap convention: ``ExperimentConfig.overlap_v`` is the degree of
 indistinguishability on the probability scale, i.e. the weight of the
 interfering (temporally matched) component in the detected ensemble.  It
 equals the fringe visibility of the heralded analyzer curves and enters
-state preparation as an amplitude overlap of sqrt(overlap_v).  The HOM
-scan, which measures amplitude overlaps directly, uses
-:class:`~loqec.state_core.DistinguishabilitySpec` unchanged.
+state preparation as the amplitude overlap sqrt(overlap_v), the plain
+number :func:`~loqec.state_core.product_state` takes.  The HOM scan
+measures amplitude overlaps directly and passes its array of them as is.
 """
 from __future__ import annotations
 
@@ -45,9 +45,8 @@ from .elements import (
     pbs,
     rewire,
 )
-from .errors import FitError, ValidationError, as_complex, as_real, as_real_array
+from .errors import FitError, ValidationError, as_complex, as_grid, as_real, as_real_array
 from .state_core import (
-    DistinguishabilitySpec,
     SinglePhotonSpec,
     TwoPhotonState,
     apply_element,
@@ -152,14 +151,7 @@ class ExperimentConfig:
         if not isinstance(self.pc_enabled, (bool, np.bool_)):
             raise ValidationError(f"pc_enabled must be a boolean, got {self.pc_enabled!r}")
         object.__setattr__(self, "pc_enabled", bool(self.pc_enabled))
-        thetas = as_real_array(self.thetas, "thetas")
-        if not thetas.size:
-            raise ValidationError("thetas must contain at least one angle")
-        non_finite = np.flatnonzero(~np.isfinite(thetas))
-        if non_finite.size:
-            index = int(non_finite[0])
-            raise ValidationError(f"thetas[{index}] must be finite, got {float(thetas[index])!r}")
-        object.__setattr__(self, "thetas", tuple(thetas.tolist()))
+        object.__setattr__(self, "thetas", tuple(as_grid(self.thetas, "thetas").tolist()))
         for name in ("pair_rate", "duration"):
             value = as_real(getattr(self, name), name)
             if value < 0.0 or not math.isfinite(value):
@@ -230,8 +222,7 @@ def encode_qubit(
     )
     qubit = SinglePhotonSpec(PATH_QUBIT_IN, qubit_jones)
     ancilla = SinglePhotonSpec(PATH_ANCILLA_IN, zero)
-    overlap = DistinguishabilitySpec(math.sqrt(overlap_v))
-    state = product_state(qubit, ancilla, overlap, (PATH_A, PATH_B))
+    state = product_state(qubit, ancilla, math.sqrt(overlap_v), (PATH_A, PATH_B))
     state = apply_element(state, _ENCODER_PBS)
     return coincidence_postselect(state)
 
@@ -452,15 +443,17 @@ def hom_scan(delays: Sequence[float], coherence_time: float) -> HomScanResult:
     time the classical value one half is recovered.  The whole grid is one
     batch of states through the splitter and the post-selection.
     """
-    grid = as_real_array(delays, "delays").tolist()
-    if not grid:
-        raise ValidationError("delay grid must contain at least one value")
+    grid = as_grid(delays, "delays")
     sigma = as_real(coherence_time, "coherence_time")
-    specs = [DistinguishabilitySpec.from_delay(tau, sigma) for tau in grid]
-    state = product_state(*_HOM_PHOTONS, specs, (_HOM_OUT1, _HOM_OUT2))
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValidationError(f"coherence time must be finite and positive, got {sigma!r}")
+    # The ratio keeps a tiny coherence time from squaring to zero; a ratio
+    # beyond the float range is an overlap of exactly 0.
+    with np.errstate(over="ignore"):
+        ratio = grid / sigma
+        overlaps = np.exp(-0.5 * ratio * ratio)
+    state = product_state(*_HOM_PHOTONS, overlaps, (_HOM_OUT1, _HOM_OUT2))
     state = apply_element(state, _HOM_SPLITTER)
     _, p_coincidence = coincidence_postselect(state)
-    points = zip(grid, specs, p_coincidence.tolist())
-    return HomScanResult(
-        sigma, tuple(HomScanPoint(tau, spec.overlap, p) for tau, spec, p in points)
-    )
+    points = zip(grid.tolist(), overlaps.tolist(), p_coincidence.tolist())
+    return HomScanResult(sigma, tuple(HomScanPoint(*point) for point in points))

@@ -12,7 +12,8 @@ basis chosen per state.  Partial distinguishability between two photons
 enters in one place: :func:`product_state` puts the first photon on
 temporal index 0 and splits the second by its amplitude overlap ``v`` with
 the first, ``v`` on index 0 and ``sqrt(1 - v^2)`` on index 1.  An overlap
-in this module is always an amplitude overlap.
+in this module is always an amplitude overlap, and always a plain real
+number in [0, 1].
 
 A state declares a tuple of paths and holds every mode of them, ordered as
 ``(path, polarization, temporal)``: mode ``(paths[p], pol, t)`` has index
@@ -26,7 +27,7 @@ and a single-photon state is a vector ``v`` over the same modes with
 
 A two-photon matrix may carry leading batch axes, shape ``(..., n, n)``:
 one state per batch index, all over the same paths.  :func:`product_state`
-builds a batch from a sequence of overlaps, :func:`apply_element`,
+builds a batch from a 1-D array of overlaps, :func:`apply_element`,
 :func:`relabel_paths` and ``detection.coincidence_postselect`` act on
 every matrix of it, and ``norm_squared`` is then an array.  A
 single-photon vector batches alike, shape ``(..., n)``: it is how
@@ -44,7 +45,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError, as_real
+from .errors import ConfigurationError, ValidationError, as_real, as_real_array
 
 if TYPE_CHECKING:
     from .elements import LinearElement
@@ -112,17 +113,6 @@ def jones_to_computational(jones: Sequence[complex]) -> tuple[complex, complex]:
     return alpha, beta
 
 
-def analyzer_jones(theta_deg: float) -> Jones:
-    """Jones vector passed by a linear analyzer at ``theta_deg`` from H.
-
-    The angle is reduced modulo 180 first, which makes the 180 degree
-    periodicity of every downstream probability exact rather than
-    approximate.
-    """
-    rad = math.radians(float(theta_deg) % 180.0)
-    return (math.cos(rad) + 0j, math.sin(rad) + 0j)
-
-
 @dataclass(frozen=True)
 class SinglePhotonSpec:
     """Input description of one photon: path and unit-norm Jones vector."""
@@ -132,32 +122,6 @@ class SinglePhotonSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "jones", _as_jones(self.jones, "jones vector"))
-
-
-@dataclass(frozen=True)
-class DistinguishabilitySpec:
-    """Amplitude overlap between two photon wavepackets, in [0, 1]."""
-
-    overlap: float = 1.0
-
-    def __post_init__(self) -> None:
-        v = as_real(self.overlap, "overlap")
-        if not 0.0 <= v <= 1.0:
-            raise ValidationError(f"overlap must lie in [0, 1], got {v!r}")
-        object.__setattr__(self, "overlap", v)
-
-    @classmethod
-    def from_delay(cls, delay: float, coherence_time: float) -> "DistinguishabilitySpec":
-        """Overlap of two Gaussian wavepackets offset by ``delay`` seconds."""
-        sigma = as_real(coherence_time, "coherence time")
-        if not (math.isfinite(sigma) and sigma > 0.0):
-            raise ValidationError(f"coherence time must be finite and positive, got {sigma!r}")
-        tau = as_real(delay, "delay")
-        if not math.isfinite(tau):
-            raise ValidationError(f"delay must be finite, got {tau!r}")
-        # The ratio keeps a tiny coherence time from squaring to zero.
-        ratio = tau / sigma
-        return cls(math.exp(-0.5 * ratio * ratio))
 
 
 def _mode(paths: tuple[str, ...], path: str, pol: Polarization, temporal: int) -> int:
@@ -389,56 +353,48 @@ class SinglePhotonState:
 def product_state(
     photon_a: SinglePhotonSpec,
     photon_b: SinglePhotonSpec,
-    overlap: DistinguishabilitySpec | Sequence[DistinguishabilitySpec] = DistinguishabilitySpec(),
+    overlap: float | Sequence[float] | np.ndarray = 1.0,
     paths: Iterable[str] = (),
 ) -> TwoPhotonState:
     """Normalized two-photon product state of two input specs.
 
     Photon a occupies temporal index 0.  Photon b's wavepacket has amplitude
-    overlap ``v = overlap.overlap`` with photon a's, so it puts ``v`` on
-    temporal index 0 and the orthogonal remainder ``sqrt(1 - v^2)`` on
-    index 1: indistinguishable photons share index 0, fully distinguishable
-    ones sit on different indices.  A sequence of overlaps gives a batch
-    with one matrix per overlap, in order.
+    overlap ``v``, a real number in [0, 1], with photon a's, so it puts
+    ``v`` on temporal index 0 and the orthogonal remainder ``sqrt(1 - v^2)``
+    on index 1: indistinguishable photons share index 0, fully
+    distinguishable ones sit on different indices.  A one-dimensional
+    sequence or array of overlaps gives a batch with one matrix per
+    overlap, in order.
 
     With ``a`` and ``b`` the two photons' mode vectors the matrix is
     ``a b^T + b a^T``, normalized; the two specs may share a spatial path,
     even a mode.  The declared paths are the two photons' paths, then
     ``paths``.
     """
-    batch = not isinstance(overlap, DistinguishabilitySpec)
-    try:
-        specs = tuple(overlap) if batch else (overlap,)
-    except TypeError:
-        raise ValidationError(
-            f"overlap must be a DistinguishabilitySpec or a sequence of them, got {overlap!r}"
-        ) from None
-    for index, spec in enumerate(specs):
-        if not isinstance(spec, DistinguishabilitySpec):
-            raise ValidationError(
-                f"overlap[{index}] must be a DistinguishabilitySpec, got {spec!r}"
-            )
-    u = np.array([spec.overlap for spec in specs])
-    w = np.sqrt(np.maximum(0.0, 1.0 - u * u))
+    batch = isinstance(overlap, (Sequence, np.ndarray)) and not isinstance(overlap, (str, bytes))
+    u = as_real_array(overlap, "overlap") if batch else np.array([as_real(overlap, "overlap")])
+    inside = (u >= 0.0) & (u <= 1.0)
+    if not inside.all():
+        index = int(np.flatnonzero(~inside)[0])
+        where = f"overlap[{index}]" if batch else "overlap"
+        raise ValidationError(f"{where} must lie in [0, 1], got {float(u[index])!r}")
+    w = np.sqrt(1.0 - u * u)
     declared = tuple(dict.fromkeys((photon_a.path, photon_b.path, *paths)))
     a = np.zeros(4 * len(declared), dtype=complex)
-    b = np.zeros((len(specs), a.size), dtype=complex)
+    b = np.zeros((u.size, a.size), dtype=complex)
     start_a = 4 * declared.index(photon_a.path)
     start_b = 4 * declared.index(photon_b.path)
     h_a, v_a = photon_a.jones
     a[start_a : start_a + 4] = (h_a, 0j, v_a, 0j)
-    # (spec, polarization, temporal) -> the four modes of photon b's path
+    # (overlap, polarization, temporal) -> the four modes of photon b's path
     wavepackets = np.array((u, w)).T[:, None, :]
     b[:, start_b : start_b + 4] = (np.array(photon_b.jones)[:, None] * wavepackets).reshape(-1, 4)
     matrix = a[:, None] * b[:, None, :]
     matrix = matrix + matrix.transpose(0, 2, 1)
     if not batch:
         matrix = matrix[0]
-    nrm = np.sqrt(_norm_squared(matrix))
-    if not (nrm > AMPLITUDE_TOL).all():
-        where = f" at overlap[{np.flatnonzero(~(nrm > AMPLITUDE_TOL))[0]}]" if batch else ""
-        raise ValidationError(f"product state vanished{where}; input specs are degenerate")
-    return TwoPhotonState(declared, matrix / nrm[..., None, None])
+    # Unit Jones vectors and an overlap in [0, 1] give a squared norm 1 + |<a|b>|^2 >= 1.
+    return TwoPhotonState(declared, matrix / np.sqrt(_norm_squared(matrix))[..., None, None])
 
 
 def apply_element(state: TwoPhotonState, element: "LinearElement") -> TwoPhotonState:

@@ -231,6 +231,20 @@ class TestManifestValidation:
         err = self.error_of(capsys, ["run-sweep", "--config", str(manifest)])
         assert "not valid JSON" in err
 
+    def test_non_utf8_manifest_reported(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(b'{"config_version": 1, "x": "\xff"}')
+        err = self.error_of(capsys, ["run-sweep", "--config", str(manifest)])
+        assert err.startswith("error: manifest")
+        assert "not valid JSON" in err and "utf-8" in err
+
+    def test_deeply_nested_manifest_reported(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text("[" * 100_000, encoding="utf-8")
+        err = self.error_of(capsys, ["run-sweep", "--config", str(manifest)])
+        assert err.startswith("error: manifest")
+        assert "not valid JSON" in err and "recursion" in err
+
     def test_missing_file_reported(self, tmp_path, capsys):
         err = self.error_of(capsys, ["run-sweep", "--config", str(tmp_path / "nope.json")])
         assert "cannot read" in err
@@ -338,6 +352,16 @@ class TestHomScanCommand:
         assert set(record) == {"schema_version", "config", "rows", "summary"}
         assert record["rows"][0]["p_coincidence"] == 0.0
         assert record["summary"]["min_p_coincidence"] == 0.0
+
+    def test_csv_and_json_hold_the_same_rows(self, tmp_path):
+        manifest = self.manifest(tmp_path, {"start": -3e-12, "stop": 3e-12, "num": 13})
+        for fmt in ("csv", "json"):
+            argv = ["hom-scan", "--config", str(manifest), "--format", fmt, "--quiet"]
+            assert cli.main(argv) == 0
+        csv_rows = read_rows(tmp_path / "out" / "hom_scan.csv")
+        json_rows = json.loads((tmp_path / "out" / "hom_scan.json").read_text(encoding="utf-8"))
+        assert len(csv_rows) == 13
+        assert [{key: float(v) for key, v in row.items()} for row in csv_rows] == json_rows["rows"]
 
     def test_empty_delay_list_rejected(self, tmp_path, capsys):
         manifest = self.manifest(tmp_path, [])
@@ -468,6 +492,25 @@ class TestFitCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: bad.csv:3:")
+
+
+    def test_non_utf8_csv_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"theta_deg,p_d1_d2\n0.0,0.1\n10.0,0.2\xff\n20.0,0.3\n")
+        assert cli.main(["fit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read")
+        assert "bad.csv" in captured.err and "utf-8" in captured.err
+
+    def test_field_beyond_the_csv_limit_rejected(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        field = "1" * (csv.field_size_limit() + 1)
+        path.write_text(f"theta_deg,p_d1_d2\n0.0,{field}\n10.0,0.2\n20.0,0.3\n", encoding="utf-8")
+        assert cli.main(["fit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: big.csv is not a readable CSV: field larger")
 
 
 class TestEntryPoints:

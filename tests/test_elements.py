@@ -17,7 +17,6 @@ from loqec import (
     SinglePhotonState,
     TwoPhotonState,
     ValidationError,
-    DistinguishabilitySpec,
     WiringConfig,
     apply_element,
     apply_element_single,
@@ -255,22 +254,18 @@ class TestDelay:
         """Overlap 1 leaves the second photon exactly on index 0, as with no delay at all."""
         state = product_state(
             SinglePhotonSpec("P", (1.0, 0.0)), SinglePhotonSpec("Q", (0.0, 1.0)),
-            DistinguishabilitySpec(1.0),
+            1.0,
         )
         assert state == TwoPhotonState.from_terms({(label("P", "H"), label("Q", "V")): 1.0})
 
     def test_zero_overlap_moves_wavepacket_to_index_one(self):
         h = (1.0, 0.0)
-        state = product_state(
-            SinglePhotonSpec("P", h), SinglePhotonSpec("Q", h), DistinguishabilitySpec(0.0)
-        )
+        state = product_state(SinglePhotonSpec("P", h), SinglePhotonSpec("Q", h), 0.0)
         assert abs(state.amplitude(label("P", "H", 0), label("Q", "H", 1))) == pytest.approx(1.0)
 
     def test_partial_overlap_weights(self):
         h = (1.0, 0.0)
-        state = product_state(
-            SinglePhotonSpec("P", h), SinglePhotonSpec("Q", h), DistinguishabilitySpec(0.5)
-        )
+        state = product_state(SinglePhotonSpec("P", h), SinglePhotonSpec("Q", h), 0.5)
         assert state.amplitude(label("P", "H", 0), label("Q", "H", 0)) == pytest.approx(0.5)
         assert state.amplitude(label("P", "H", 0), label("Q", "H", 1)) == pytest.approx(
             0.8660254037844386  # sqrt(3)/2
@@ -279,9 +274,7 @@ class TestDelay:
     def test_only_the_named_path_is_touched(self):
         """The second photon, here on P, is the one that moves to index 1."""
         h = (1.0, 0.0)
-        state = product_state(
-            SinglePhotonSpec("Q", h), SinglePhotonSpec("P", h), DistinguishabilitySpec(0.0)
-        )
+        state = product_state(SinglePhotonSpec("Q", h), SinglePhotonSpec("P", h), 0.0)
         assert abs(state.amplitude(label("P", "H", 1), label("Q", "H", 0))) == pytest.approx(1.0)
         assert state.amplitude(label("P", "H", 0), label("Q", "H", 1)) == 0
 
@@ -290,7 +283,7 @@ class TestDelay:
         """The second photon's weight splits as v^2 on index 0 and 1 - v^2 on index 1."""
         state = product_state(
             SinglePhotonSpec("P", (0.6, 0.8)), SinglePhotonSpec("Q", (R, -R)),
-            DistinguishabilitySpec(overlap),
+            overlap,
         )
         late = sum(
             abs(state.amplitude(label("P", pol_p), label("Q", pol_q, 1))) ** 2

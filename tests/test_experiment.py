@@ -11,18 +11,19 @@ from hypothesis import strategies as st
 from _oracle import curve_formula, encoder_branch_states, encoder_curve, hom_coincidence
 from loqec import (
     DEFAULT_THETAS,
-    DistinguishabilitySpec,
     ExperimentConfig,
     FitError,
     MalusFit,
     ModeLabel,
     Polarization,
+    SinglePhotonSpec,
     ValidationError,
     WiringConfig,
     encode_qubit,
     fit_malus,
     hom_scan,
     hwp,
+    product_state,
     run_analytic,
     run_experiment,
     sample_counts,
@@ -727,10 +728,36 @@ class TestHomScan:
                 hom_coincidence(point.delay, sigma), abs=1e-12
             )
 
-    @pytest.mark.parametrize("coherence_time", [math.inf, math.nan])
+    @pytest.mark.parametrize("coherence_time", [math.inf, math.nan, -1e-12])
     def test_non_finite_coherence_time_rejected(self, coherence_time):
-        with pytest.raises(ValidationError, match="coherence time"):
+        with pytest.raises(ValidationError, match="coherence time must be finite and positive"):
             hom_scan((0.0,), coherence_time)
+
+    @pytest.mark.parametrize("delays, name", [
+        ((0.0, math.nan), r"delays\[1\]"),
+        ((math.inf, 0.0, math.nan), r"delays\[0\]"),
+        (np.array([0.0, 1e-12, -math.inf]), r"delays\[2\]"),
+    ], ids=["nan", "inf-first", "array"])
+    def test_first_non_finite_delay_named(self, delays, name):
+        with pytest.raises(ValidationError, match=f"{name} must be finite, got"):
+            hom_scan(delays, 1e-12)
+
+    def test_overlap_is_the_gaussian_of_the_delay_ratio(self):
+        result = hom_scan((0.0, 1e-12, -1e-12, 3e-12), 1e-12)
+        overlaps = [point.overlap for point in result.points]
+        expected = [1.0, math.exp(-0.5), math.exp(-0.5), math.exp(-4.5)]
+        assert overlaps == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("delay, overlap", [(0.0, 1.0), (1e-200, math.exp(-0.5)), (1e-12, 0.0)])
+    def test_tiny_coherence_time_keeps_the_ratio(self, delay, overlap):
+        """The coherence time squared underflows to zero; the delay ratio does not."""
+        assert hom_scan((delay,), 1e-200).points[0].overlap == overlap
+
+    def test_ratio_beyond_the_float_range_is_no_overlap(self):
+        with np.errstate(all="raise"):
+            result = hom_scan((1e300, 1e160), 1e-300)
+        assert [point.overlap for point in result.points] == [0.0, 0.0]
+        assert [point.p_coincidence for point in result.points] == pytest.approx([0.5, 0.5])
 
     @pytest.mark.parametrize("delays, coherence_time, name", [
         (["x"], 1e-12, r"delays\[0\]"),
@@ -777,7 +804,10 @@ class TestNumberChecks:
         pytest.param(lambda: hwp(-(10**400), "P"), "hwp angle", id="hwp"),
         pytest.param(lambda: hom_scan([10**400], 1.0), r"delays\[0\]", id="hom_scan-delays"),
         pytest.param(lambda: hom_scan([0.0], 10**400), "coherence_time", id="hom_scan-sigma"),
-        pytest.param(lambda: DistinguishabilitySpec(10**400), "overlap", id="overlap-spec"),
+        pytest.param(
+            lambda: product_state(*[SinglePhotonSpec(p, (1.0, 0.0)) for p in "PQ"], 10**400),
+            "overlap", id="product_state-overlap",
+        ),
         pytest.param(lambda: encode_qubit(10**400, 0.0), "alpha", id="encode_qubit"),
         pytest.param(
             lambda: sample_counts([0.5], 10**400, 1.0, seed=0), "pair_rate", id="sample_counts"

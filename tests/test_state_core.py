@@ -18,8 +18,6 @@ from loqec import (
     StructureError,
     TwoPhotonState,
     ValidationError,
-    DistinguishabilitySpec,
-    analyzer_jones,
     apply_element,
     apply_element_single,
     bs5050,
@@ -34,6 +32,8 @@ from loqec import (
 )
 
 R = 1.0 / math.sqrt(2.0)
+_H1 = SinglePhotonSpec("1", (1.0, 0.0))
+_H2 = SinglePhotonSpec("2", (1.0, 0.0))
 
 
 def label(path, pol, temporal=0):
@@ -123,16 +123,6 @@ class TestPolarizationBasis:
         with pytest.raises(ValidationError):
             jones_to_computational((1.0, 1.0))
 
-    def test_analyzer_jones_cardinal_angles(self):
-        assert analyzer_jones(0.0) == pytest.approx((1.0, 0.0))
-        assert analyzer_jones(90.0) == pytest.approx((0.0, 1.0))
-        assert analyzer_jones(45.0) == pytest.approx((R, R))
-
-    @given(st.integers(-720, 720), st.sampled_from([0.0, 0.25, 0.5, 0.75]))
-    def test_analyzer_period_is_exact_on_dyadic_angles(self, whole, frac):
-        theta = whole + frac
-        assert analyzer_jones(theta) == analyzer_jones(theta + 180.0)
-
 
 class TestSpecValidation:
     def test_non_unit_jones_rejected(self):
@@ -146,49 +136,18 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="unit norm"):
             SinglePhotonSpec("P", jones)
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.01, 2.0])
+    @pytest.mark.parametrize("bad", [-0.1, 1.01, 2.0, math.nan])
     def test_overlap_out_of_range_rejected(self, bad):
-        with pytest.raises(ValidationError):
-            DistinguishabilitySpec(bad)
+        with pytest.raises(ValidationError, match=r"overlap must lie in \[0, 1\], got"):
+            product_state(_H1, _H2, bad)
 
-    @pytest.mark.parametrize("make, name", [
-        (lambda: DistinguishabilitySpec("x"), "overlap"),
-        (lambda: DistinguishabilitySpec(True), "overlap"),
-        (lambda: DistinguishabilitySpec.from_delay("x", 1e-12), "delay"),
-        (lambda: DistinguishabilitySpec.from_delay(0.0, "x"), "coherence time"),
-    ])
-    def test_non_number_inputs_named(self, make, name):
-        with pytest.raises(ValidationError, match=f"{name} must be a real number"):
-            make()
-
-    def test_gaussian_overlap_from_delay(self):
-        spec = DistinguishabilitySpec.from_delay(1e-12, 1e-12)
-        assert spec.overlap == pytest.approx(math.exp(-0.5), abs=1e-15)
-        # Half-overlap point of the Gaussian profile.
-        half = DistinguishabilitySpec.from_delay(1.1774100225154747e-12, 1e-12)
-        assert half.overlap == pytest.approx(0.5, abs=1e-12)
-
-    def test_zero_delay_is_full_overlap(self):
-        assert DistinguishabilitySpec.from_delay(0.0, 3e-12).overlap == 1.0
-
-    def test_nonpositive_coherence_time_rejected(self):
-        with pytest.raises(ValidationError):
-            DistinguishabilitySpec.from_delay(1e-12, 0.0)
-
-    @pytest.mark.parametrize("delay,overlap", [(0.0, 1.0), (1e-200, math.exp(-0.5)), (1e-12, 0.0)])
-    def test_tiny_coherence_time_keeps_the_ratio(self, delay, overlap):
-        """The coherence time squared underflows to zero; the delay ratio does not."""
-        assert DistinguishabilitySpec.from_delay(delay, 1e-200).overlap == overlap
-
-    @pytest.mark.parametrize("delay,coherence_time", [
-        (0.0, math.inf),
-        (0.0, math.nan),
-        (math.inf, 1e-12),
-        (math.nan, 1e-12),
-    ])
-    def test_non_finite_delay_inputs_rejected(self, delay, coherence_time):
-        with pytest.raises(ValidationError):
-            DistinguishabilitySpec.from_delay(delay, coherence_time)
+    @pytest.mark.parametrize(
+        "bad", ["x", True, np.True_, b"\x00", None, {0.5}],
+        ids=["str", "bool", "numpy-bool", "bytes", "none", "set"],
+    )
+    def test_non_number_overlap_rejected(self, bad):
+        with pytest.raises(ValidationError, match="overlap must be a real number"):
+            product_state(_H1, _H2, bad)
 
 
 class TestModeLabel:
@@ -276,7 +235,7 @@ class TestProductState:
     def test_orthogonal_wavepackets_split_temporal_indices(self):
         a = SinglePhotonSpec("1", (1.0, 0.0))
         b = SinglePhotonSpec("2", (1.0, 0.0))
-        state = product_state(a, b, DistinguishabilitySpec(0.0))
+        state = product_state(a, b, 0.0)
         assert state.amplitude(label("1", "H", 0), label("2", "H", 1)) == pytest.approx(1.0)
         assert state.amplitude(label("1", "H", 0), label("2", "H", 0)) == 0
 
@@ -287,7 +246,7 @@ class TestProductState:
         state = product_state(
             SinglePhotonSpec("1", (1.0, 0.0)),
             SinglePhotonSpec("2", (1.0, 0.0)),
-            DistinguishabilitySpec(v),
+            v,
         )
         overlap, residual = gram_schmidt_weights((1.0, 0.0), (v, w))
         early = state.amplitude(label("1", "H", 0), label("2", "H", 0))
@@ -308,7 +267,7 @@ class TestProductState:
         state = product_state(
             SinglePhotonSpec("1", jones_a),
             SinglePhotonSpec("2", jones_b),
-            DistinguishabilitySpec(overlap),
+            overlap,
         )
         assert state.norm_squared == pytest.approx(1.0, abs=1e-12)
 
@@ -387,17 +346,6 @@ class TestApplyElement:
             assert abs(out.amplitude(*key) - expected.get(key, 0j)) < 1e-12
 
 
-def _spec_around_its_check(overlap):
-    """A spec holding a value its own check rejects; only such a spec makes a product vanish."""
-    spec = DistinguishabilitySpec()
-    object.__setattr__(spec, "overlap", overlap)
-    return spec
-
-
-_H1 = SinglePhotonSpec("1", (1.0, 0.0))
-_H2 = SinglePhotonSpec("2", (1.0, 0.0))
-
-
 class TestBatch:
     """A leading batch axis on the two-photon matrix."""
 
@@ -410,14 +358,14 @@ class TestBatch:
     )
     def test_batch_matches_each_unbatched_state(self, jones_a, jones_b, drawn, make_element):
         a, b = SinglePhotonSpec("1", jones_a), SinglePhotonSpec("2", jones_b)
-        specs = [DistinguishabilitySpec(v) for v in (0.0, *drawn, 1.0)]
+        overlaps = [0.0, *drawn, 1.0]
         element = make_element("1", "2", "3", "4")
-        batch = apply_element(product_state(a, b, specs, ("3", "4")), element)
+        batch = apply_element(product_state(a, b, overlaps, ("3", "4")), element)
         selected, p = coincidence_postselect(batch)
-        assert selected.matrix.shape == (len(specs), 16, 16)
-        assert p.shape == (len(specs),)
-        for k, spec in enumerate(specs):
-            one = apply_element(product_state(a, b, spec, ("3", "4")), element)
+        assert selected.matrix.shape == (len(overlaps), 16, 16)
+        assert p.shape == (len(overlaps),)
+        for k, overlap in enumerate(overlaps):
+            one = apply_element(product_state(a, b, overlap, ("3", "4")), element)
             one_selected, one_p = coincidence_postselect(one)
             assert one_selected.paths == selected.paths
             assert np.abs(selected.matrix[k] - one_selected.matrix).max() <= 1e-15
@@ -434,13 +382,13 @@ class TestBatch:
             SinglePhotonState(("P", "Q"), np.zeros((3, 7)))
 
     def test_renaming_paths_keeps_the_batch(self):
-        batch = product_state(_H1, _H2, [DistinguishabilitySpec(0.5)] * 3)
+        batch = product_state(_H1, _H2, [0.5] * 3)
         renamed = relabel_paths(batch, {"1": "A"})
         assert renamed.paths == ("A", "2")
         assert renamed.matrix is batch.matrix
 
     def test_one_state_readers_reject_a_batch(self):
-        batch = product_state(_H1, _H2, [DistinguishabilitySpec(1.0), DistinguishabilitySpec(0.5)])
+        batch = product_state(_H1, _H2, np.array([1.0, 0.5]))
         with pytest.raises(ValidationError, match=r"batch of matrix shape \(2, 8, 8\)"):
             batch.amplitude(label("1", "H"), label("2", "H"))
         with pytest.raises(ValidationError, match=r"batch of matrix shape \(2, 8, 8\)"):
@@ -453,20 +401,24 @@ class TestBatch:
         with pytest.raises(ValidationError, match=r"projection_probability reads one.*\(2, 4\)"):
             batch.projection_probability((1.0, 0.0))
 
-    def test_vanished_product_names_its_spec(self):
-        specs = [
-            DistinguishabilitySpec(1.0), DistinguishabilitySpec(0.5), _spec_around_its_check(math.nan)
-        ]
-        with pytest.raises(ValidationError, match=r"vanished at overlap\[2\]"):
-            product_state(_H1, _H2, specs)
-        with pytest.raises(ValidationError, match="vanished; input specs are degenerate"):
-            product_state(_H1, _H2, _spec_around_its_check(math.nan))
+    @pytest.mark.parametrize("overlaps, name, value", [
+        ([1.0, 0.5, 1.5, -1.0], r"overlap\[2\]", "1.5"),
+        ((0.0, math.nan), r"overlap\[1\]", "nan"),
+        (np.array([-0.25, 0.5]), r"overlap\[0\]", "-0.25"),
+    ], ids=["list", "nan", "array"])
+    def test_first_overlap_out_of_range_named(self, overlaps, name, value):
+        with pytest.raises(ValidationError, match=rf"{name} must lie in \[0, 1\], got {value}$"):
+            product_state(_H1, _H2, overlaps)
 
-    def test_overlap_must_be_specs(self):
-        with pytest.raises(ValidationError, match=r"overlap\[1\] must be a DistinguishabilitySpec"):
-            product_state(_H1, _H2, [DistinguishabilitySpec(1.0), 0.5])
-        with pytest.raises(ValidationError, match="or a sequence of them, got 0.5"):
-            product_state(_H1, _H2, 0.5)
+    @pytest.mark.parametrize("overlaps, message", [
+        ([1.0, "0.5"], r"overlap\[1\] must be a real number"),
+        ([0.5, True], r"overlap\[1\] must be a real number"),
+        ([[0.5, 1.0]], "overlap must be one-dimensional"),
+        (np.zeros((2, 1)), "overlap must be one-dimensional"),
+    ], ids=["str", "bool", "nested", "2d-array"])
+    def test_overlaps_must_be_a_flat_array_of_numbers(self, overlaps, message):
+        with pytest.raises(ValidationError, match=message):
+            product_state(_H1, _H2, overlaps)
 
     def test_single_photon_states_share_one_operator(self, monkeypatch):
         """A batch of vectors goes through one operator, each vector exactly
@@ -517,7 +469,9 @@ class TestJointProbability:
         """Analyzers on both paths: the joint probability, interfering the
         pair amplitudes within each pair of temporal indices, equals the
         conditioned survivor's pass probability summed over the branches."""
-        jones_a, jones_b = analyzer_jones(theta_a), analyzer_jones(theta_b)
+        rad_a, rad_b = math.radians(theta_a), math.radians(theta_b)
+        jones_a = (math.cos(rad_a), math.sin(rad_a))
+        jones_b = (math.cos(rad_b), math.sin(rad_b))
         joint = 0.0
         for t_a in (0, 1):
             for t_b in (0, 1):
@@ -597,7 +551,7 @@ class TestSinglePhotonState:
         state = SinglePhotonState.from_terms(
             {label("A", "H", 0): 0.5, label("A", "V", 0): 0.5, label("A", "H", 1): 0.5}
         )
-        p = state.projection_probability(analyzer_jones(45.0))
+        p = state.projection_probability((R, R))
         coherent = abs(R * 0.5 + R * 0.5) ** 2
         incoherent = abs(R * 0.5) ** 2
         assert p == pytest.approx(coherent + incoherent, abs=1e-12)
