@@ -425,7 +425,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     reader = csv.DictReader(io.StringIO(text))
     try:
         fields = reader.fieldnames or []
-        rows = list(reader)
+        # csv skips blank lines, so each row carries its own physical line number.
+        rows = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:  # e.g. a field beyond csv's size limit
         raise FitError(f"{path.name} is not a readable CSV: {exc}") from exc
     if "theta_deg" not in fields:
@@ -434,7 +435,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         raise FitError(f"{path.name} has no {args.column!r} column (found: {', '.join(fields)})")
     thetas: list[float] = []
     values: list[float] = []
-    for line, row in enumerate(rows, start=2):
+    for line, row in rows:
         try:
             theta, value = float(row["theta_deg"]), float(row[args.column])
         except (TypeError, ValueError) as exc:

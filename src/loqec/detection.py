@@ -88,7 +88,9 @@ def apply_feedforward(survivor: SinglePhotonState, enabled: bool) -> SinglePhoto
     if not enabled:
         return survivor
     flipped = apply_element_single(SinglePhotonState(survivor.paths, rows[1]), _FLIP)
-    return SinglePhotonState(survivor.paths, np.stack((rows[0], flipped.vector)))
+    vector = rows.copy()
+    vector[1] = flipped.vector
+    return SinglePhotonState(survivor.paths, vector)
 
 
 def coincidence_postselect(

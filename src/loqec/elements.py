@@ -30,23 +30,38 @@ _UNITARY_TOL = 1e-12
 Channel = tuple[str, Polarization]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearElement:
-    """Unitary acting on an ordered tuple of (path, polarization) channels."""
+    """Unitary acting on an ordered tuple of (path, polarization) channels.
+
+    A polarization given as ``"H"`` or ``"V"`` is held as its
+    :class:`Polarization`.  Equality is exact on all three fields.  The hash
+    reads the name and the channels only, so matrices that compare equal
+    (``-0.0`` and ``0.0`` entries alike) never hash apart.
+    """
 
     name: str
     channels: tuple[Channel, ...]
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        # A plain "V" equals Polarization.V, so equal elements must build equal operators.
+        try:
+            channels = tuple((path, Polarization(pol)) for path, pol in self.channels)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"element {self.name!r}: channels must be (path, 'H' or 'V') pairs, "
+                f"got {self.channels!r}"
+            ) from None
+        object.__setattr__(self, "channels", channels)
         mat = np.asarray(self.matrix, dtype=complex)
-        n = len(self.channels)
+        n = len(channels)
         if mat.shape != (n, n):
             raise ConfigurationError(
                 f"element {self.name!r}: matrix shape {mat.shape} does not match "
                 f"{n} channels"
             )
-        if len(set(self.channels)) != n:
+        if len(set(channels)) != n:
             raise ConfigurationError(f"element {self.name!r}: duplicate channels")
         deviation = np.abs(mat.conj().T @ mat - np.eye(n)).max() if n else 0.0
         if not deviation <= _UNITARY_TOL:
@@ -56,6 +71,18 @@ class LinearElement:
             )
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LinearElement):
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.channels == other.channels
+            and np.array_equal(self.matrix, other.matrix)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.channels))
 
 
 def _hwp_image_of_h(angle: float) -> tuple[float, float]:

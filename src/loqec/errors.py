@@ -100,3 +100,16 @@ def as_grid(values: object, name: str) -> np.ndarray:
         index = int(non_finite[0])
         raise ValidationError(f"{name}[{index}] must be finite, got {float(grid[index])!r}")
     return grid
+
+
+def check_unit_interval(values: np.ndarray, name: str) -> None:
+    """Reject a float array with an entry outside [0, 1], NaN included.
+
+    The first such entry is named ``name[i]`` with its value; a 0-d array
+    is named ``name``.
+    """
+    inside = (values >= 0.0) & (values <= 1.0)
+    if not inside.all():
+        index = int(np.flatnonzero(~inside)[0])
+        where = f"{name}[{index}]" if values.ndim else name
+        raise ValidationError(f"{where} must lie in [0, 1], got {float(values.flat[index])!r}")

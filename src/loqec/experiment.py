@@ -16,7 +16,6 @@ measures amplitude overlaps directly and passes its array of them as is.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import numbers
@@ -45,7 +44,15 @@ from .elements import (
     pbs,
     rewire,
 )
-from .errors import FitError, ValidationError, as_complex, as_grid, as_real, as_real_array
+from .errors import (
+    FitError,
+    ValidationError,
+    as_complex,
+    as_grid,
+    as_real,
+    as_real_array,
+    check_unit_interval,
+)
 from .state_core import (
     SinglePhotonSpec,
     TwoPhotonState,
@@ -222,8 +229,9 @@ def encode_qubit(
     )
     qubit = SinglePhotonSpec(PATH_QUBIT_IN, qubit_jones)
     ancilla = SinglePhotonSpec(PATH_ANCILLA_IN, zero)
-    state = product_state(qubit, ancilla, math.sqrt(overlap_v), (PATH_A, PATH_B))
-    state = apply_element(state, _ENCODER_PBS)
+    state = product_state(
+        qubit, ancilla, math.sqrt(overlap_v), (PATH_A, PATH_B), element=_ENCODER_PBS
+    )
     return coincidence_postselect(state)
 
 
@@ -278,10 +286,16 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
     counts_d3 = sample_counts(
         result.d1_d3.probabilities, config.pair_rate, config.duration, config.seed, stream=1
     )
-    return dataclasses.replace(
-        result,
-        d1_d2=dataclasses.replace(result.d1_d2, counts=tuple(int(c) for c in counts_d2)),
-        d1_d3=dataclasses.replace(result.d1_d3, counts=tuple(int(c) for c in counts_d3)),
+    d2, d3 = result.d1_d2, result.d1_d3
+    return SweepResult(
+        config=config,
+        thetas=result.thetas,
+        d1_d2=CurveResult(d2.probabilities, tuple(counts_d2.tolist()), d2.fit, d2.visibility),
+        d1_d3=CurveResult(d3.probabilities, tuple(counts_d3.tolist()), d3.fit, d3.visibility),
+        success_probability=result.success_probability,
+        discarded_probability=result.discarded_probability,
+        fidelity=result.fidelity,
+        fidelity_fit=result.fidelity_fit,
     )
 
 
@@ -304,12 +318,7 @@ def sample_counts(
     without the OS entropy read that ``Philox(key=...)`` makes and discards.
     """
     p = as_real_array(probabilities, "probabilities")
-    outside = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
-    if outside.size:
-        index = int(outside[0])
-        raise ValidationError(
-            f"probabilities must lie in [0, 1], got probabilities[{index}] = {float(p[index])!r}"
-        )
+    check_unit_interval(p, "probabilities")
     rate = as_real(pair_rate, "pair_rate")
     time = as_real(duration, "duration")
     if rate < 0.0 or time < 0.0 or not (math.isfinite(rate) and math.isfinite(time)):

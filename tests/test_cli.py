@@ -493,6 +493,11 @@ class TestFitCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: bad.csv:3:")
 
+    def test_bad_cell_after_a_blank_line_names_its_own_line(self, tmp_path, capsys):
+        path = tmp_path / "blank.csv"
+        path.write_text("theta_deg,p_d1_d2\n0.0,0.1\n\n10.0,x\n", encoding="utf-8")
+        assert cli.main(["fit", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: blank.csv:4: non-numeric value")
 
     def test_non_utf8_csv_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -78,6 +78,55 @@ class TestLinearElement:
         with pytest.raises(ValueError):
             element.matrix[0, 0] = 5.0
 
+    def test_equal_elements_compare_and_hash_equal(self):
+        assert hwp(10, "A") == hwp(10, "A")
+        assert hash(hwp(10, "A")) == hash(hwp(10, "A"))
+        assert pbs(*PORTS) == pbs(*PORTS) and len({pbs(*PORTS), pbs(*PORTS)}) == 1
+
+    @pytest.mark.parametrize("other", [
+        hwp(20, "A"),
+        hwp(10, "B"),
+        hwp(10.0000001, "A"),
+        LinearElement("other", hwp(10, "A").channels, hwp(10, "A").matrix),
+        "hwp[10]",
+    ], ids=["angle", "path", "matrix-only", "name-only", "not-an-element"])
+    def test_unequal_elements_compare_unequal(self, other):
+        element = hwp(10, "A")
+        assert element != other and not element == other
+
+    def test_signed_zeros_compare_and_hash_equal(self):
+        channels = (("P", Polarization.H), ("P", Polarization.V))
+        plus = LinearElement("id", channels, np.array([[1.0, 0.0], [0.0, 1.0]]))
+        minus = LinearElement("id", channels, np.array([[1.0, -0.0], [-0.0, 1.0]]))
+        assert np.signbit(minus.matrix.real).any()
+        assert plus == minus and hash(plus) == hash(minus)
+
+    def test_channels_are_held_as_a_tuple_of_polarizations(self):
+        element = hwp(10, "A")
+        listed = LinearElement(element.name, [("A", "H"), ["A", "V"]], element.matrix)
+        assert listed.channels == element.channels and isinstance(listed.channels, tuple)
+        assert all(type(pol) is Polarization for _, pol in listed.channels)
+        assert listed == element and hash(listed) == hash(element)
+
+    def test_a_plain_polarization_letter_acts_as_its_polarization(self):
+        """Built first, a "V" channel must not alias onto H."""
+        from loqec import state_core
+
+        state_core._mode_operator.cache_clear()
+        swap = LinearElement("swap", (("P", "H"), ("P", "V")), [[0.0, 1.0], [1.0, 0.0]])
+        out = apply_element_single(single("P", "H"), swap)
+        assert out.amplitude(label("P", "V")) == 1.0 and out.norm_squared == 1.0
+
+    @pytest.mark.parametrize("channels", [
+        (("P", "X"), ("P", "V")),
+        (("P", "H", 0), ("P", "V")),
+        (("P", "H"), 5),
+        (("P", None), ("P", "V")),
+    ], ids=["unknown-letter", "triple", "number", "none"])
+    def test_malformed_channels_rejected(self, channels):
+        with pytest.raises(ConfigurationError, match=r"channels must be \(path, 'H' or 'V'\) pairs"):
+            LinearElement("bad", channels, np.eye(2))
+
 
 class TestHwp:
     def test_at_22_5_prepares_plus_45_from_h(self):

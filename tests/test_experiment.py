@@ -19,6 +19,9 @@ from loqec import (
     SinglePhotonSpec,
     ValidationError,
     WiringConfig,
+    apply_element,
+    coincidence_postselect,
+    computational_jones,
     encode_qubit,
     fit_malus,
     hom_scan,
@@ -148,6 +151,35 @@ class TestEncodeQubit:
         alpha, beta = coefficients_after_hwp(angle)
         _, p = encode_qubit(alpha, beta, overlap_v)
         assert p == pytest.approx(0.5, abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.floats(0.0, 90.0, allow_nan=False),
+        st.floats(-180.0, 180.0, allow_nan=False),
+        st.floats(-180.0, 180.0, allow_nan=False),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, allow_nan=False)),
+    )
+    def test_photon_wise_encoder_equals_the_congruence(self, angle, phase_a, phase_b, overlap_v):
+        """The encoder's photon-wise PBS gives the congruence's state and probability.
+
+        The state agrees bit for bit up to the sign of an exact zero, which
+        the two routes' products may set differently.
+        """
+        from loqec import experiment
+
+        alpha = complex(math.cos(math.radians(angle))) * np.exp(1j * math.radians(phase_a))
+        beta = complex(math.sin(math.radians(angle))) * np.exp(1j * math.radians(phase_b))
+        zero, one = computational_jones(0), computational_jones(1)
+        qubit = SinglePhotonSpec(
+            "qubit-in", (alpha * zero[0] + beta * one[0], alpha * zero[1] + beta * one[1])
+        )
+        ancilla = SinglePhotonSpec("ancilla-in", zero)
+        pair = product_state(qubit, ancilla, math.sqrt(overlap_v), ("A", "B"))
+        want, want_p = coincidence_postselect(apply_element(pair, experiment._ENCODER_PBS))
+        got, got_p = encode_qubit(alpha, beta, overlap_v)
+        assert got == want
+        assert (got.matrix + 0.0).tobytes() == (want.matrix + 0.0).tobytes()
+        assert float(got_p).hex() == float(want_p).hex()
 
     def test_distinguishable_photons_tag_the_reflected_component(self):
         state, _ = encode_qubit(1.0, 0.0, overlap_v=0.0)
@@ -383,7 +415,8 @@ class TestSampleCounts:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_probability_named(self, bad):
-        with pytest.raises(ValidationError, match=rf"probabilities\[1\] = {bad!r}"):
+        message = rf"probabilities\[1\] must lie in \[0, 1\], got {bad!r}$"
+        with pytest.raises(ValidationError, match=message):
             sample_counts([0.5, bad], 100.0, 1.0, seed=0)
 
     @pytest.mark.parametrize("seed", [1.0, True, "7", math.nan])
@@ -887,6 +920,40 @@ class TestNumberChecks:
 
 class TestConstantElements:
     """Elements with fixed ports are built once, not on every call."""
+
+    def test_each_mode_operator_is_built_once_over_a_sweep(self):
+        """200 configs build two operators: the encoder's PBS on its four
+        paths, and the Pockels cell on the survivor's paths, which both
+        wirings share."""
+        from loqec import detection, experiment, state_core
+
+        rng = np.random.default_rng(10)
+        configs = [
+            ExperimentConfig(
+                qubit_hwp_angle=float(rng.uniform(-45.0, 45.0)),
+                overlap_v=float(rng.uniform()),
+                pc_enabled=bool(rng.integers(2)),
+                wiring=list(WiringConfig)[int(rng.integers(2))],
+                thetas=(-45.0, 0.0, 45.0),
+            )
+            for _ in range(200)
+        ]
+        triggered = sum(config.pc_enabled for config in configs)
+        assert 0 < triggered < 200 and len({config.wiring for config in configs}) == 2
+        state_core._mode_operator.cache_clear()
+        for config in configs:
+            run_analytic(config)
+        info = state_core._mode_operator.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert info.hits == 200 + triggered - 2
+        survivor_paths = ("qubit-in", "ancilla-in", "C")
+        for paths, element in (
+            (("qubit-in", "ancilla-in", "A", "B"), experiment._ENCODER_PBS),
+            (survivor_paths, detection._FLIP),
+        ):
+            operator = state_core._mode_operator(paths, element)
+            assert not operator.flags.writeable
+        assert state_core._mode_operator.cache_info().misses == 2
 
     @pytest.mark.parametrize("name, call", [
         ("pbs", lambda: encode_qubit(1.0, 0.0)),
