@@ -210,19 +210,21 @@ def load_manifest(path: Path) -> dict:
 
 def _sweep_jobs(
     manifest: Mapping[str, Any], seed_override: int | None
-) -> list[tuple[str, ExperimentConfig]]:
+) -> list[tuple[str, str, ExperimentConfig]]:
+    """``(location, name, config)`` of every run, the location as an error names it."""
     has_single = "experiment" in manifest
     has_runs = "runs" in manifest
     if has_single and has_runs:
         _fail("manifest", "give either 'experiment' or 'runs', not both")
     if has_single:
-        return [("sweep", _experiment_config(manifest["experiment"], "experiment", seed_override))]
+        config = _experiment_config(manifest["experiment"], "experiment", seed_override)
+        return [("experiment", "sweep", config)]
     if not has_runs:
         _fail("manifest", "run-sweep needs an 'experiment' or 'runs' section")
     runs = manifest["runs"]
     if not isinstance(runs, list) or not runs:
         _fail("manifest.runs", "expected a non-empty list of runs")
-    jobs: list[tuple[str, ExperimentConfig]] = []
+    jobs: list[tuple[str, str, ExperimentConfig]] = []
     seen: set[str] = set()
     for i, entry in enumerate(runs):
         where = f"runs[{i}]"
@@ -238,7 +240,8 @@ def _sweep_jobs(
         seen.add(name)
         if "experiment" not in entry:
             _fail(where, "missing required key 'experiment'")
-        jobs.append((name, _experiment_config(entry["experiment"], f"{where}.experiment", seed_override)))
+        config = _experiment_config(entry["experiment"], f"{where}.experiment", seed_override)
+        jobs.append((f"{where} ({name})", name, config))
     return jobs
 
 
@@ -346,7 +349,12 @@ def _cmd_run_sweep(args: argparse.Namespace) -> int:
     directory, fmt = _output_settings(manifest, args.output, args.format)
     # Every run is computed before any file is written, so a failing run
     # leaves no partial output behind.
-    results = [(name, config, run_experiment(config)) for name, config in jobs]
+    results = []
+    for where, name, config in jobs:
+        try:
+            results.append((name, config, run_experiment(config)))
+        except LoqecError as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
     files: dict[Path, str] = {}
     for name, config, result in results:
         if fmt == "csv":

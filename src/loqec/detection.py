@@ -9,11 +9,13 @@ feed-forward and the readout act on it as a whole.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import state_core
 from .elements import PATH_C, pockels
 from .errors import StructureError, ValidationError, as_grid
 from .state_core import (
@@ -21,7 +23,6 @@ from .state_core import (
     SinglePhotonState,
     TwoPhotonState,
     _one_state,
-    apply_element_single,
     computational_jones,
 )
 
@@ -43,6 +44,19 @@ def _survivor_rows(survivor: SinglePhotonState) -> np.ndarray:
     return survivor.vector
 
 
+@functools.lru_cache(maxsize=8)
+def _other_modes(n_paths: int, index: int) -> np.ndarray:
+    """Read-only indices, in order, of the modes off path ``index`` of ``n_paths``.
+
+    The index depends on the path layout alone, so it is built once per
+    layout; the bench measures on one.
+    """
+    modes = np.arange(4 * n_paths)
+    others = np.concatenate((modes[: 4 * index], modes[4 * index + 4 :]))
+    others.flags.writeable = False
+    return others
+
+
 def z_measure(state: TwoPhotonState, path: str) -> SinglePhotonState:
     """Destructively measure the photon on ``path`` in the computational basis.
 
@@ -54,8 +68,11 @@ def z_measure(state: TwoPhotonState, path: str) -> SinglePhotonState:
 
     With ``beta`` a detector's conjugate Jones vector on the measured path
     at one temporal index, the survivor is the contraction ``v = beta^T A``
-    over the modes of the other paths.  The measured path's own block and
-    the other paths' block among themselves must hold no more weight than
+    over the modes of the other paths.  The measured path's rows are the
+    slice ``4p:4p+4`` of ``A`` for path index ``p``, read in place; the
+    other modes are picked by an index cached per path layout (see
+    :func:`_other_modes`).  The measured path's own block and the other
+    paths' block among themselves must hold no more weight than
     ``AMPLITUDE_TOL**2``, since every amplitude must put exactly one photon
     on ``path``; anything else raises a structural error.
     """
@@ -63,9 +80,11 @@ def z_measure(state: TwoPhotonState, path: str) -> SinglePhotonState:
     if path not in state.paths:
         raise StructureError(f"path {path!r} is not declared, so it holds no photon")
     # Modes are (path, pol, temporal), four per path, in state_core's order.
-    on_path = np.arange(state.matrix.shape[0]) // 4 == state.paths.index(path)
+    index = state.paths.index(path)
+    on_path = slice(4 * index, 4 * index + 4)
+    others = _other_modes(len(state.paths), index)
     rows = state.matrix[on_path]
-    for count, block in ((2, rows[:, on_path]), (0, state.matrix[~on_path][:, ~on_path])):
+    for count, block in ((2, rows[:, on_path]), (0, state.matrix[others[:, None], others])):
         weight = float(np.vdot(block, block).real)
         if weight > AMPLITUDE_TOL**2:
             raise StructureError(
@@ -73,23 +92,26 @@ def z_measure(state: TwoPhotonState, path: str) -> SinglePhotonState:
                 "a Z measurement requires exactly one"
             )
     # (detector, pol) x (pol, temporal, other mode) -> (detector, temporal, other mode)
-    survivors = (_Z_BASIS * rows[:, ~on_path].reshape(1, 2, 2, -1)).sum(axis=1)
+    survivors = (_Z_BASIS * rows.take(others, axis=1).reshape(1, 2, 2, -1)).sum(axis=1)
     return SinglePhotonState(tuple(p for p in state.paths if p != path), survivors)
 
 
 def apply_feedforward(survivor: SinglePhotonState, enabled: bool) -> SinglePhotonState:
     """Fire the Pockels cell on arm C for the bit-flip (D3) herald.
 
-    The cell's one operator acts on the survivor's D3 row; the D2 row is
-    kept as it is.  The correction is unitary, so the outcome weights are
-    untouched; with ``enabled=False`` the survivor passes through unchanged.
+    The cell's cached mode operator ``U`` acts on the survivor's D3 row as
+    ``v -> U v``, each product rounded on its own as in
+    :func:`~loqec.state_core.apply_element_single`; the D2 row is kept as
+    it is, and one state is built for the result.  The correction is
+    unitary, so the outcome weights are untouched; with ``enabled=False``
+    the survivor passes through unchanged.
     """
     rows = _survivor_rows(survivor)
     if not enabled:
         return survivor
-    flipped = apply_element_single(SinglePhotonState(survivor.paths, rows[1]), _FLIP)
+    u = state_core._mode_operator(survivor.paths, _FLIP)
     vector = rows.copy()
-    vector[1] = flipped.vector
+    vector[1] = (u * rows[1][..., None, :]).sum(axis=-1)
     return SinglePhotonState(survivor.paths, vector)
 
 
@@ -138,12 +160,43 @@ def analyzer_probabilities(coherency: np.ndarray, thetas: Sequence[float]) -> np
     periodicity exact rather than approximate.  The sum cancels terms of
     order one where an analyzer blocks a pure survivor, so the result is
     clamped at zero to keep rounding noise from going negative.
+
+    ``thetas`` is checked as by :func:`~loqec.errors.as_grid`, and its
+    cosines and sines depend on the grid alone: they are cached per grid
+    (see :func:`_analyzer_trig`), so a sweep of many configs on one grid
+    checks it and takes them once.
     """
-    rad = np.radians(np.asarray(thetas, dtype=float) % 180.0)
-    c, s = np.cos(rad), np.sin(rad)
+    c, s = _analyzer_trig(_grid_key(thetas))
     j = np.asarray(coherency).real[..., None]
     p = j[..., 0, 0, :] * c * c + j[..., 1, 1, :] * s * s + 2.0 * j[..., 0, 1, :] * c * s
     return np.maximum(p, 0.0)
+
+
+def _grid_key(thetas: Sequence[float]) -> tuple[float, ...]:
+    """``thetas`` as the tuple of floats that keys its cache entry.
+
+    A tuple of floats, the form a config holds, is its own key.  Anything
+    else is converted through :func:`~loqec.errors.as_grid` first, which
+    rejects what is no grid: a bool, for one, equals 0 or 1 and would
+    otherwise share their entry.
+    """
+    if type(thetas) is tuple and all(type(t) is float for t in thetas):
+        return thetas
+    return tuple(as_grid(thetas, "thetas").tolist())
+
+
+@functools.lru_cache(maxsize=8)
+def _analyzer_trig(thetas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``cos`` and ``sin`` of the grid ``thetas``, reduced modulo 180.
+
+    The grid is checked here, once per grid, by
+    :func:`~loqec.errors.as_grid`; a bad grid raises on every call, since
+    ``lru_cache`` keeps no exception.
+    """
+    rad = np.radians(as_grid(thetas, "thetas") % 180.0)
+    c, s = np.cos(rad), np.sin(rad)
+    c.flags.writeable = s.flags.writeable = False
+    return c, s
 
 
 def analyzer_curve(survivor: SinglePhotonState, thetas: Sequence[float]) -> AnalyzerCurves:
@@ -152,6 +205,6 @@ def analyzer_curve(survivor: SinglePhotonState, thetas: Sequence[float]) -> Anal
     Each point is the total probability that the surviving photon passes
     the analyzer, incoherently summed over the measured temporal index.
     """
-    grid = as_grid(thetas, "thetas")
+    grid = _grid_key(thetas)
     p_d2, p_d3 = analyzer_probabilities(herald_coherency(survivor), grid).tolist()
-    return AnalyzerCurves(tuple(grid.tolist()), tuple(p_d2), tuple(p_d3))
+    return AnalyzerCurves(grid, tuple(p_d2), tuple(p_d3))

@@ -105,11 +105,11 @@ def as_grid(values: object, name: str) -> np.ndarray:
 def check_unit_interval(values: np.ndarray, name: str) -> None:
     """Reject a float array with an entry outside [0, 1], NaN included.
 
-    The first such entry is named ``name[i]`` with its value; a 0-d array
-    is named ``name``.
+    The first such entry is named ``name[i]`` with its value, or
+    ``name[k][i]`` in a two-dimensional array; a 0-d array is named ``name``.
     """
     inside = (values >= 0.0) & (values <= 1.0)
     if not inside.all():
         index = int(np.flatnonzero(~inside)[0])
-        where = f"{name}[{index}]" if values.ndim else name
+        where = name + "".join(f"[{i}]" for i in np.unravel_index(index, values.shape))
         raise ValidationError(f"{where} must lie in [0, 1], got {float(values.flat[index])!r}")

@@ -71,6 +71,10 @@ _POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.in
 #: Fits whose amplitude is at most this share of the offset report phase 0.
 _FLAT_FIT_TOL = 1e-12
 
+#: The 2x2 identity, read-only: the flat background is ``tr(J) I / 2``.
+_IDENTITY = np.eye(2)
+_IDENTITY.flags.writeable = False
+
 _HOM_IN1 = "hom-in-1"
 _HOM_IN2 = "hom-in-2"
 _HOM_OUT1 = "hom-out-1"
@@ -255,7 +259,7 @@ def run_analytic(config: ExperimentConfig) -> SweepResult:
     eps = config.imperfection_eps
     coherency = herald_coherency(survivor)
     weights = np.trace(coherency, axis1=1, axis2=2).real
-    coherency = (1.0 - eps) * coherency + eps * 0.5 * weights[:, None, None] * np.eye(2)
+    coherency = (1.0 - eps) * coherency + eps * 0.5 * weights[:, None, None] * _IDENTITY
     curves = analyzer_probabilities(coherency, config.thetas)
     p_d2, p_d3 = (tuple(p) for p in curves.tolist())
 
@@ -278,20 +282,24 @@ def run_analytic(config: ExperimentConfig) -> SweepResult:
 
 
 def run_experiment(config: ExperimentConfig) -> SweepResult:
-    """Run the sweep and attach Poisson coincidence counts to both curves."""
+    """Run the sweep and attach Poisson coincidence counts to both curves.
+
+    Both curves are counted in one :func:`sample_counts` call on their
+    ``(2, n)`` stack: D1-D2 on stream 0, D1-D3 on stream 1.
+    """
     result = run_analytic(config)
-    counts_d2 = sample_counts(
-        result.d1_d2.probabilities, config.pair_rate, config.duration, config.seed, stream=0
-    )
-    counts_d3 = sample_counts(
-        result.d1_d3.probabilities, config.pair_rate, config.duration, config.seed, stream=1
-    )
     d2, d3 = result.d1_d2, result.d1_d3
+    counts_d2, counts_d3 = sample_counts(
+        np.array((d2.probabilities, d3.probabilities)),
+        config.pair_rate,
+        config.duration,
+        config.seed,
+    ).tolist()
     return SweepResult(
         config=config,
         thetas=result.thetas,
-        d1_d2=CurveResult(d2.probabilities, tuple(counts_d2.tolist()), d2.fit, d2.visibility),
-        d1_d3=CurveResult(d3.probabilities, tuple(counts_d3.tolist()), d3.fit, d3.visibility),
+        d1_d2=CurveResult(d2.probabilities, tuple(counts_d2), d2.fit, d2.visibility),
+        d1_d3=CurveResult(d3.probabilities, tuple(counts_d3), d3.fit, d3.visibility),
         success_probability=result.success_probability,
         discarded_probability=result.discarded_probability,
         fidelity=result.fidelity,
@@ -300,24 +308,29 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
 
 
 def sample_counts(
-    probabilities: Sequence[float],
+    probabilities: Sequence[float] | Sequence[Sequence[float]],
     pair_rate: float,
     duration: float,
     seed: int,
     *,
     stream: int = 0,
 ) -> np.ndarray:
-    """Poisson coincidence counts for a probability grid, reproducibly.
+    """Poisson coincidence counts for one curve or a stack of curves, reproducibly.
 
-    Each grid point draws from its own counter-based Philox with key
-    ``[seed, 0]`` and counter ``[0, point index, stream, 0]``, so results do
-    not depend on evaluation order and distinct curves of one run stay
-    decorrelated via ``stream``.  ``seed`` and ``stream`` are integers in
-    ``[0, 2**64)``.  The key goes in through a seed sequence that returns
-    it as is: the generator state is the one ``Philox(key=seed)`` builds,
-    without the OS entropy read that ``Philox(key=...)`` makes and discards.
+    ``probabilities`` is one curve of shape ``(n,)`` or a stack of shape
+    ``(k, n)``, and the counts take its shape.  Point ``i`` of row ``r``
+    draws from its own counter-based Philox with key ``[seed, 0]`` and
+    counter ``[0, i, stream + r, 0]``; one curve is row 0.  So results do
+    not depend on evaluation order, distinct curves of one run stay
+    decorrelated via their streams, and each row of a stack has the counts
+    that row alone gets on stream ``stream + r``: a stack only checks its
+    inputs and builds its counter table once.  ``seed`` and every row's
+    stream are integers in ``[0, 2**64)``.  The key goes in through a seed
+    sequence that returns it as is: the generator state is the one
+    ``Philox(key=seed)`` builds, without the OS entropy read that
+    ``Philox(key=...)`` makes and discards.
     """
-    p = as_real_array(probabilities, "probabilities")
+    p = as_real_array(probabilities, "probabilities", stack=True)
     check_unit_interval(p, "probabilities")
     rate = as_real(pair_rate, "pair_rate")
     time = as_real(duration, "duration")
@@ -325,15 +338,23 @@ def sample_counts(
         raise ValidationError("pair_rate and duration must be finite and >= 0")
     _check_exposure(rate, time)
     key = _key_sequence_type()(_check_word(seed, "seed"))
-    counters = np.zeros((p.size, 4), dtype=np.uint64)
-    counters[:, 1] = np.arange(p.size)
-    counters[:, 2] = _check_word(stream, "stream")
-    means = rate * time * p
-    counts = np.empty(p.size, dtype=np.int64)
-    for index, mean in enumerate(means):
-        bits = np.random.Philox(key, counter=counters[index])
-        counts[index] = np.random.Generator(bits).poisson(mean)
-    return counts
+    first = _check_word(stream, "stream")
+    rows = p.shape[0] if p.ndim == 2 else 1
+    if first + rows > 2**64:
+        raise ValidationError(
+            f"stream + {rows - 1} must lie in [0, 2**64) for {rows} curves, got stream {first}"
+        )
+    counters = np.zeros((rows, p.shape[-1], 4), dtype=np.uint64)
+    counters[:, :, 1] = np.arange(p.shape[-1])
+    counters[:, :, 2] = np.arange(rows, dtype=np.uint64)[:, None] + np.uint64(first)
+    means = (rate * time * p).reshape(-1).tolist()
+    # Looked up per call, not bound at import: the attribute may be rebound, as a tracer does.
+    philox, generator = np.random.Philox, np.random.Generator
+    counts = [
+        generator(philox(key, counter=counter)).poisson(mean)
+        for counter, mean in zip(counters.reshape(-1, 4), means)
+    ]
+    return np.array(counts, dtype=np.int64).reshape(p.shape)
 
 
 def fit_malus(

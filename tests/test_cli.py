@@ -160,8 +160,15 @@ class TestRunSweep:
         }
         manifest = write_manifest(tmp_path / "m.json", document)
         assert cli.main(["run-sweep", "--config", str(manifest)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error: runs[1] (rank-deficient): analyzer grid is rank-deficient")
         assert not (tmp_path / "out").exists()
+
+    def test_failing_single_experiment_is_named(self, tmp_path, capsys):
+        document = {"config_version": 1, "experiment": {"thetas": [0, 90, 180]}}
+        manifest = write_manifest(tmp_path / "m.json", document)
+        assert cli.main(["run-sweep", "--config", str(manifest), "--output", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: experiment: analyzer grid is rank-deficient")
 
     def test_unwritable_output_is_an_error_line(self, tmp_path, capsys):
         blocker = tmp_path / "afile"

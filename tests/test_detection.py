@@ -32,7 +32,7 @@ from loqec import (
     rewire,
     z_measure,
 )
-from loqec.detection import herald_coherency
+from loqec.detection import analyzer_probabilities, herald_coherency
 
 R = 1.0 / math.sqrt(2.0)
 
@@ -176,6 +176,25 @@ class TestZMeasure:
                 assert survivor.paths.index(PATH_C) == 2 and not row.vector[:8].any()
                 if t not in branches:
                     assert not row.vector.any()
+
+    def test_other_modes_are_indexed_once_per_layout(self):
+        """The survivor's modes come from a read-only index cached per
+        (number of paths, measured path index): one miss per layout."""
+        from loqec import detection
+
+        detection._other_modes.cache_clear()
+        for angle in (0.0, 0.4, 1.1):
+            state = encoded_on_bench(math.cos(angle), math.sin(angle), 0.6)
+            z_measure(state, PATH_D)
+        assert detection._other_modes.cache_info().misses == 1
+        pair = TwoPhotonState.from_terms({(label("A", "H"), label("B", "V")): 1.0})
+        z_measure(pair, "B")
+        assert detection._other_modes.cache_info().misses == 2
+        others = detection._other_modes(len(state.paths), state.paths.index(PATH_D))
+        assert not others.flags.writeable
+        assert detection._other_modes.cache_info().misses == 2
+        modes = np.arange(4 * len(state.paths)) // 4
+        assert others.tolist() == np.flatnonzero(modes != state.paths.index(PATH_D)).tolist()
 
     def test_default_detector_pair_layout(self):
         """Axis 0 of the survivor is D2 (value 0, +45) then D3 (value 1, -45)."""
@@ -345,3 +364,48 @@ class TestAnalyzerCurve:
         survivor = z_measure(encoded_on_bench(1.0, 0.0), PATH_D)
         with pytest.raises(ValidationError, match=r"thetas\[1\]"):
             analyzer_curve(survivor, (0.0, bad))
+
+
+class TestAnalyzerProbabilities:
+    coherency = np.array([[[0.5, 0.25], [0.25, 0.5]], [[1.0, 0.0], [0.0, 0.0]]], dtype=complex)
+
+    @pytest.mark.parametrize("thetas, message", [
+        (["10", "20"], r"thetas\[0\] must be a real number, got '10'"),
+        ([math.nan, 1.0], r"thetas\[0\] must be finite, got nan"),
+        ((math.nan, 1.0), r"thetas\[0\] must be finite, got nan"),
+        ((0.0, math.inf), r"thetas\[1\] must be finite, got inf"),
+        ((), "thetas must hold at least one value"),
+        (np.zeros((2, 2)), "thetas must be one-dimensional"),
+        (5.0, "thetas must be one-dimensional"),
+    ], ids=["strings", "nan-list", "nan-tuple", "inf-tuple", "empty", "2-d", "scalar"])
+    def test_a_bad_grid_is_named(self, thetas, message):
+        for _ in range(2):  # no cache entry lets a bad grid through the second time
+            with pytest.raises(ValidationError, match=message):
+                analyzer_probabilities(self.coherency, thetas)
+
+    def test_a_bool_does_not_share_the_entry_of_its_number(self):
+        analyzer_probabilities(self.coherency, (1.0, 2.0))
+        with pytest.raises(ValidationError, match=r"thetas\[0\] must be a real number, got True"):
+            analyzer_probabilities(self.coherency, (True, 2.0))
+
+    def test_every_grid_form_gives_the_same_bytes(self):
+        grid = (-90.0, -12.5, 0.0, 33.0, 181.0)
+        want = analyzer_probabilities(self.coherency, grid)
+        for form in (list(grid), np.array(grid), (-90, -12.5, 0, 33, 181)):
+            assert analyzer_probabilities(self.coherency, form).tobytes() == want.tobytes()
+        rad = np.radians(np.array(grid) % 180.0)
+        c, s = np.cos(rad), np.sin(rad)
+        j = self.coherency.real[..., None]
+        direct = j[:, 0, 0] * c * c + j[:, 1, 1] * s * s + 2.0 * j[:, 0, 1] * c * s
+        assert want.tobytes() == np.maximum(direct, 0.0).tobytes()
+
+    def test_trig_is_taken_once_per_grid(self):
+        from loqec import detection
+
+        detection._analyzer_trig.cache_clear()
+        for grid in ((0.0, 45.0, 90.0), [0.0, 45.0, 90.0], np.array([0.0, 45.0, 90.0])):
+            analyzer_probabilities(self.coherency, grid)
+        info = detection._analyzer_trig.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        c, s = detection._analyzer_trig((0.0, 45.0, 90.0))
+        assert not c.flags.writeable and not s.flags.writeable

@@ -1,6 +1,7 @@
 """Unit tests for the sweep pipeline, fitting, sampling, and HOM scans."""
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -384,6 +385,32 @@ class TestRunExperiment:
         assert set(result.d1_d2.counts) == {0}
         assert set(result.d1_d3.counts) == {0}
 
+    def test_counts_equal_one_sampler_call_per_curve(self):
+        config = ExperimentConfig(qubit_hwp_angle=12.0, overlap_v=0.6, seed=2**64 - 1)
+        result = run_experiment(config)
+        for stream, curve in enumerate((result.d1_d2, result.d1_d3)):
+            alone = sample_counts(curve.probabilities, 1000.0, 60.0, 2**64 - 1, stream=stream)
+            assert curve.counts == tuple(alone.tolist())
+
+    @pytest.mark.parametrize("thetas, inits", [
+        (DEFAULT_THETAS, 38), (tuple(float(t) for t in range(-90, 91)), 362),
+    ], ids=["default-grid", "181-angles"])
+    def test_one_philox_per_point(self, monkeypatch, thetas, inits):
+        """Each point builds its own generator through ``np.random.Philox``,
+        looked up on every call, so a rebound attribute sees every one."""
+        config = ExperimentConfig(qubit_hwp_angle=30.0, thetas=thetas, seed=4)
+        want = run_experiment(config)
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        assert run_experiment(config) == want
+        assert len(built) == inits
+
 
 class TestSampleCounts:
     def test_zero_probability_draws_zero(self):
@@ -456,6 +483,38 @@ class TestSampleCounts:
             for i, mean in enumerate(means)
         ]
         assert sample_counts(p, rate, 1.0, seed, stream=stream).tolist() == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(lambda k: st.integers(0, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n), min_size=k, max_size=k
+            )
+        )),
+        st.sampled_from([0, 7, 2**64 - 1]),
+        st.one_of(st.sampled_from([0, 1, 2**64 - 4]), st.integers(0, 2**64 - 4)),
+    )
+    def test_each_row_of_a_stack_is_its_own_stream(self, rows, seed, stream):
+        stack = sample_counts(np.array(rows).reshape(len(rows), -1), 1e4, 3.0, seed, stream=stream)
+        assert stack.shape == (len(rows), len(rows[0])) and stack.dtype == np.int64
+        for r, row in enumerate(rows):
+            alone = sample_counts(row, 1e4, 3.0, seed, stream=stream + r)
+            assert stack[r].tolist() == alone.tolist()
+
+    def test_a_stack_may_not_run_past_the_last_stream(self):
+        curves = [[0.5, 0.25], [0.5, 0.75]]
+        top = sample_counts(curves, 1000.0, 60.0, seed=5, stream=2**64 - 2)
+        alone = sample_counts(curves[1], 1000.0, 60.0, seed=5, stream=2**64 - 1)
+        assert top[1].tolist() == alone.tolist()
+        message = r"stream \+ 1 must lie in \[0, 2\*\*64\) for 2 curves, got stream 18446744073709551615"
+        with pytest.raises(ValidationError, match=message):
+            sample_counts(curves, 1000.0, 60.0, seed=5, stream=2**64 - 1)
+
+    def test_a_bad_entry_of_a_stack_is_named(self):
+        with pytest.raises(ValidationError, match=r"probabilities\[1\]\[0\] must lie in \[0, 1\]"):
+            sample_counts([[0.5, 0.5], [1.5, 0.5]], 100.0, 1.0, seed=0)
+        with pytest.raises(ValidationError, match=r"probabilities\[0\]\[1\] must be a real number"):
+            sample_counts([[0.5, "x"], [0.5, 0.5]], 100.0, 1.0, seed=0)
 
     @pytest.mark.parametrize("n_words, dtype", [
         (1, np.uint64), (3, np.uint64), (4, np.uint64), (2, np.uint32), (2, np.float64),
@@ -896,15 +955,23 @@ class TestNumberChecks:
         with pytest.raises(ValidationError, match=f"{name} must be a real number"):
             call()
 
-    @pytest.mark.parametrize("call, name", [
+    @pytest.mark.parametrize("call, message", [
         pytest.param(
-            lambda: sample_counts([[0.5]], 100.0, 1.0, seed=0), "probabilities", id="sample_counts"
+            lambda: sample_counts([[[0.5]]], 100.0, 1.0, seed=0),
+            "probabilities must be one- or two-dimensional, got shape (1, 1, 1)",
+            id="sample_counts",
         ),
-        pytest.param(lambda: fit_malus(np.zeros((3, 1)), np.zeros(3)), "thetas", id="fit"),
-        pytest.param(lambda: ExperimentConfig(thetas=5.0), "thetas", id="config"),
+        pytest.param(
+            lambda: fit_malus(np.zeros((3, 1)), np.zeros(3)),
+            "thetas must be one-dimensional", id="fit",
+        ),
+        pytest.param(
+            lambda: ExperimentConfig(thetas=5.0), "thetas must be one-dimensional", id="config"
+        ),
     ])
-    def test_grids_must_be_one_dimensional(self, call, name):
-        with pytest.raises(ValidationError, match=f"{name} must be one-dimensional"):
+    def test_grids_must_be_one_dimensional(self, call, message):
+        """A grid has one axis; the sampler also takes a stack of curves, but no more."""
+        with pytest.raises(ValidationError, match=re.escape(message)):
             call()
 
     def test_numeric_arrays_take_the_one_pass_route(self):
