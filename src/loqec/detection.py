@@ -161,15 +161,37 @@ def analyzer_probabilities(coherency: np.ndarray, thetas: Sequence[float]) -> np
     order one where an analyzer blocks a pure survivor, so the result is
     clamped at zero to keep rounding noise from going negative.
 
+    ``coherency`` must be an array of numbers of shape ``(..., 2, 2)``
+    with finite entries; anything else raises a ``ValidationError``.
     ``thetas`` is checked as by :func:`~loqec.errors.as_grid`, and its
     cosines and sines depend on the grid alone: they are cached per grid
     (see :func:`_analyzer_trig`), so a sweep of many configs on one grid
     checks it and takes them once.
     """
+    j = _coherency_array(coherency)
     c, s = _analyzer_trig(_grid_key(thetas))
-    j = np.asarray(coherency).real[..., None]
+    j = j.real[..., None]
     p = j[..., 0, 0, :] * c * c + j[..., 1, 1, :] * s * s + 2.0 * j[..., 0, 1, :] * c * s
     return np.maximum(p, 0.0)
+
+
+def _coherency_array(coherency: object) -> np.ndarray:
+    """``coherency`` as an array of finite numbers of shape ``(..., 2, 2)``."""
+    try:
+        j = np.asarray(coherency)
+    except (TypeError, ValueError):  # a ragged nest of sequences
+        raise ValidationError("coherency must be an array of numbers, got a ragged nest") from None
+    if j.dtype.kind not in "iufc":
+        raise ValidationError(f"coherency must be an array of numbers, got dtype {j.dtype}")
+    if j.shape[-2:] != (2, 2):
+        raise ValidationError(f"coherency must have shape (..., 2, 2), got shape {j.shape}")
+    if not np.isfinite(j).all():
+        index = tuple(np.argwhere(~np.isfinite(j))[0].tolist())
+        raise ValidationError(
+            f"coherency entries must be finite, got {j[index].item()!r} at index {index} "
+            f"of shape {j.shape}"
+        )
+    return j
 
 
 def _grid_key(thetas: Sequence[float]) -> tuple[float, ...]:

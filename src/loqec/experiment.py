@@ -6,6 +6,14 @@ under coincidence post-selection, the fiber wiring routes the pair to the
 analyzer arm C and the Z-measurement arm D, and the optional Pockels cell
 undoes the heralded bit flip before the analyzer.
 
+Everything from the encoder to the Z station is fixed optics, so the
+survivor of the Z measurement is linear in the qubit's Jones vector and in
+photon b's two temporal amplitudes.  Each wiring's survivors of the four
+basis inputs, H or V times temporal index 0 or 1, are built once at import
+through :func:`encode_qubit`'s own chain, and a sweep config reads its
+survivor off them (see :func:`run_analytic`); no config builds a
+two-photon state.
+
 Overlap convention: ``ExperimentConfig.overlap_v`` is the degree of
 indistinguishability on the probability scale, i.e. the weight of the
 interfering (temporally matched) component in the detected ensemble.  It
@@ -54,11 +62,12 @@ from .errors import (
     check_unit_interval,
 )
 from .state_core import (
+    Jones,
     SinglePhotonSpec,
+    SinglePhotonState,
     TwoPhotonState,
     apply_element,
     computational_jones,
-    jones_to_computational,
     product_state,
 )
 
@@ -85,6 +94,42 @@ _HOM_OUT2 = "hom-out-2"
 _ENCODER_PBS = pbs(PATH_QUBIT_IN, PATH_ANCILLA_IN, PATH_A, PATH_B)
 _HOM_PHOTONS = (SinglePhotonSpec(_HOM_IN1, (1.0, 0.0)), SinglePhotonSpec(_HOM_IN2, (1.0, 0.0)))
 _HOM_SPLITTER = bs5050(_HOM_IN1, _HOM_IN2, _HOM_OUT1, _HOM_OUT2)
+
+
+def _encode(qubit_jones: Jones, amplitude_overlap: float) -> tuple[TwoPhotonState, float]:
+    """The bench's encoder on a qubit's Jones vector, with the |0> ancilla.
+
+    Photon b, the ancilla, has amplitude overlap ``amplitude_overlap`` with
+    the qubit.  Returns the coincidence post-selected state on arms A and B
+    and its squared norm.
+    """
+    qubit = SinglePhotonSpec(PATH_QUBIT_IN, qubit_jones)
+    ancilla = SinglePhotonSpec(PATH_ANCILLA_IN, computational_jones(0))
+    state = product_state(
+        qubit, ancilla, amplitude_overlap, (PATH_A, PATH_B), element=_ENCODER_PBS
+    )
+    return coincidence_postselect(state)
+
+
+def _survivor_basis(wiring: WiringConfig) -> tuple[tuple[str, ...], np.ndarray]:
+    """The survivor's paths and its read-only ``(4, 2, 2, n)`` basis for ``wiring``.
+
+    Row ``2 p + t`` is the survivor of ``z_measure`` on arm D for the qubit
+    on H (``p = 0``) or V (``p = 1``) and the ancilla on temporal index
+    ``t``: amplitude overlap 1 for index 0, 0 for index 1.
+    """
+    survivors = [
+        z_measure(rewire(_encode(jones, overlap)[0], wiring), PATH_D)
+        for jones in ((1.0, 0.0), (0.0, 1.0))
+        for overlap in (1.0, 0.0)
+    ]
+    basis = np.array([survivor.vector for survivor in survivors])
+    basis.flags.writeable = False
+    return survivors[0].paths, basis
+
+
+#: Each wiring's survivor basis, built at import so that no sweep builds it.
+_SURVIVOR_BASES = {wiring: _survivor_basis(wiring) for wiring in WiringConfig}
 
 
 def _check_exposure(pair_rate: float, duration: float) -> None:
@@ -231,16 +276,20 @@ def encode_qubit(
         alpha * zero[0] + beta * one[0],
         alpha * zero[1] + beta * one[1],
     )
-    qubit = SinglePhotonSpec(PATH_QUBIT_IN, qubit_jones)
-    ancilla = SinglePhotonSpec(PATH_ANCILLA_IN, zero)
-    state = product_state(
-        qubit, ancilla, math.sqrt(overlap_v), (PATH_A, PATH_B), element=_ENCODER_PBS
-    )
-    return coincidence_postselect(state)
+    return _encode(qubit_jones, math.sqrt(overlap_v))
 
 
 def run_analytic(config: ExperimentConfig) -> SweepResult:
     """Run the sweep with exact probabilities (no counting noise).
+
+    The survivor of the Z measurement is read off the wiring's survivor
+    basis (see the module docstring): with ``psi`` the qubit's Jones vector
+    and ``v = overlap_v``, it is ``sum_k c_k basis[k]`` for
+    ``c = psi (x) (sqrt v, sqrt(1 - v))``, each product rounded on its own.
+    The success probability is the sum of the survivor's outcome weights,
+    which is the post-selected norm, since every kept amplitude puts one
+    photon on arm D.  The feed-forward, the readout, the fits and the
+    fidelities then run per config.
 
     The flat background replaces a share ``imperfection_eps`` of each
     herald's coherency matrix ``J`` with the unpolarized ``tr(J) I / 2``.
@@ -250,10 +299,12 @@ def run_analytic(config: ExperimentConfig) -> SweepResult:
     rounding can put an ideal run a few ulp above 1; the visibilities are
     not clamped.
     """
-    psi = np.array(_hwp_image_of_h(config.qubit_hwp_angle), dtype=complex)  # |H> after the plate
-    state, p_success = encode_qubit(*jones_to_computational(psi), config.overlap_v)
-    state = rewire(state, config.wiring)
-    survivor = z_measure(state, PATH_D)
+    psi = np.array(_hwp_image_of_h(config.qubit_hwp_angle))  # |H> after the plate
+    v = config.overlap_v
+    c = (psi[:, None] * (math.sqrt(v), math.sqrt(1.0 - v))).reshape(4, 1, 1, 1)
+    paths, basis = _SURVIVOR_BASES[config.wiring]
+    survivor = SinglePhotonState(paths, (c * basis).sum(axis=0))
+    p_success = float(survivor.norm_squared.sum())
     survivor = apply_feedforward(survivor, config.pc_enabled)
 
     eps = config.imperfection_eps

@@ -1,14 +1,18 @@
 """End-to-end tests of the command-line interface on temp directories."""
 import csv
+import hashlib
 import json
 import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from loqec import cli
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "scripts" / "manifests"
 
 
 def write_manifest(path, document):
@@ -523,6 +527,55 @@ class TestFitCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: big.csv is not a readable CSV: field larger")
+
+
+def counts_digest(runs):
+    """sha256 of the count columns of ``(name, rows)`` pairs, in order."""
+    text = "".join(
+        name + "\n" + "".join(f"{int(r['counts_d1_d2'])},{int(r['counts_d1_d3'])}\n" for r in rows)
+        for name, rows in runs
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestShippedOutputs:
+    """The shipped manifests' outputs, pinned by digest: the sweep's counts
+    at seed 4242, and every byte of the HOM scan."""
+
+    def test_bench_sweep_counts(self, tmp_path):
+        argv = ["run-sweep", "--config", str(MANIFESTS / "bench_sweep.json"),
+                "--seed", "4242", "--output", str(tmp_path), "--quiet"]
+        assert cli.main(argv) == 0
+        rows = read_rows(tmp_path / "sweep.csv")
+        assert len(rows) == 19
+        assert counts_digest([("sweep", rows)]) == (
+            "5546ea9f93afc368d7272466c1a65ae07c3e054dec5a947612e74031825f09c2"
+        )
+
+    def test_triplet_counts(self, tmp_path):
+        argv = ["run-sweep", "--config", str(MANIFESTS / "triplet.json"),
+                "--seed", "4242", "--output", str(tmp_path), "--quiet"]
+        assert cli.main(argv) == 0
+        names = ("uncorrected", "corrected", "distinguishable")
+        runs = [
+            (name, json.loads((tmp_path / f"{name}.json").read_text(encoding="utf-8"))["rows"])
+            for name in names
+        ]
+        assert [len(rows) for _, rows in runs] == [19, 19, 19]
+        assert counts_digest(runs) == (
+            "b3c4631fccecaf96bcf74d3597f22a9906fa28f65b2941b49c5e424d1e896fa0"
+        )
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "a1dc06886250e0c2524b9e0a4881bad96745c4c0db5931fede749efb43b5f9ef"),
+        ("json", "29fc87714535d6160b27c503ac774eb230506195bf9f61ea0a5e79ff60df212a"),
+    ])
+    def test_hom_scan_bytes(self, tmp_path, fmt, digest):
+        argv = ["hom-scan", "--config", str(MANIFESTS / "hom_scan.json"),
+                "--output", str(tmp_path), "--format", fmt, "--quiet"]
+        assert cli.main(argv) == 0
+        data = (tmp_path / f"hom_scan.{fmt}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestEntryPoints:

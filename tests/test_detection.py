@@ -1,5 +1,6 @@
 """Unit tests for post-selection, Z measurement, feed-forward, and curves."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -382,6 +383,27 @@ class TestAnalyzerProbabilities:
         for _ in range(2):  # no cache entry lets a bad grid through the second time
             with pytest.raises(ValidationError, match=message):
                 analyzer_probabilities(self.coherency, thetas)
+
+    @pytest.mark.parametrize("coherency", [
+        "abc", [[1, 2], [3, "x"]], np.eye(2, dtype=bool), [[1, None], [0, 0]], [[1, 2], [3]],
+    ], ids=["string", "string-entry", "bools", "object", "ragged"])
+    def test_a_non_numeric_coherency_is_rejected(self, coherency):
+        with pytest.raises(ValidationError, match="coherency must be an array of numbers"):
+            analyzer_probabilities(coherency, (0.0, 45.0))
+
+    @pytest.mark.parametrize("coherency, shape", [
+        (np.eye(3), (3, 3)), (np.zeros((2, 3)), (2, 3)), (np.zeros(4), (4,)), (0.5, ()),
+    ], ids=["3x3", "2x3", "1-d", "scalar"])
+    def test_a_coherency_not_of_2x2_matrices_is_rejected(self, coherency, shape):
+        with pytest.raises(ValidationError, match=re.escape(f"got shape {shape}")):
+            analyzer_probabilities(coherency, (0.0, 45.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_coherency_entry_is_named(self, bad):
+        coherency = self.coherency.copy()
+        coherency[1, 0, 1] = bad
+        with pytest.raises(ValidationError, match=re.escape("at index (1, 0, 1) of shape (2, 2, 2)")):
+            analyzer_probabilities(coherency, (0.0, 45.0))
 
     def test_a_bool_does_not_share_the_entry_of_its_number(self):
         analyzer_probabilities(self.coherency, (1.0, 2.0))

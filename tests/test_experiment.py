@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from _oracle import curve_formula, encoder_branch_states, encoder_curve, hom_coincidence
 from loqec import (
     DEFAULT_THETAS,
+    PATH_D,
     ExperimentConfig,
     FitError,
     MalusFit,
@@ -21,18 +23,23 @@ from loqec import (
     ValidationError,
     WiringConfig,
     apply_element,
+    apply_feedforward,
     coincidence_postselect,
     computational_jones,
     encode_qubit,
     fit_malus,
     hom_scan,
     hwp,
+    jones_to_computational,
     product_state,
+    rewire,
     run_analytic,
     run_experiment,
     sample_counts,
     visibility,
+    z_measure,
 )
+from loqec.detection import analyzer_probabilities, herald_coherency
 
 R = 1.0 / math.sqrt(2.0)
 
@@ -339,6 +346,80 @@ class TestRunAnalytic:
                 2 * math.radians(theta - fit.phase_deg)
             )
             assert model == pytest.approx(result.d1_d2.probabilities[i], abs=1e-9)
+
+
+def direct_chain(config):
+    """Curves, success probability and fidelity of ``config``, computed
+    through a two-photon state of its own, as the survivor basis replaces."""
+    w = math.radians(config.qubit_hwp_angle)
+    psi = np.array([math.cos(2.0 * w), math.sin(2.0 * w)])
+    state, p_success = encode_qubit(*jones_to_computational(psi), config.overlap_v)
+    survivor = z_measure(rewire(state, config.wiring), PATH_D)
+    coherency = herald_coherency(apply_feedforward(survivor, config.pc_enabled))
+    weights = np.trace(coherency, axis1=1, axis2=2).real
+    eps = config.imperfection_eps
+    coherency = (1.0 - eps) * coherency + eps * 0.5 * weights[:, None, None] * np.eye(2)
+    curves = analyzer_probabilities(coherency, config.thetas)
+    fidelity = float((psi @ coherency[0] @ psi).real / weights[0])
+    return curves, p_success, min(max(fidelity, 0.0), 1.0)
+
+
+class TestSurvivorBasis:
+    """A sweep config reads its survivor off a basis built once per wiring."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.floats(-360, 360, allow_nan=False),
+        st.floats(0, 1, allow_nan=False),
+        st.floats(0, 1, allow_nan=False),
+        st.booleans(),
+        st.sampled_from(list(WiringConfig)),
+    )
+    @example(22.5, 0.0, 0.0, True, WiringConfig.A_TO_C_B_TO_D)
+    @example(-31.0, 1.0, 0.05, False, WiringConfig.A_TO_D_B_TO_C)
+    def test_results_equal_the_direct_chain(self, angle, overlap_v, eps, pc_enabled, wiring):
+        config = ExperimentConfig(
+            qubit_hwp_angle=angle, overlap_v=overlap_v, imperfection_eps=eps,
+            pc_enabled=pc_enabled, wiring=wiring,
+        )
+        result = run_analytic(config)
+        curves, p_success, fidelity = direct_chain(config)
+        got = np.array((result.d1_d2.probabilities, result.d1_d3.probabilities))
+        assert np.abs(got - curves).max() <= 1e-15
+        assert abs(result.success_probability - p_success) <= 1e-15
+        assert abs(result.fidelity - fidelity) <= 1e-15
+
+    def test_a_sweep_builds_no_two_photon_state(self, monkeypatch):
+        def forbid(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} was called")
+            return call
+
+        modules = [m for n, m in sys.modules.items() if n == "loqec" or n.startswith("loqec.")]
+        for name in ("product_state", "coincidence_postselect", "relabel_paths", "z_measure"):
+            for module in modules:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbid(name))
+        with pytest.raises(AssertionError, match="product_state was called"):
+            encode_qubit(1.0, 0.0)
+        for wiring in WiringConfig:
+            for pc_enabled in (False, True):
+                result = run_experiment(ExperimentConfig(
+                    qubit_hwp_angle=17.0, overlap_v=0.6, imperfection_eps=0.1,
+                    pc_enabled=pc_enabled, wiring=wiring,
+                ))
+                assert result.success_probability == pytest.approx(0.5, abs=1e-12)
+
+    def test_each_wiring_has_a_read_only_basis(self):
+        from loqec import experiment
+
+        assert set(experiment._SURVIVOR_BASES) == set(WiringConfig)
+        for paths, basis in experiment._SURVIVOR_BASES.values():
+            assert paths == ("qubit-in", "ancilla-in", "C")
+            assert basis.shape == (4, 2, 2, 12)
+            assert not basis.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                basis[0, 0, 0, 0] = 1.0
 
 
 class TestRunExperiment:
@@ -989,9 +1070,9 @@ class TestConstantElements:
     """Elements with fixed ports are built once, not on every call."""
 
     def test_each_mode_operator_is_built_once_over_a_sweep(self):
-        """200 configs build two operators: the encoder's PBS on its four
-        paths, and the Pockels cell on the survivor's paths, which both
-        wirings share."""
+        """200 configs build one operator, the Pockels cell on the survivor's
+        paths, which both wirings share; the encoder's PBS on its four paths
+        was built at import, for the survivor bases."""
         from loqec import detection, experiment, state_core
 
         rng = np.random.default_rng(10)
@@ -1011,8 +1092,8 @@ class TestConstantElements:
         for config in configs:
             run_analytic(config)
         info = state_core._mode_operator.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
-        assert info.hits == 200 + triggered - 2
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits == triggered - 1
         survivor_paths = ("qubit-in", "ancilla-in", "C")
         for paths, element in (
             (("qubit-in", "ancilla-in", "A", "B"), experiment._ENCODER_PBS),
