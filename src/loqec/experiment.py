@@ -10,9 +10,13 @@ Everything from the encoder to the Z station is fixed optics, so the
 survivor of the Z measurement is linear in the qubit's Jones vector and in
 photon b's two temporal amplitudes.  Each wiring's survivors of the four
 basis inputs, H or V times temporal index 0 or 1, are built once at import
-through :func:`encode_qubit`'s own chain, and a sweep config reads its
-survivor off them (see :func:`run_analytic`); no config builds a
-two-photon state.
+through :func:`encode_qubit`'s own chain.  The Pockels cell is fixed too,
+and the analyzer reads a herald only through its 2x2 coherency matrix
+``J``, which is therefore a fixed quadratic form in the four real input
+amplitudes.  That form is built at import for each wiring and Pockels
+setting from the survivor basis, and a sweep config reads both heralds'
+``J`` off it (see :func:`run_analytic`): no config builds a two-photon or
+a single-photon state.
 
 Overlap convention: ``ExperimentConfig.overlap_v`` is the degree of
 indistinguishability on the probability scale, i.e. the weight of the
@@ -37,7 +41,6 @@ from .detection import (
     analyzer_probabilities,
     apply_feedforward,
     coincidence_postselect,
-    herald_coherency,
     z_measure,
 )
 from .elements import (
@@ -66,6 +69,7 @@ from .state_core import (
     SinglePhotonSpec,
     SinglePhotonState,
     TwoPhotonState,
+    _polarization_pairs,
     apply_element,
     computational_jones,
     product_state,
@@ -130,6 +134,37 @@ def _survivor_basis(wiring: WiringConfig) -> tuple[tuple[str, ...], np.ndarray]:
 
 #: Each wiring's survivor basis, built at import so that no sweep builds it.
 _SURVIVOR_BASES = {wiring: _survivor_basis(wiring) for wiring in WiringConfig}
+
+
+def _herald_form(wiring: WiringConfig, pc_enabled: bool) -> np.ndarray:
+    """The read-only real ``(4, 4, 2, 2, 2)`` herald form of ``wiring`` and ``pc_enabled``.
+
+    With ``u[k]`` the survivor basis row ``k`` after :func:`apply_feedforward`,
+    ``F[k, l, h]`` is the real part of ``sum_g u[k, h, g] u[l, h, g]^dagger``
+    for herald ``h``, averaged with its ``(l, k)`` twin.  ``g`` runs over the
+    (measured temporal index, path, temporal) groups that
+    :func:`~loqec.detection.herald_coherency` sums over.  A survivor
+    ``sum_k c_k u[k]`` with real ``c`` then has the real herald coherencies
+    ``sum_kl c_k c_l F[k, l]``; the average drops only the antisymmetric
+    part, which cancels in that sum.
+    """
+    paths, basis = _SURVIVOR_BASES[wiring]
+    rows = [apply_feedforward(SinglePhotonState(paths, row), pc_enabled).vector for row in basis]
+    # (k, herald, measured temporal, group, pol) -> (k, herald, group, pol)
+    u = _polarization_pairs(np.array(rows)).reshape(4, 2, -1, 2)
+    form = np.einsum("khga,lhgb->klhab", u, u.conj()).real
+    form = 0.5 * (form + form.swapaxes(0, 1))
+    form.flags.writeable = False
+    return form
+
+
+#: Each wiring's and Pockels setting's herald form, built at import so that
+#: no sweep builds a survivor.
+_HERALD_FORMS = {
+    (wiring, pc_enabled): _herald_form(wiring, pc_enabled)
+    for wiring in WiringConfig
+    for pc_enabled in (False, True)
+}
 
 
 def _check_exposure(pair_rate: float, duration: float) -> None:
@@ -282,14 +317,16 @@ def encode_qubit(
 def run_analytic(config: ExperimentConfig) -> SweepResult:
     """Run the sweep with exact probabilities (no counting noise).
 
-    The survivor of the Z measurement is read off the wiring's survivor
-    basis (see the module docstring): with ``psi`` the qubit's Jones vector
-    and ``v = overlap_v``, it is ``sum_k c_k basis[k]`` for
-    ``c = psi (x) (sqrt v, sqrt(1 - v))``, each product rounded on its own.
-    The success probability is the sum of the survivor's outcome weights,
-    which is the post-selected norm, since every kept amplitude puts one
-    photon on arm D.  The feed-forward, the readout, the fits and the
-    fidelities then run per config.
+    Both heralds' coherency matrices are read off the herald form of the
+    config's wiring and Pockels setting (see the module docstring): with
+    ``psi`` the qubit's Jones vector and ``v = overlap_v``, the real
+    amplitudes ``c = psi (x) (sqrt v, sqrt(1 - v))`` give
+    ``J = sum_kl c_k c_l F[k, l]``, an elementwise sum with no matrix
+    product.  ``J`` is real, since ``c`` and the form are, and its
+    imaginary part never reaches the analyzer.  The success probability is
+    the sum of the heralds' traces, which is the post-selected norm, since
+    every kept amplitude puts one photon on arm D.  The readout, the fits
+    and the fidelities then run per config.
 
     The flat background replaces a share ``imperfection_eps`` of each
     herald's coherency matrix ``J`` with the unpolarized ``tr(J) I / 2``.
@@ -299,62 +336,53 @@ def run_analytic(config: ExperimentConfig) -> SweepResult:
     rounding can put an ideal run a few ulp above 1; the visibilities are
     not clamped.
     """
-    psi = np.array(_hwp_image_of_h(config.qubit_hwp_angle))  # |H> after the plate
-    v = config.overlap_v
-    c = (psi[:, None] * (math.sqrt(v), math.sqrt(1.0 - v))).reshape(4, 1, 1, 1)
-    paths, basis = _SURVIVOR_BASES[config.wiring]
-    survivor = SinglePhotonState(paths, (c * basis).sum(axis=0))
-    p_success = float(survivor.norm_squared.sum())
-    survivor = apply_feedforward(survivor, config.pc_enabled)
-
-    eps = config.imperfection_eps
-    coherency = herald_coherency(survivor)
-    weights = np.trace(coherency, axis1=1, axis2=2).real
-    coherency = (1.0 - eps) * coherency + eps * 0.5 * weights[:, None, None] * _IDENTITY
-    curves = analyzer_probabilities(coherency, config.thetas)
-    p_d2, p_d3 = (tuple(p) for p in curves.tolist())
-
-    fit_d2, fit_d3 = fit_malus(config.thetas, curves)
-    vis_d2 = visibility(fit_d2)
-    vis_d3 = visibility(fit_d3)
-    fidelity = float((psi.conj() @ coherency[0] @ psi).real / weights[0])
-    fidelity_fit = 0.5 * (1.0 + vis_d2)
-
-    return SweepResult(
-        config=config,
-        thetas=config.thetas,
-        d1_d2=CurveResult(p_d2, None, fit_d2, vis_d2),
-        d1_d3=CurveResult(p_d3, None, fit_d3, vis_d3),
-        success_probability=p_success,
-        discarded_probability=1.0 - p_success,
-        fidelity=min(max(fidelity, 0.0), 1.0),
-        fidelity_fit=min(max(fidelity_fit, 0.0), 1.0),
-    )
+    return _sweep(config, counted=False)
 
 
 def run_experiment(config: ExperimentConfig) -> SweepResult:
     """Run the sweep and attach Poisson coincidence counts to both curves.
 
-    Both curves are counted in one :func:`sample_counts` call on their
-    ``(2, n)`` stack: D1-D2 on stream 0, D1-D3 on stream 1.
+    The probabilities are those of :func:`run_analytic`, from the same
+    kernel.  Both curves are counted in one :func:`sample_counts` call on
+    their ``(2, n)`` stack: D1-D2 on stream 0, D1-D3 on stream 1.
     """
-    result = run_analytic(config)
-    d2, d3 = result.d1_d2, result.d1_d3
-    counts_d2, counts_d3 = sample_counts(
-        np.array((d2.probabilities, d3.probabilities)),
-        config.pair_rate,
-        config.duration,
-        config.seed,
-    ).tolist()
+    return _sweep(config, counted=True)
+
+
+def _sweep(config: ExperimentConfig, counted: bool) -> SweepResult:
+    """The sweep of ``config``, with Poisson counts when ``counted``."""
+    psi = np.array(_hwp_image_of_h(config.qubit_hwp_angle))  # |H> after the plate
+    v = config.overlap_v
+    c = (psi[:, None] * (math.sqrt(v), math.sqrt(1.0 - v))).reshape(4)
+    form = _HERALD_FORMS[config.wiring, config.pc_enabled]
+    coherency = ((c[:, None] * c)[..., None, None, None] * form).sum(axis=(0, 1))
+    weights = coherency[:, 0, 0] + coherency[:, 1, 1]
+    p_success = float(weights.sum())
+
+    eps = config.imperfection_eps
+    coherency = (1.0 - eps) * coherency + eps * 0.5 * weights[:, None, None] * _IDENTITY
+    curves = analyzer_probabilities(coherency, config.thetas)
+    counts_d2 = counts_d3 = None
+    if counted:
+        counts = sample_counts(curves, config.pair_rate, config.duration, config.seed)
+        counts_d2, counts_d3 = (tuple(row) for row in counts.tolist())
+    p_d2, p_d3 = (tuple(p) for p in curves.tolist())
+
+    fit_d2, fit_d3 = fit_malus(config.thetas, curves)
+    vis_d2 = visibility(fit_d2)
+    vis_d3 = visibility(fit_d3)
+    fidelity = float(psi @ coherency[0] @ psi / weights[0])
+    fidelity_fit = 0.5 * (1.0 + vis_d2)
+
     return SweepResult(
         config=config,
-        thetas=result.thetas,
-        d1_d2=CurveResult(d2.probabilities, tuple(counts_d2), d2.fit, d2.visibility),
-        d1_d3=CurveResult(d3.probabilities, tuple(counts_d3), d3.fit, d3.visibility),
-        success_probability=result.success_probability,
-        discarded_probability=result.discarded_probability,
-        fidelity=result.fidelity,
-        fidelity_fit=result.fidelity_fit,
+        thetas=config.thetas,
+        d1_d2=CurveResult(p_d2, counts_d2, fit_d2, vis_d2),
+        d1_d3=CurveResult(p_d3, counts_d3, fit_d3, vis_d3),
+        success_probability=p_success,
+        discarded_probability=1.0 - p_success,
+        fidelity=min(max(fidelity, 0.0), 1.0),
+        fidelity_fit=min(max(fidelity_fit, 0.0), 1.0),
     )
 
 
@@ -416,7 +444,10 @@ def fit_malus(
     The model is ``offset + amplitude * cos(2(theta - phase))``, linearized
     on the basis ``{1, cos(2 theta), sin(2 theta)}``.  The returned
     amplitude is nonnegative and the phase lies in (-90, 90] degrees; it is
-    0 for a flat curve, whose amplitude is at most 1e-12 times the offset.
+    0 for a flat curve, whose amplitude is at most 1e-12 times the offset,
+    and exactly 0 or 90 when the sine coefficient is at most 1e-12 times
+    the amplitude, so that rounding noise cannot flip it between -90 and
+    90.  Finite values whose fit overflows raise a ``FitError``.
 
     ``values`` is one curve of shape ``(n,)``, which returns one fit, or a
     stack of curves of shape ``(k, n)``, which returns a tuple of ``k``
@@ -438,7 +469,9 @@ def fit_malus(
         index = tuple(np.argwhere(~finite)[0].tolist())
         shown = ", ".join(map(str, index))
         raise FitError(f"values[{shown}] must be finite, got {float(y[index])!r}")
-    coeffs = (y[..., None, :] * solver).sum(axis=-1)
+    # Finite values may still overflow; _malus_fit rejects what does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = (y[..., None, :] * solver).sum(axis=-1)
     if y.ndim == 1:
         return _malus_fit(*coeffs.tolist())
     return tuple(_malus_fit(*row) for row in coeffs.tolist())
@@ -464,7 +497,8 @@ def _malus_solver(thetas: tuple[float, ...]) -> np.ndarray:
     distinct = np.unique(th).size
     if distinct < 3:
         raise FitError(f"need at least 3 distinct angles, got {distinct}")
-    angles = np.deg2rad(2.0 * th)
+    # fmod is exact and leaves |theta| < 180 as is; doubling 1e308 would overflow.
+    angles = np.deg2rad(2.0 * np.fmod(th, 180.0))
     design = np.column_stack([np.ones_like(angles), np.cos(angles), np.sin(angles)])
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     if not s[-1] > np.finfo(float).eps * max(design.shape) * s[0]:
@@ -480,9 +514,17 @@ def _malus_solver(thetas: tuple[float, ...]) -> np.ndarray:
 def _malus_fit(offset: float, c: float, s: float) -> MalusFit:
     """The fit ``offset + c cos 2 theta + s sin 2 theta`` as amplitude and phase."""
     amplitude = math.hypot(c, s)
+    if not (math.isfinite(offset) and math.isfinite(amplitude)):
+        raise FitError(
+            f"the fit overflows: offset {offset!r}, cos coefficient {c!r}, "
+            f"sin coefficient {s!r}, amplitude {amplitude!r}"
+        )
     if amplitude <= _FLAT_FIT_TOL * abs(offset):
         # A flat curve has no phase; the fitted one would be rounding noise.
         return MalusFit(offset, amplitude, 0.0)
+    if abs(s) <= _FLAT_FIT_TOL * amplitude:
+        # Rounding noise in s would otherwise put the phase at -90 or +90 by its sign.
+        s = 0.0
     phase_deg = math.degrees(0.5 * math.atan2(s, c))
     if phase_deg <= -90.0:
         phase_deg += 180.0

@@ -190,6 +190,17 @@ def _norm_squared(matrix: np.ndarray) -> float | np.ndarray:
     return 0.5 * (matrix.real**2 + matrix.imag**2).sum(axis=(-2, -1))
 
 
+def _polarization_pairs(vector: np.ndarray) -> np.ndarray:
+    """The (H, V) amplitude pairs of ``vector``, one per (path, temporal) group.
+
+    The shape is ``(..., g, 2)`` for a vector of shape ``(..., n)``.  A
+    polarization analyzer resolves neither path nor wavepacket, so the
+    groups add incoherently in what it reads.
+    """
+    lead = vector.shape[:-1]
+    return vector.reshape(lead + (-1, 2, 2)).swapaxes(-1, -2).reshape(lead + (-1, 2))
+
+
 @functools.lru_cache(maxsize=16)
 def _mode_operator(paths: tuple[str, ...], element: "LinearElement") -> np.ndarray:
     """The element's read-only mode matrix over the modes of ``paths``.
@@ -349,8 +360,7 @@ class SinglePhotonState:
         groups; ``J`` therefore fixes every analyzer probability, and its
         trace is the squared norm.  A batch gives one ``J`` per vector.
         """
-        lead = self.vector.shape[:-1]
-        vectors = self.vector.reshape(lead + (-1, 2, 2)).swapaxes(-1, -2).reshape(lead + (-1, 2))
+        vectors = _polarization_pairs(self.vector)
         return vectors.swapaxes(-1, -2) @ vectors.conj()
 
     def projection_probability(self, jones: Sequence[complex]) -> float:

@@ -195,6 +195,16 @@ class TestRunSweep:
         assert err.startswith("error: experiment:") and key in err
         assert not (tmp_path / "out").exists()
 
+    def test_a_huge_finite_angle_is_swept(self, tmp_path):
+        document = base_manifest(tmp_path / "out", thetas=[0.0, 45.0, 1e308])
+        manifest = write_manifest(tmp_path / "m.json", document)
+        assert cli.main(["run-sweep", "--config", str(manifest), "--quiet"]) == 0
+        assert [row["theta_deg"] for row in read_rows(tmp_path / "out" / "sweep.csv")] == [
+            "0.0", "45.0", "1e+308",
+        ]
+        record = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())
+        assert math.isfinite(record["curves"]["d1_d2"]["visibility"])
+
     def test_json_writer_refuses_non_finite_numbers(self):
         with pytest.raises(ValueError):
             cli._dump_json({"visibility": math.nan})
@@ -518,6 +528,28 @@ class TestFitCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot read")
         assert "bad.csv" in captured.err and "utf-8" in captured.err
+
+    def test_a_huge_finite_angle_fits_as_its_reduced_angle(self, tmp_path, capsys):
+        outputs = []
+        for huge in ("1e308", "116.0"):  # 116 = fmod(1e308, 180)
+            path = tmp_path / "huge.csv"
+            path.write_text(
+                f"theta_deg,p_d1_d2\n0.0,0.9\n45.0,0.5\n{huge},0.2\n60.0,0.3\n", encoding="utf-8"
+            )
+            assert cli.main(["fit", str(path)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].err == ""
+
+    def test_a_fit_that_overflows_is_an_error_line(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text(
+            "theta_deg,p_d1_d2\n0.0,1e308\n45.0,-1e308\n90.0,1e308\n", encoding="utf-8"
+        )
+        assert cli.main(["fit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the fit overflows")
 
     def test_field_beyond_the_csv_limit_rejected(self, tmp_path, capsys):
         path = tmp_path / "big.csv"

@@ -20,6 +20,7 @@ from loqec import (
     ModeLabel,
     Polarization,
     SinglePhotonSpec,
+    SinglePhotonState,
     ValidationError,
     WiringConfig,
     apply_element,
@@ -390,13 +391,17 @@ class TestSurvivorBasis:
         assert abs(result.fidelity - fidelity) <= 1e-15
 
     def test_a_sweep_builds_no_two_photon_state(self, monkeypatch):
+        """Nor a single-photon state: both heralds are read off a herald form."""
         def forbid(name):
             def call(*args, **kwargs):
                 raise AssertionError(f"{name} was called")
             return call
 
         modules = [m for n, m in sys.modules.items() if n == "loqec" or n.startswith("loqec.")]
-        for name in ("product_state", "coincidence_postselect", "relabel_paths", "z_measure"):
+        for name in (
+            "product_state", "coincidence_postselect", "relabel_paths", "z_measure",
+            "apply_feedforward", "herald_coherency", "SinglePhotonState",
+        ):
             for module in modules:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbid(name))
@@ -409,6 +414,38 @@ class TestSurvivorBasis:
                     pc_enabled=pc_enabled, wiring=wiring,
                 ))
                 assert result.success_probability == pytest.approx(0.5, abs=1e-12)
+
+    def test_each_wiring_and_pockels_setting_has_a_read_only_herald_form(self):
+        from loqec import experiment
+
+        assert set(experiment._HERALD_FORMS) == {
+            (wiring, pc_enabled) for wiring in WiringConfig for pc_enabled in (False, True)
+        }
+        for form in experiment._HERALD_FORMS.values():
+            assert form.shape == (4, 4, 2, 2, 2)
+            assert form.dtype == np.float64
+            assert np.array_equal(form, form.swapaxes(0, 1))
+            assert not form.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                form[0, 0, 0, 0, 0] = 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.floats(-1, 1, allow_nan=False), min_size=4, max_size=4),
+        st.booleans(),
+        st.sampled_from(list(WiringConfig)),
+    )
+    @example([1.0, 0.0, 0.0, 0.0], True, WiringConfig.A_TO_C_B_TO_D)
+    @example([0.6, -0.8, 0.0, 0.0], False, WiringConfig.A_TO_D_B_TO_C)
+    def test_a_herald_form_gives_the_survivors_coherency(self, c, pc_enabled, wiring):
+        from loqec import experiment
+
+        paths, basis = experiment._SURVIVOR_BASES[wiring]
+        survivor = SinglePhotonState(paths, (np.reshape(c, (4, 1, 1, 1)) * basis).sum(axis=0))
+        expected = herald_coherency(apply_feedforward(survivor, pc_enabled)).real
+        form = experiment._HERALD_FORMS[wiring, pc_enabled]
+        got = (np.multiply.outer(c, c)[..., None, None, None] * form).sum(axis=(0, 1))
+        assert np.abs(got - expected).max() <= 1e-15
 
     def test_each_wiring_has_a_read_only_basis(self):
         from loqec import experiment
@@ -702,6 +739,44 @@ class TestFitMalus:
         values = [0.5 + 0.4 * math.cos(2 * math.radians(t - 90.0)) for t in DEFAULT_THETAS]
         fit = fit_malus(DEFAULT_THETAS, values)
         assert -90.0 < fit.phase_deg <= 90.0
+
+    @pytest.mark.parametrize("s", [3e-16, -3e-16, 0.0, -0.0])
+    @pytest.mark.parametrize("c, phase", [(-0.4, 90.0), (0.4, 0.0)])
+    def test_a_sine_coefficient_of_rounding_size_counts_as_zero(self, s, c, phase):
+        """Its sign alone would put the phase at -90 or at 90."""
+        from loqec.experiment import _malus_fit
+
+        fit = _malus_fit(0.5, c, s)
+        assert fit.phase_deg == phase
+        assert fit.amplitude == math.hypot(c, s)
+
+    def test_a_sine_coefficient_above_rounding_size_keeps_its_phase(self):
+        from loqec.experiment import _malus_fit
+
+        assert _malus_fit(0.5, -0.4, -1e-9).phase_deg == pytest.approx(-90.0 + 7.2e-8, abs=1e-9)
+        assert _malus_fit(0.5, -0.4, 1e-9).phase_deg == pytest.approx(90.0 - 7.2e-8, abs=1e-9)
+
+    @pytest.mark.parametrize("huge", [1e308, -1e308, 1.7976931348623157e308])
+    def test_a_huge_finite_angle_fits_as_its_reduced_angle(self, huge):
+        thetas = [0.0, 45.0, huge, 60.0]
+        values = [0.9, 0.5, 0.2, 0.3]
+        reduced = np.fmod(thetas, 180.0).tolist()
+        assert _bytes(fit_malus(thetas, values)) == _bytes(fit_malus(reduced, values))
+
+    def test_a_huge_finite_angle_runs_through_a_sweep(self):
+        result = run_analytic(ExperimentConfig(thetas=(0.0, 45.0, 1e308), overlap_v=0.8))
+        for curve in (result.d1_d2, result.d1_d3):
+            assert all(math.isfinite(x) for x in dataclasses.astuple(curve.fit))
+        assert math.isfinite(result.fidelity_fit)
+
+    @pytest.mark.parametrize("values", [
+        [1e308, -1e308, 1e308],
+        [[0.1, 0.2, 0.3], [1e308, -1e308, 1e308]],
+        [1.7e308, 1.7e308, -1.7e308],
+    ])
+    def test_a_fit_that_overflows_is_a_fit_error(self, values):
+        with pytest.raises(FitError, match="the fit overflows"):
+            fit_malus([0.0, 45.0, 90.0], values)
 
     def test_too_few_distinct_angles_rejected(self):
         with pytest.raises(FitError):
@@ -1070,9 +1145,9 @@ class TestConstantElements:
     """Elements with fixed ports are built once, not on every call."""
 
     def test_each_mode_operator_is_built_once_over_a_sweep(self):
-        """200 configs build one operator, the Pockels cell on the survivor's
-        paths, which both wirings share; the encoder's PBS on its four paths
-        was built at import, for the survivor bases."""
+        """200 configs build no operator and read none: the encoder's PBS on
+        its four paths and the Pockels cell on the survivor's paths were
+        built at import, for the survivor bases and the herald forms."""
         from loqec import detection, experiment, state_core
 
         rng = np.random.default_rng(10)
@@ -1092,8 +1167,8 @@ class TestConstantElements:
         for config in configs:
             run_analytic(config)
         info = state_core._mode_operator.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-        assert info.hits == triggered - 1
+        assert (info.misses, info.currsize) == (0, 0)
+        assert info.hits == 0
         survivor_paths = ("qubit-in", "ancilla-in", "C")
         for paths, element in (
             (("qubit-in", "ancilla-in", "A", "B"), experiment._ENCODER_PBS),
