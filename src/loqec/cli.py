@@ -17,18 +17,17 @@ import re
 import sys
 from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Collection, Mapping, Sequence
 
 import numpy as np
 
-from .elements import WiringConfig
 from .errors import (
-    ConfigurationError,
     FitError,
     LoqecError,
     ManifestError,
     UsageError,
     ValidationError,
+    as_real,
 )
 from .experiment import (
     CurveResult,
@@ -53,8 +52,8 @@ _EXPERIMENT_KEYS = {field.name for field in dataclasses.fields(ExperimentConfig)
 _RUN_KEYS = {"name", "experiment"}
 _HOM_KEYS = {"delays", "coherence_time"}
 _OUTPUT_KEYS = {"directory", "format"}
-_THETA_RANGE_KEYS = {"start", "stop", "step"}
-_DELAY_RANGE_KEYS = {"start", "stop", "num"}
+_THETA_RANGE_KEYS = ("start", "stop", "step")
+_DELAY_RANGE_KEYS = ("start", "stop", "num")
 _FORMATS = ("csv", "json")
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
@@ -69,33 +68,26 @@ def _mapping(value: Any, where: str) -> dict:
     return value
 
 
-def _check_keys(section: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = sorted(set(section) - allowed)
+def _check_keys(section: Mapping[str, Any], allowed: Collection[str], where: str) -> None:
+    unknown = sorted(set(section).difference(allowed))
     if unknown:
         _fail(where, f"unknown key {unknown[0]!r} (allowed: {', '.join(sorted(allowed))})")
 
 
-def _number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(where, f"expected a number, got {value!r}")
+def _number(value: Any, name: str, where: str) -> float:
+    """A range object's bound or step: a finite number, as :func:`as_real` reads one."""
     try:
-        number = float(value)
-    except OverflowError:
-        _fail(where, f"expected a number within the float range, got a {len(str(value))}-digit integer")
+        number = as_real(value, name)
+    except ValidationError as exc:
+        _fail(where, str(exc))
     if not math.isfinite(number):
-        _fail(where, f"expected a finite number, got {value!r}")
+        _fail(where, f"{name} must be finite, got {number!r}")
     return number
 
 
-def _integer(value: Any, where: str) -> int:
+def _integer(value: Any, name: str, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        _fail(where, f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _boolean(value: Any, where: str) -> bool:
-    if not isinstance(value, bool):
-        _fail(where, f"expected true or false, got {value!r}")
+        _fail(where, f"{name} must be an integer, got {value!r}")
     return value
 
 
@@ -104,22 +96,25 @@ def _check_grid_size(count: float, what: str, where: str) -> None:
         _fail(where, f"grid of {count} {what} exceeds the cap of {MAX_GRID_POINTS}")
 
 
-def _angle_grid(value: Any, where: str) -> tuple[float, ...]:
+def _range_object(value: dict, keys: tuple[str, ...], where: str) -> None:
+    _check_keys(value, keys, where)
+    for key in keys:
+        if key not in value:
+            _fail(where, f"range needs {key!r}")
+
+
+def _angle_grid(value: Any, where: str) -> Any:
+    """A list of angles as given, or the angles of a start/stop/step range."""
     if isinstance(value, list):
-        if not value:
-            _fail(where, "angle list must not be empty")
         _check_grid_size(len(value), "angles", where)
-        return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
+        return value
     if isinstance(value, dict):
-        _check_keys(value, _THETA_RANGE_KEYS, where)
-        for key in _THETA_RANGE_KEYS:
-            if key not in value:
-                _fail(where, f"range needs {key!r}")
-        start = _number(value["start"], f"{where}.start")
-        stop = _number(value["stop"], f"{where}.stop")
-        step = _number(value["step"], f"{where}.step")
+        _range_object(value, _THETA_RANGE_KEYS, where)
+        start = _number(value["start"], "start", where)
+        stop = _number(value["stop"], "stop", where)
+        step = _number(value["step"], "step", where)
         if step == 0.0:
-            _fail(f"{where}.step", "must be nonzero")
+            _fail(where, "step must be nonzero")
         span = (stop - start) / step
         # The span overflows to infinity for a huge range or a subnormal step.
         count = math.floor(span + 1e-9) + 1 if math.isfinite(span) else span
@@ -131,23 +126,21 @@ def _angle_grid(value: Any, where: str) -> tuple[float, ...]:
     raise AssertionError("unreachable")
 
 
-def _delay_grid(value: Any, where: str) -> tuple[float, ...]:
+def _delay_grid(value: Any, where: str) -> Any:
+    """A list of delays as given, or the delays of a start/stop/num range."""
     if isinstance(value, list):
-        if not value:
-            _fail(where, "delay list must not be empty")
         _check_grid_size(len(value), "delays", where)
-        return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
+        return value
     if isinstance(value, dict):
-        _check_keys(value, _DELAY_RANGE_KEYS, where)
-        for key in _DELAY_RANGE_KEYS:
-            if key not in value:
-                _fail(where, f"range needs {key!r}")
-        start = _number(value["start"], f"{where}.start")
-        stop = _number(value["stop"], f"{where}.stop")
-        num = _integer(value["num"], f"{where}.num")
+        _range_object(value, _DELAY_RANGE_KEYS, where)
+        start = _number(value["start"], "start", where)
+        stop = _number(value["stop"], "stop", where)
+        num = _integer(value["num"], "num", where)
         if num < 1:
-            _fail(f"{where}.num", "must be at least 1")
+            _fail(where, f"num must be at least 1, got {num}")
         _check_grid_size(num, "delays", where)
+        if not math.isfinite(stop - start):
+            _fail(where, f"range from start {start!r} to stop {stop!r} spans beyond the float range")
         return tuple(float(t) for t in np.linspace(start, stop, num))
     _fail(where, f"expected a list of delays or a start/stop/num object, got {value!r}")
     raise AssertionError("unreachable")
@@ -156,33 +149,17 @@ def _delay_grid(value: Any, where: str) -> tuple[float, ...]:
 def _experiment_config(
     section: Any, where: str, seed_override: int | None
 ) -> ExperimentConfig:
+    """The config of one experiment section; its values are checked by ``ExperimentConfig``."""
     section = _mapping(section, where)
     _check_keys(section, _EXPERIMENT_KEYS, where)
-    kwargs: dict[str, Any] = {}
-    if "qubit_hwp_angle" in section:
-        kwargs["qubit_hwp_angle"] = _number(section["qubit_hwp_angle"], f"{where}.qubit_hwp_angle")
-    if "wiring" in section:
-        raw = section["wiring"]
-        if not isinstance(raw, str):
-            _fail(f"{where}.wiring", f"expected a string, got {raw!r}")
-        try:
-            kwargs["wiring"] = WiringConfig.parse(raw)
-        except ConfigurationError as exc:
-            _fail(f"{where}.wiring", str(exc))
-    for key in ("overlap_v", "imperfection_eps", "pair_rate", "duration"):
-        if key in section:
-            kwargs[key] = _number(section[key], f"{where}.{key}")
-    if "pc_enabled" in section:
-        kwargs["pc_enabled"] = _boolean(section["pc_enabled"], f"{where}.pc_enabled")
+    kwargs = dict(section)
     if "thetas" in section:
         kwargs["thetas"] = _angle_grid(section["thetas"], f"{where}.thetas")
-    if "seed" in section:
-        kwargs["seed"] = _integer(section["seed"], f"{where}.seed")
     if seed_override is not None:
         kwargs["seed"] = seed_override
     try:
         return ExperimentConfig(**kwargs)
-    except (ValidationError, ConfigurationError) as exc:
+    except LoqecError as exc:
         _fail(where, str(exc))
     raise AssertionError("unreachable")
 
@@ -393,11 +370,10 @@ def _cmd_hom_scan(args: argparse.Namespace) -> int:
     if "coherence_time" not in section:
         _fail("hom_scan", "missing required key 'coherence_time'")
     delays = _delay_grid(section["delays"], "hom_scan.delays")
-    coherence_time = _number(section["coherence_time"], "hom_scan.coherence_time")
     directory, fmt = _output_settings(manifest, args.output, args.format)
     try:
-        result = hom_scan(delays, coherence_time)
-    except ValidationError as exc:
+        result = hom_scan(delays, section["coherence_time"])
+    except LoqecError as exc:
         _fail("hom_scan", str(exc))
     if fmt == "csv":
         path = directory / "hom_scan.csv"

@@ -180,7 +180,10 @@ class WiringConfig(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "WiringConfig":
-        cleaned = str(text).replace(" ", "")
+        """The member whose value is ``text``, spaces aside."""
+        if not isinstance(text, str):
+            raise ConfigurationError(f"wiring must be a string, got {text!r}")
+        cleaned = text.replace(" ", "")
         for member in cls:
             if member.value == cleaned:
                 return member

@@ -35,6 +35,19 @@ class ManifestError(LoqecError):
 _NOT_NUMBERS = (bool, np.bool_, str, bytes)
 
 
+def _shown(value: object) -> str:
+    """``repr(value)``, or the size of an integer too long to read.
+
+    Python refuses to print an integer of more than 4300 digits, or a fraction of one.
+    """
+    if isinstance(value, int) and value.bit_length() > 256:
+        return f"a {value.bit_length()}-bit integer"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} too long to print"
+
+
 def _convert(kind: type, value: object, name: str, what: str):
     try:
         if not isinstance(value, _NOT_NUMBERS):
@@ -42,7 +55,9 @@ def _convert(kind: type, value: object, name: str, what: str):
     except (TypeError, ValueError):
         pass
     except OverflowError:  # an int or a fraction beyond the largest float
-        raise ValidationError(f"{name} must be {what} within the float range") from None
+        raise ValidationError(
+            f"{name} must be {what} within the float range, got {_shown(value)}"
+        ) from None
     raise ValidationError(f"{name} must be {what}, got {value!r}")
 
 

@@ -58,6 +58,7 @@ from .elements import (
 from .errors import (
     FitError,
     ValidationError,
+    _shown,
     as_complex,
     as_grid,
     as_real,
@@ -167,14 +168,31 @@ _HERALD_FORMS = {
 }
 
 
-def _check_exposure(pair_rate: float, duration: float) -> None:
-    """Reject a run whose largest mean count numpy cannot draw from."""
-    mean = pair_rate * duration
+def _probability(value: object, name: str) -> float:
+    """``value`` as a float in [0, 1]; NaN is rejected."""
+    value = as_real(value, name)
+    if not 0.0 <= value <= 1.0:
+        raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
+    return value
+
+
+def _exposure(pair_rate: object, duration: object) -> tuple[float, float]:
+    """Finite floats >= 0 whose product, a run's largest mean count, numpy can draw from.
+
+    Scalar Python only: every counted run checks its exposure.
+    """
+    rate = as_real(pair_rate, "pair_rate")
+    time = as_real(duration, "duration")
+    for name, value in (("pair_rate", rate), ("duration", time)):
+        if not 0.0 <= value < math.inf:
+            raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+    mean = rate * time
     if mean > _POISSON_MEAN_MAX:
         raise ValidationError(
             f"pair_rate * duration = {mean:.6g} exceeds the largest Poisson mean "
-            f"{_POISSON_MEAN_MAX:.6g} (pair_rate={pair_rate!r}, duration={duration!r})"
+            f"{_POISSON_MEAN_MAX:.6g} (pair_rate={rate!r}, duration={time!r})"
         )
+    return rate, time
 
 
 def _check_word(value: int, name: str) -> int:
@@ -183,9 +201,7 @@ def _check_word(value: int, name: str) -> int:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if not 0 <= value < 2**64:
-        # Python refuses to print an integer of more than 4300 digits.
-        shown = repr(value) if value.bit_length() <= 256 else f"a {value.bit_length()}-bit integer"
-        raise ValidationError(f"{name} must lie in [0, 2**64), got {shown}")
+        raise ValidationError(f"{name} must lie in [0, 2**64), got {_shown(value)}")
     return value
 
 
@@ -235,20 +251,14 @@ class ExperimentConfig:
         if not isinstance(self.wiring, WiringConfig):
             object.__setattr__(self, "wiring", WiringConfig.parse(self.wiring))
         for name in ("overlap_v", "imperfection_eps"):
-            value = as_real(getattr(self, name), name)
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _probability(getattr(self, name), name))
         if not isinstance(self.pc_enabled, (bool, np.bool_)):
             raise ValidationError(f"pc_enabled must be a boolean, got {self.pc_enabled!r}")
         object.__setattr__(self, "pc_enabled", bool(self.pc_enabled))
         object.__setattr__(self, "thetas", tuple(as_grid(self.thetas, "thetas").tolist()))
-        for name in ("pair_rate", "duration"):
-            value = as_real(getattr(self, name), name)
-            if value < 0.0 or not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
-            object.__setattr__(self, name, value)
-        _check_exposure(self.pair_rate, self.duration)
+        pair_rate, duration = _exposure(self.pair_rate, self.duration)
+        object.__setattr__(self, "pair_rate", pair_rate)
+        object.__setattr__(self, "duration", duration)
         object.__setattr__(self, "seed", _check_word(self.seed, "seed"))
 
 
@@ -302,9 +312,7 @@ def encode_qubit(
     norm = abs(alpha) ** 2 + abs(beta) ** 2
     if not abs(norm - 1.0) <= 1e-12:
         raise ValidationError(f"qubit coefficients must be normalized, got norm^2 {norm!r}")
-    overlap_v = as_real(overlap_v, "overlap_v")
-    if not 0.0 <= overlap_v <= 1.0:
-        raise ValidationError(f"overlap_v must lie in [0, 1], got {overlap_v!r}")
+    overlap_v = _probability(overlap_v, "overlap_v")
 
     zero, one = computational_jones(0), computational_jones(1)
     qubit_jones = (
@@ -411,11 +419,7 @@ def sample_counts(
     """
     p = as_real_array(probabilities, "probabilities", stack=True)
     check_unit_interval(p, "probabilities")
-    rate = as_real(pair_rate, "pair_rate")
-    time = as_real(duration, "duration")
-    if rate < 0.0 or time < 0.0 or not (math.isfinite(rate) and math.isfinite(time)):
-        raise ValidationError("pair_rate and duration must be finite and >= 0")
-    _check_exposure(rate, time)
+    rate, time = _exposure(pair_rate, duration)
     key = _key_sequence_type()(_check_word(seed, "seed"))
     first = _check_word(stream, "stream")
     rows = p.shape[0] if p.ndim == 2 else 1
@@ -533,7 +537,7 @@ def _malus_fit(offset: float, c: float, s: float) -> MalusFit:
 
 def visibility(fit: MalusFit) -> float:
     """Fringe visibility amplitude/offset of a fitted analyzer curve."""
-    if fit.offset <= 0.0:
+    if not fit.offset > 0.0:
         raise ValidationError(f"visibility undefined for offset {fit.offset!r}")
     return fit.amplitude / fit.offset
 

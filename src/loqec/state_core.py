@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -49,6 +50,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     ValidationError,
+    as_complex,
     as_real,
     as_real_array,
     check_unit_interval,
@@ -78,6 +80,13 @@ class Polarization(str, Enum):
 Jones = tuple[complex, complex]
 
 
+def _bit(value: object, name: str) -> int:
+    """``value`` as an int 0 or 1; a bool or a float is rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value not in (0, 1):
+        raise ValidationError(f"{name} must be 0 or 1, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, order=True)
 class ModeLabel:
     """One bosonic mode: spatial path, polarization, temporal basis index."""
@@ -88,13 +97,22 @@ class ModeLabel:
 
     def __post_init__(self) -> None:
         if not isinstance(self.pol, Polarization):
-            object.__setattr__(self, "pol", Polarization(self.pol))
-        if self.temporal not in (0, 1):
-            raise ValidationError(f"temporal index must be 0 or 1, got {self.temporal}")
+            try:
+                pol = Polarization(self.pol)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"polarization must be 'H' or 'V', got {self.pol!r}"
+                ) from None
+            object.__setattr__(self, "pol", pol)
+        object.__setattr__(self, "temporal", _bit(self.temporal, "temporal index"))
 
 
 def _as_jones(values: Sequence[complex], what: str) -> Jones:
-    vec = tuple(complex(c) for c in values)
+    try:
+        items = list(values)
+    except TypeError:
+        raise ValidationError(f"{what} must be a pair of numbers, got {values!r}") from None
+    vec = tuple(as_complex(c, f"{what}[{i}]") for i, c in enumerate(items))
     if len(vec) != 2:
         raise ValidationError(f"{what} must have exactly two components, got {len(vec)}")
     nrm = abs(vec[0]) ** 2 + abs(vec[1]) ** 2
@@ -105,11 +123,9 @@ def _as_jones(values: Sequence[complex], what: str) -> Jones:
 
 def computational_jones(value: int) -> Jones:
     """H/V amplitudes of the computational state |0> (+45 deg) or |1> (-45 deg)."""
-    if value == 0:
-        return (_INV_SQRT2 + 0j, _INV_SQRT2 + 0j)
-    if value == 1:
+    if _bit(value, "computational value"):
         return (_INV_SQRT2 + 0j, -_INV_SQRT2 + 0j)
-    raise ValidationError(f"computational value must be 0 or 1, got {value!r}")
+    return (_INV_SQRT2 + 0j, _INV_SQRT2 + 0j)
 
 
 def jones_to_computational(jones: Sequence[complex]) -> tuple[complex, complex]:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from loqec import cli
+from loqec import ExperimentConfig, LoqecError, cli, hom_scan
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "scripts" / "manifests"
 
@@ -280,7 +280,8 @@ class TestManifestValidation:
         document = base_manifest(tmp_path / "out", overlap_v=10**400)
         manifest = write_manifest(tmp_path / "m.json", document)
         err = self.error_of(capsys, ["run-sweep", "--config", str(manifest)])
-        assert err.startswith("error: experiment.overlap_v:") and "401-digit integer" in err
+        assert err.startswith("error: experiment:") and "overlap_v" in err
+        assert "1329-bit integer" in err
         assert not (tmp_path / "out").exists()
 
     def test_integer_too_long_to_parse_is_invalid_json(self, tmp_path, capsys):
@@ -338,6 +339,70 @@ class TestManifestValidation:
         angles = cli._angle_grid({"start": 0, "stop": 99_999, "step": 1}, "thetas")
         delays = cli._delay_grid({"start": 0.0, "stop": 1.0, "num": 100_000}, "delays")
         assert len(angles) == len(delays) == cli.MAX_GRID_POINTS
+
+
+#: Bad values per ExperimentConfig field: strings, bools, NaN, infinities,
+#: out-of-range numbers, integers beyond the float range, and values of a
+#: neighbouring JSON type.
+_BAD_FIELD_VALUES = [
+    ("qubit_hwp_angle", value) for value in ("x", True, math.nan, math.inf, 10**400, None)
+] + [
+    ("wiring", value) for value in (3, True, None, "C:A")
+] + [
+    ("overlap_v", value)
+    for value in ("x", True, math.nan, math.inf, 1.5, -0.1, 10**400)
+] + [
+    ("imperfection_eps", value) for value in ("x", False, math.nan, 2.0, 10**400)
+] + [
+    ("pc_enabled", value) for value in ("yes", 1, 0, 1.0, None)
+] + [
+    ("thetas", value)
+    for value in ([], ["x"], [True], [math.nan], [0.0, math.inf], [0.0, 10**400])
+] + [
+    ("pair_rate", value)
+    for value in ("x", True, -1.0, math.nan, math.inf, 1e30, 10**400)
+] + [
+    ("duration", value) for value in ("x", False, -2.0, math.inf, 10**400)
+] + [
+    ("seed", value) for value in ("x", True, 1.5, -5, 2**64, 10**400, None)
+]
+
+
+class TestOneRuleSet:
+    """A manifest's experiment values are checked by ``ExperimentConfig`` alone:
+    the CLI reports the library's own error, prefixed with the location."""
+
+    @pytest.mark.parametrize("runs", [False, True], ids=["experiment", "runs"])
+    @pytest.mark.parametrize(
+        "field,value", _BAD_FIELD_VALUES, ids=[f"{f}-{v!r:.12}" for f, v in _BAD_FIELD_VALUES]
+    )
+    def test_cli_reports_the_config_error(self, tmp_path, capsys, field, value, runs):
+        with pytest.raises(LoqecError) as raised:
+            ExperimentConfig(**{field: value})
+        section = {field: value}
+        if runs:
+            document = {"config_version": 1, "runs": [{"name": "r", "experiment": section}]}
+            where = "runs[0].experiment"
+        else:
+            document = {"config_version": 1, "experiment": section}
+            where = "experiment"
+        document["outputs"] = {"directory": str(tmp_path / "out")}
+        manifest = write_manifest(tmp_path / "m.json", document)
+        assert cli.main(["run-sweep", "--config", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: {where}: {raised.value}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("start", "a", "start must be a real number, got 'a'"),
+        ("stop", True, "stop must be a real number, got True"),
+        ("step", math.nan, "step must be finite, got nan"),
+        ("start", 10**400, "start must be a real number within the float range, got a 1329-bit integer"),
+    ])
+    def test_range_bounds_read_as_the_library_reads_numbers(self, tmp_path, capsys, key, value, message):
+        thetas = {"start": 0, "stop": 90, "step": 45, key: value}
+        manifest = write_manifest(tmp_path / "m.json", base_manifest(tmp_path / "out", thetas=thetas))
+        assert cli.main(["run-sweep", "--config", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: experiment.thetas: {message}\n"
 
 
 class TestHomScanCommand:
@@ -417,6 +482,44 @@ class TestHomScanCommand:
         assert cli.main(["hom-scan", "--config", str(manifest)]) == 1
         err = capsys.readouterr().err
         assert f"hom_scan.delays: grid of {count} delays exceeds the cap of 100000" in err
+
+    @pytest.mark.parametrize("coherence_time", ["x", True, math.inf, -1.0, 10**400])
+    def test_coherence_time_is_checked_by_hom_scan(self, tmp_path, capsys, coherence_time):
+        with pytest.raises(LoqecError) as raised:
+            hom_scan([0.0], coherence_time)
+        manifest = write_manifest(
+            tmp_path / "hom.json",
+            {
+                "config_version": 1,
+                "hom_scan": {"delays": [0.0], "coherence_time": coherence_time},
+                "outputs": {"directory": str(tmp_path / "out")},
+            },
+        )
+        assert cli.main(["hom-scan", "--config", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: hom_scan: {raised.value}\n"
+
+    @pytest.mark.parametrize("delays,message", [
+        (["a"], "delays[0] must be a real number, got 'a'"),
+        ([0.0, math.nan], "delays[1] must be finite, got nan"),
+    ])
+    def test_delay_list_is_checked_by_hom_scan(self, tmp_path, capsys, delays, message):
+        manifest = self.manifest(tmp_path, delays)
+        assert cli.main(["hom-scan", "--config", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: hom_scan: {message}\n"
+
+    def test_delay_range_beyond_the_float_range_rejected(self, tmp_path):
+        """The span overflows; the range is refused before numpy builds it."""
+        manifest = self.manifest(tmp_path, {"start": -1e308, "stop": 1e308, "num": 3})
+        proc = subprocess.run(
+            [sys.executable, "-m", "loqec", "hom-scan", "--config", str(manifest)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: hom_scan.delays:")
+        assert "-1e+308" in proc.stderr and "1e+308" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_tiny_coherence_time_scans(self, tmp_path):
         """The coherence time squared underflows to zero; the scan still runs."""

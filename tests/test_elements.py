@@ -1,5 +1,6 @@
 """Unit tests for wave plates, beam splitters, delays, and wiring."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -351,6 +352,11 @@ class TestWiring:
     def test_parse_rejects_unknown_routing(self):
         with pytest.raises(ConfigurationError):
             WiringConfig.parse("A:B,C:D")
+
+    @pytest.mark.parametrize("bad", [3, True, None, b"A:C,B:D", ["A:C", "B:D"]])
+    def test_parse_rejects_a_non_string(self, bad):
+        with pytest.raises(ConfigurationError, match=re.escape(f"wiring must be a string, got {bad!r}")):
+            WiringConfig.parse(bad)
 
     def test_rewire_routes_encoder_outputs(self):
         state = TwoPhotonState.from_terms({(label("A", "H"), label("B", "V")): 1.0})

@@ -662,6 +662,18 @@ class TestSampleCounts:
         with pytest.raises(ValidationError, match=f"{name} must be a real number"):
             sample_counts(*args, seed=0)
 
+    @pytest.mark.parametrize("rate, duration, message", [
+        (1.0, -2.0, "duration must be finite and >= 0, got -2.0"),
+        (-1.0, 1.0, "pair_rate must be finite and >= 0, got -1.0"),
+        (math.inf, 1.0, "pair_rate must be finite and >= 0, got inf"),
+        (1.0, math.nan, "duration must be finite and >= 0, got nan"),
+    ])
+    def test_bad_exposure_named_with_its_value(self, rate, duration, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            sample_counts([0.5], rate, duration, 0)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(pair_rate=rate, duration=duration)
+
     def test_mean_count_above_the_poisson_limit_rejected(self):
         with pytest.raises(ValidationError, match="pair_rate=1e\\+30, duration=60.0"):
             sample_counts([0.1], 1e30, 60.0, seed=0)
@@ -802,6 +814,10 @@ class TestFitMalus:
     def test_visibility_is_amplitude_over_offset(self):
         assert visibility(MalusFit(0.125, 0.115, 45.0)) == pytest.approx(0.92)
 
+    def test_visibility_undefined_for_a_nan_offset(self):
+        with pytest.raises(ValidationError, match="visibility undefined for offset nan"):
+            visibility(MalusFit(math.nan, 1.0, 0.0))
+
     def test_visibility_needs_positive_offset(self):
         with pytest.raises(ValidationError):
             visibility(MalusFit(0.0, 0.1, 0.0))
@@ -852,7 +868,10 @@ class TestMalusSolver:
     def test_congruent_grids_raise_where_lstsq_loses_rank(self, base, turns):
         thetas = [base + 90.0 * turn for turn in turns]
         values = [float(turn % 3) for turn in turns]
-        rank = np.linalg.lstsq(_design(thetas), values, rcond=None)[2]
+        # The solver reduces each angle modulo 180 first, so the reference does too:
+        # unreduced, cos and sin of 2 theta near 720 degrees round apart enough to
+        # give a congruent pair a third singular value above the rank cutoff.
+        rank = np.linalg.lstsq(_design(np.fmod(thetas, 180.0)), values, rcond=None)[2]
         if rank < 3:
             with pytest.raises(FitError):
                 fit_malus(thetas, values)
@@ -1077,6 +1096,15 @@ class TestNumberChecks:
             ExperimentConfig(seed=10**5000)
         with pytest.raises(ValidationError, match="seed must lie in"):
             sample_counts([0.5], 1.0, 1.0, seed=-(10**5000))
+
+    def test_a_number_beyond_the_float_range_is_shown(self):
+        """An integer by its size, as the seed check names one; a fraction as written."""
+        with pytest.raises(ValidationError, match="range, got a 1329-bit integer$"):
+            ExperimentConfig(overlap_v=10**400)
+        with pytest.raises(ValidationError, match=r"range, got Fraction\(10+, 3\)$"):
+            ExperimentConfig(pair_rate=Fraction(10**400, 3))
+        with pytest.raises(ValidationError, match="range, got a Fraction too long to print$"):
+            encode_qubit(1.0, 0.0, Fraction(10**5000))
 
     def test_complex_coefficients_accepted(self):
         _, p = encode_qubit(np.complex128(R), 1j * R)

@@ -111,6 +111,14 @@ class TestPolarizationBasis:
         with pytest.raises(ValidationError):
             computational_jones(2)
 
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 0.0, "1", None])
+    def test_value_must_be_an_int_not_an_alias(self, bad):
+        with pytest.raises(ValidationError, match=f"computational value must be 0 or 1, got {bad!r}"):
+            computational_jones(bad)
+
+    def test_numpy_integers_accepted(self):
+        assert computational_jones(np.int64(1)) == computational_jones(1)
+
     @given(unit_jones())
     def test_basis_change_round_trips(self, jones):
         alpha, beta = jones_to_computational(jones)
@@ -135,6 +143,39 @@ class TestSpecValidation:
     def test_non_finite_jones_rejected(self, jones):
         with pytest.raises(ValidationError, match="unit norm"):
             SinglePhotonSpec("P", jones)
+
+    @pytest.mark.parametrize("jones,index,shown", [
+        (("x", 0), 0, "'x'"),
+        (("1", 0), 0, "'1'"),
+        ((True, 0), 0, "True"),
+        ((1.0, np.False_), 1, "np.False_|False"),
+        ((1.0, None), 1, "None"),
+    ])
+    def test_non_number_jones_entry_named(self, jones, index, shown):
+        message = rf"jones vector\[{index}\] must be a number, got ({shown})$"
+        with pytest.raises(ValidationError, match=message):
+            SinglePhotonSpec("a", jones)
+        with pytest.raises(ValidationError, match=message):
+            jones_to_computational(jones)
+
+    def test_non_sequence_jones_rejected(self):
+        with pytest.raises(ValidationError, match="jones vector must be a pair of numbers, got 1.0"):
+            SinglePhotonSpec("a", 1.0)
+
+    @pytest.mark.parametrize("jones", [
+        (1, 0),
+        (1.0, -0.0),
+        (0.6, 0.8j),
+        (np.float64(R), np.complex128(-R)),
+        np.array([0.0, 1.0]),
+        [complex(R, 0.0), complex(0.0, -R)],
+    ])
+    def test_valid_jones_keep_their_bytes(self, jones):
+        expected = tuple(complex(c) for c in jones)
+        assert repr(SinglePhotonSpec("a", jones).jones) == repr(expected)
+        alpha = (expected[0] + expected[1]) * R
+        beta = (expected[0] - expected[1]) * R
+        assert repr(jones_to_computational(jones)) == repr((alpha, beta))
 
     @pytest.mark.parametrize("bad", [-0.1, 1.01, 2.0, math.nan])
     def test_overlap_out_of_range_rejected(self, bad):
@@ -165,6 +206,20 @@ class TestModeLabel:
             ModeLabel("P", Polarization.H, 2)
         with pytest.raises(ValidationError):
             TwoPhotonState.from_terms({(label("P", "H", 2), label("Q", "H")): 1.0})
+
+    @pytest.mark.parametrize("bad", ["X", "h", 0, None])
+    def test_unknown_polarization_rejected(self, bad):
+        with pytest.raises(ValidationError, match=f"polarization must be 'H' or 'V', got {bad!r}"):
+            ModeLabel("a", bad)
+
+    @pytest.mark.parametrize("bad", [1.0, 0.0, True, False, "1"])
+    def test_temporal_index_must_be_an_int_not_an_alias(self, bad):
+        with pytest.raises(ValidationError, match=f"temporal index must be 0 or 1, got {bad!r}"):
+            ModeLabel("a", "H", bad)
+
+    def test_temporal_index_stored_as_int(self):
+        assert type(ModeLabel("a", "H", np.int64(1)).temporal) is int
+        assert ModeLabel("a", "V", np.int64(1)) == ModeLabel("a", Polarization.V, 1)
 
     def test_amplitude_lookup_ignores_argument_order(self):
         state = pair_state({(("P", "H"), ("Q", "V")): 0.5})
