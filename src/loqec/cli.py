@@ -27,7 +27,7 @@ from .errors import (
     ManifestError,
     UsageError,
     ValidationError,
-    as_real,
+    as_finite_real,
 )
 from .experiment import (
     CurveResult,
@@ -75,14 +75,11 @@ def _check_keys(section: Mapping[str, Any], allowed: Collection[str], where: str
 
 
 def _number(value: Any, name: str, where: str) -> float:
-    """A range object's bound or step: a finite number, as :func:`as_real` reads one."""
+    """A range object's bound or step: a finite number, as :func:`as_finite_real` reads one."""
     try:
-        number = as_real(value, name)
+        return as_finite_real(value, name)
     except ValidationError as exc:
         _fail(where, str(exc))
-    if not math.isfinite(number):
-        _fail(where, f"{name} must be finite, got {number!r}")
-    return number
 
 
 def _integer(value: Any, name: str, where: str) -> int:

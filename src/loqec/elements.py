@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError, as_real
+from .errors import ConfigurationError, as_finite_real
 from .state_core import Polarization, TwoPhotonState, relabel_paths
 
 #: Canonical path names used by the experiment pipeline.
@@ -97,9 +97,7 @@ def hwp(angle_deg: float, path: str) -> LinearElement:
     At 22.5 degrees it maps |H> onto +45 degree polarization, i.e. prepares
     computational |0> from a horizontally polarized photon.
     """
-    angle = as_real(angle_deg, "hwp angle")
-    if not math.isfinite(angle):
-        raise ValidationError(f"hwp angle must be finite, got {angle!r}")
+    angle = as_finite_real(angle_deg, "hwp angle")
     c, s = _hwp_image_of_h(angle)
     matrix = np.array([[c, s], [s, -c]], dtype=complex)
     channels = ((path, Polarization.H), (path, Polarization.V))

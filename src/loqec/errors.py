@@ -1,5 +1,7 @@
 """Exception types shared across the simulator, and the number checks behind them."""
 
+import math
+
 import numpy as np
 
 
@@ -64,6 +66,14 @@ def _convert(kind: type, value: object, name: str, what: str):
 def as_real(value: object, name: str) -> float:
     """``value`` as a float; a bool, a string or another non-number is rejected."""
     return _convert(float, value, name, "a real number")
+
+
+def as_finite_real(value: object, name: str) -> float:
+    """``value`` as a finite float, read as by :func:`as_real`; NaN and infinities are rejected."""
+    number = as_real(value, name)
+    if not math.isfinite(number):
+        raise ValidationError(f"{name} must be finite, got {number!r}")
+    return number
 
 
 def as_complex(value: object, name: str) -> complex:

@@ -60,6 +60,7 @@ from .errors import (
     ValidationError,
     _shown,
     as_complex,
+    as_finite_real,
     as_grid,
     as_real,
     as_real_array,
@@ -207,7 +208,7 @@ def _check_word(value: int, name: str) -> int:
 
 @functools.cache
 def _key_sequence_type() -> type:
-    """The seed sequence that hands each point's Philox its key ``[seed, 0]``.
+    """The seed sequence that hands a ``sample_counts`` call's Philox its key ``[seed, 0]``.
 
     Built on first use: subclassing numpy's ``ISeedSequence`` imports
     ``numpy.random``, which an import of loqec should not pay for.
@@ -219,7 +220,7 @@ def _key_sequence_type() -> type:
             self._words = np.array([seed, 0], dtype=np.uint64)
 
         def generate_state(self, n_words, dtype=np.uint32):
-            # Exact types only: this runs once per point, and Philox asks for nothing else.
+            # Exact types only: this runs once per call, and Philox asks for nothing else.
             if type(n_words) is not int or n_words != 2 or dtype is not np.uint64:
                 raise ValidationError(
                     f"a Philox key is two uint64 words, not {n_words!r} of {dtype!r}"
@@ -244,9 +245,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        angle = as_real(self.qubit_hwp_angle, "qubit_hwp_angle")
-        if not math.isfinite(angle):
-            raise ValidationError(f"qubit_hwp_angle must be finite, got {angle!r}")
+        angle = as_finite_real(self.qubit_hwp_angle, "qubit_hwp_angle")
         object.__setattr__(self, "qubit_hwp_angle", angle)
         if not isinstance(self.wiring, WiringConfig):
             object.__setattr__(self, "wiring", WiringConfig.parse(self.wiring))
@@ -406,37 +405,50 @@ def sample_counts(
 
     ``probabilities`` is one curve of shape ``(n,)`` or a stack of shape
     ``(k, n)``, and the counts take its shape.  Point ``i`` of row ``r``
-    draws from its own counter-based Philox with key ``[seed, 0]`` and
-    counter ``[0, i, stream + r, 0]``; one curve is row 0.  So results do
-    not depend on evaluation order, distinct curves of one run stay
+    draws what a fresh Philox with key ``[seed, 0]`` and counter
+    ``[0, i, stream + r, 0]`` draws; one curve is row 0.  So results do not
+    depend on evaluation order, distinct curves of one run stay
     decorrelated via their streams, and each row of a stack has the counts
-    that row alone gets on stream ``stream + r``: a stack only checks its
-    inputs and builds its counter table once.  ``seed`` and every row's
-    stream are integers in ``[0, 2**64)``.  The key goes in through a seed
-    sequence that returns it as is: the generator state is the one
-    ``Philox(key=seed)`` builds, without the OS entropy read that
+    that row alone gets on stream ``stream + r``.  ``seed`` and every row's
+    stream are integers in ``[0, 2**64)``.
+
+    Philox is counter-based: its draws depend on its key and counter alone.
+    So a call builds one ``np.random.Philox`` and one ``Generator``, and
+    before each point sets the generator's state to the one that fresh
+    Philox starts in, with an empty buffer.  The key goes in through a seed
+    sequence that returns it as is, which spares the OS entropy read that
     ``Philox(key=...)`` makes and discards.
     """
     p = as_real_array(probabilities, "probabilities", stack=True)
     check_unit_interval(p, "probabilities")
     rate, time = _exposure(pair_rate, duration)
-    key = _key_sequence_type()(_check_word(seed, "seed"))
+    seed = _check_word(seed, "seed")
     first = _check_word(stream, "stream")
     rows = p.shape[0] if p.ndim == 2 else 1
     if first + rows > 2**64:
         raise ValidationError(
             f"stream + {rows - 1} must lie in [0, 2**64) for {rows} curves, got stream {first}"
         )
-    counters = np.zeros((rows, p.shape[-1], 4), dtype=np.uint64)
-    counters[:, :, 1] = np.arange(p.shape[-1])
-    counters[:, :, 2] = np.arange(rows, dtype=np.uint64)[:, None] + np.uint64(first)
-    means = (rate * time * p).reshape(-1).tolist()
+    means = (rate * time * p).reshape(rows, p.shape[-1]).tolist()
     # Looked up per call, not bound at import: the attribute may be rebound, as a tracer does.
-    philox, generator = np.random.Philox, np.random.Generator
-    counts = [
-        generator(philox(key, counter=counter)).poisson(mean)
-        for counter, mean in zip(counters.reshape(-1, 4), means)
-    ]
+    bit_generator = np.random.Philox(_key_sequence_type()(seed))
+    draw = np.random.Generator(bit_generator).poisson
+    key = [seed, 0]
+    counts = []
+    for row_stream, row in enumerate(means, first):
+        for i, mean in enumerate(row):
+            # A fresh Philox's state.  buffer_pos 4 marks the buffer empty, so
+            # the first draw bumps the counter and refills it, as a fresh one
+            # does.  The setter reads lists faster than uint64 arrays.
+            bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": [0, i, row_stream, 0], "key": key},
+                "buffer": [0, 0, 0, 0],
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            counts.append(draw(mean))
     return np.array(counts, dtype=np.int64).reshape(p.shape)
 
 
@@ -573,7 +585,7 @@ def hom_scan(delays: Sequence[float], coherence_time: float) -> HomScanResult:
     grid = as_grid(delays, "delays")
     sigma = as_real(coherence_time, "coherence_time")
     if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValidationError(f"coherence time must be finite and positive, got {sigma!r}")
+        raise ValidationError(f"coherence_time must be finite and positive, got {sigma!r}")
     # The ratio keeps a tiny coherence time from squaring to zero; a ratio
     # beyond the float range is an overlap of exactly 0.
     with np.errstate(over="ignore"):

@@ -41,6 +41,7 @@ from loqec import (
     z_measure,
 )
 from loqec.detection import analyzer_probabilities, herald_coherency
+from loqec.experiment import _POISSON_MEAN_MAX
 
 R = 1.0 / math.sqrt(2.0)
 
@@ -511,11 +512,12 @@ class TestRunExperiment:
             assert curve.counts == tuple(alone.tolist())
 
     @pytest.mark.parametrize("thetas, inits", [
-        (DEFAULT_THETAS, 38), (tuple(float(t) for t in range(-90, 91)), 362),
+        (DEFAULT_THETAS, 1), (tuple(float(t) for t in range(-90, 91)), 1),
     ], ids=["default-grid", "181-angles"])
     def test_one_philox_per_point(self, monkeypatch, thetas, inits):
-        """Each point builds its own generator through ``np.random.Philox``,
-        looked up on every call, so a rebound attribute sees every one."""
+        """A run's one ``sample_counts`` call builds one generator through
+        ``np.random.Philox``, looked up on every call, so a rebound attribute
+        sees it, and resets its counter for every point."""
         config = ExperimentConfig(qubit_hwp_angle=30.0, thetas=thetas, seed=4)
         want = run_experiment(config)
         built = []
@@ -601,6 +603,47 @@ class TestSampleCounts:
             for i, mean in enumerate(means)
         ]
         assert sample_counts(p, rate, 1.0, seed, stream=stream).tolist() == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(lambda k: st.integers(1, 40).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.sampled_from([0.0, 9.99, 10.0, 10.01, _POISSON_MEAN_MAX]),
+                        st.floats(0.0, 30.0),
+                        st.floats(0.0, _POISSON_MEAN_MAX),
+                    ),
+                    min_size=n, max_size=n,
+                ),
+                min_size=k, max_size=k,
+            )
+        )),
+        st.one_of(st.sampled_from([0, 1, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        st.booleans(),
+    )
+    def test_each_point_draws_what_a_fresh_philox_draws(self, means, seed, stream, curve):
+        """Point ``i`` of row ``r`` draws what a fresh ``Philox`` with key
+        ``seed`` and counter ``[0, i, stream + r, 0]`` draws, for one curve
+        and for a stack.
+
+        The means straddle numpy's switch of Poisson method at 10 and reach
+        the largest mean the exposure check lets through.
+        """
+        stack = np.array(means) / _POISSON_MEAN_MAX
+        p = stack[0] if curve else stack
+        rows = np.atleast_2d(p)
+        # The last row's stream may reach 2**64 - 1 but not pass it.
+        stream = min(stream, 2**64 - len(rows))
+        counts = sample_counts(p, _POISSON_MEAN_MAX, 1.0, seed, stream=stream)
+        assert counts.shape == p.shape and counts.dtype == np.int64
+        drawn = (_POISSON_MEAN_MAX * 1.0 * rows).tolist()
+        for r, (row_means, row_counts) in enumerate(zip(drawn, np.atleast_2d(counts).tolist())):
+            for i, (mean, count) in enumerate(zip(row_means, row_counts)):
+                counter = np.array([0, i, stream + r, 0], dtype=np.uint64)
+                fresh = np.random.Generator(np.random.Philox(key=seed, counter=counter))
+                assert count == fresh.poisson(mean)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -997,7 +1040,7 @@ class TestHomScan:
 
     @pytest.mark.parametrize("coherence_time", [math.inf, math.nan, -1e-12])
     def test_non_finite_coherence_time_rejected(self, coherence_time):
-        with pytest.raises(ValidationError, match="coherence time must be finite and positive"):
+        with pytest.raises(ValidationError, match="coherence_time must be finite and positive"):
             hom_scan((0.0,), coherence_time)
 
     @pytest.mark.parametrize("delays, name", [
