@@ -166,10 +166,15 @@ def analyzer_probabilities(coherency: np.ndarray, thetas: Sequence[float]) -> np
     ``thetas`` is checked as by :func:`~loqec.errors.as_grid`, and its
     cosines and sines depend on the grid alone: they are cached per grid
     (see :func:`_analyzer_trig`), so a sweep of many configs on one grid
-    checks it and takes them once.
+    checks it and takes them once.  A sweep, whose config has checked its
+    grid, reads the cache and calls the same kernel directly.
     """
     j = _coherency_array(coherency)
-    c, s = _analyzer_trig(_grid_key(thetas))
+    return _pass_probabilities(j, *_analyzer_trig(_grid_key(thetas)))
+
+
+def _pass_probabilities(j: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The readout of the checked coherency array ``j`` on a grid's cached ``c`` and ``s``."""
     j = j.real[..., None]
     p = j[..., 0, 0, :] * c * c + j[..., 1, 1, :] * s * s + 2.0 * j[..., 0, 1, :] * c * s
     return np.maximum(p, 0.0)

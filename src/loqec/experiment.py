@@ -18,6 +18,14 @@ setting from the survivor basis, and a sweep config reads both heralds'
 ``J`` off it (see :func:`run_analytic`): no config builds a two-photon or
 a single-photon state.
 
+A sweep's angle grid is checked once, by :class:`ExperimentConfig`, which
+holds it as a tuple of finite floats.  The sweep reads the grid's cached
+analyzer trig and Malus solver for that tuple directly and runs the
+readout and the fits through the private kernels that
+:func:`~loqec.detection.analyzer_probabilities` and :func:`fit_malus`
+call after their own checks, so no config re-checks or re-converts the
+grid, and the bytes are those of the public functions.
+
 Overlap convention: ``ExperimentConfig.overlap_v`` is the degree of
 indistinguishability on the probability scale, i.e. the weight of the
 interfering (temporally matched) component in the detected ensemble.  It
@@ -37,8 +45,9 @@ from typing import Sequence
 import numpy as np
 
 from .detection import (
+    _analyzer_trig,
+    _pass_probabilities,
     analyzer_curve,  # noqa: F401  (kept importable from this module)
-    analyzer_probabilities,
     apply_feedforward,
     coincidence_postselect,
     z_measure,
@@ -82,6 +91,9 @@ DEFAULT_THETAS = tuple(float(t) for t in range(-90, 91, 10))
 
 #: Largest Poisson mean numpy's generator accepts (its ``POISSON_LAM_MAX``).
 _POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
+
+#: Delays per batch of states in :func:`hom_scan`, which bounds a scan's memory.
+_HOM_BLOCK = 2048
 
 #: Fits whose amplitude is at most this share of the offset report phase 0.
 _FLAT_FIT_TOL = 1e-12
@@ -210,6 +222,8 @@ def _check_word(value: int, name: str) -> int:
 def _key_sequence_type() -> type:
     """The seed sequence that hands a ``sample_counts`` call's Philox its key ``[seed, 0]``.
 
+    It serves the one ``Philox`` a call builds; every point after that is a
+    state set on that generator, with the same key and its own counter.
     Built on first use: subclassing numpy's ``ISeedSequence`` imports
     ``numpy.random``, which an import of loqec should not pay for.
     """
@@ -368,14 +382,15 @@ def _sweep(config: ExperimentConfig, counted: bool) -> SweepResult:
 
     eps = config.imperfection_eps
     coherency = (1.0 - eps) * coherency + eps * 0.5 * weights[:, None, None] * _IDENTITY
-    curves = analyzer_probabilities(coherency, config.thetas)
+    # The config checked its grid; the caches key on the tuple it holds.
+    curves = _pass_probabilities(coherency, *_analyzer_trig(config.thetas))
     counts_d2 = counts_d3 = None
     if counted:
         counts = sample_counts(curves, config.pair_rate, config.duration, config.seed)
         counts_d2, counts_d3 = (tuple(row) for row in counts.tolist())
     p_d2, p_d3 = (tuple(p) for p in curves.tolist())
 
-    fit_d2, fit_d3 = fit_malus(config.thetas, curves)
+    fit_d2, fit_d3 = _fits(_malus_solver(config.thetas), curves)
     vis_d2 = visibility(fit_d2)
     vis_d3 = visibility(fit_d3)
     fidelity = float(psi @ coherency[0] @ psi / weights[0])
@@ -414,10 +429,14 @@ def sample_counts(
 
     Philox is counter-based: its draws depend on its key and counter alone.
     So a call builds one ``np.random.Philox`` and one ``Generator``, and
-    before each point sets the generator's state to the one that fresh
-    Philox starts in, with an empty buffer.  The key goes in through a seed
-    sequence that returns it as is, which spares the OS entropy read that
-    ``Philox(key=...)`` makes and discards.
+    one state dict: the state that fresh Philox starts in, with an empty
+    buffer, whose counter is one list.  Before each row the call writes the
+    row's stream into that list, before each point the point's index, and
+    then sets the generator's state from the dict.  numpy's setter copies
+    every value into the generator and keeps no reference, so each point
+    starts from exactly that state, whatever the previous draw consumed.
+    The key goes in through a seed sequence that returns it as is, which
+    spares the OS entropy read that ``Philox(key=...)`` makes and discards.
     """
     p = as_real_array(probabilities, "probabilities", stack=True)
     check_unit_interval(p, "probabilities")
@@ -433,22 +452,26 @@ def sample_counts(
     # Looked up per call, not bound at import: the attribute may be rebound, as a tracer does.
     bit_generator = np.random.Philox(_key_sequence_type()(seed))
     draw = np.random.Generator(bit_generator).poisson
-    key = [seed, 0]
+    # A fresh Philox's state.  buffer_pos 4 marks the buffer empty, so the
+    # first draw bumps the counter and refills it, as a fresh one does.  The
+    # setter reads lists faster than uint64 arrays.
+    counter = [0, 0, 0, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": [seed, 0]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     counts = []
+    append = counts.append
     for row_stream, row in enumerate(means, first):
+        counter[2] = row_stream
         for i, mean in enumerate(row):
-            # A fresh Philox's state.  buffer_pos 4 marks the buffer empty, so
-            # the first draw bumps the counter and refills it, as a fresh one
-            # does.  The setter reads lists faster than uint64 arrays.
-            bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": [0, i, row_stream, 0], "key": key},
-                "buffer": [0, 0, 0, 0],
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            counts.append(draw(mean))
+            counter[1] = i
+            bit_generator.state = state
+            append(draw(mean))
     return np.array(counts, dtype=np.int64).reshape(p.shape)
 
 
@@ -473,7 +496,8 @@ def fit_malus(
     configs on one grid checks and factors it once.  The coefficients are
     elementwise products with the solver, summed over the grid, not a BLAS
     matrix product, whose blocking may depend on the stack size: a curve's
-    fit has the same bytes alone as in any stack.
+    fit has the same bytes alone as in any stack.  A sweep, whose config
+    has checked its grid, calls the same solver and fit kernel directly.
     """
     th = as_real_array(thetas, "thetas")
     y = as_real_array(values, "values", stack=True)
@@ -485,6 +509,11 @@ def fit_malus(
         index = tuple(np.argwhere(~finite)[0].tolist())
         shown = ", ".join(map(str, index))
         raise FitError(f"values[{shown}] must be finite, got {float(y[index])!r}")
+    return _fits(solver, y)
+
+
+def _fits(solver: np.ndarray, y: np.ndarray) -> MalusFit | tuple[MalusFit, ...]:
+    """The fits of the finite curve or stack ``y`` through the grid's ``solver``."""
     # Finite values may still overflow; _malus_fit rejects what does.
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = (y[..., None, :] * solver).sum(axis=-1)
@@ -579,8 +608,11 @@ def hom_scan(delays: Sequence[float], coherence_time: float) -> HomScanResult:
     overlap ``exp(-tau^2 / 2 sigma^2)``), interferes them on a 50/50 beam
     splitter, and records the probability of a coincidence across the two
     outputs.  Zero delay gives zero coincidences; far beyond the coherence
-    time the classical value one half is recovered.  The whole grid is one
-    batch of states through the splitter and the post-selection.
+    time the classical value one half is recovered.  The grid runs in
+    blocks of ``_HOM_BLOCK`` delays, each one batch of states through the
+    splitter and the post-selection, so a scan's memory does not grow with
+    its grid; a grid of one block is one batch.  A delay's point does not
+    depend on its block.
     """
     grid = as_grid(delays, "delays")
     sigma = as_real(coherence_time, "coherence_time")
@@ -591,8 +623,16 @@ def hom_scan(delays: Sequence[float], coherence_time: float) -> HomScanResult:
     with np.errstate(over="ignore"):
         ratio = grid / sigma
         overlaps = np.exp(-0.5 * ratio * ratio)
-    state = product_state(*_HOM_PHOTONS, overlaps, (_HOM_OUT1, _HOM_OUT2))
-    state = apply_element(state, _HOM_SPLITTER)
-    _, p_coincidence = coincidence_postselect(state)
+    p_coincidence = np.concatenate([
+        _hom_block(overlaps[start : start + _HOM_BLOCK])
+        for start in range(0, overlaps.size, _HOM_BLOCK)
+    ])
     points = zip(grid.tolist(), overlaps.tolist(), p_coincidence.tolist())
     return HomScanResult(sigma, tuple(HomScanPoint(*point) for point in points))
+
+
+def _hom_block(overlaps: np.ndarray) -> np.ndarray:
+    """Coincidence probabilities of the HOM pair at each amplitude overlap, as one batch."""
+    state = product_state(*_HOM_PHOTONS, overlaps, (_HOM_OUT1, _HOM_OUT2))
+    state = apply_element(state, _HOM_SPLITTER)
+    return coincidence_postselect(state)[1]

@@ -1,8 +1,10 @@
 """Unit tests for the sweep pipeline, fitting, sampling, and HOM scans."""
 import dataclasses
+import hashlib
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -511,6 +513,21 @@ class TestRunExperiment:
             alone = sample_counts(curve.probabilities, 1000.0, 60.0, 2**64 - 1, stream=stream)
             assert curve.counts == tuple(alone.tolist())
 
+    def test_dense_grid_counts_are_pinned(self):
+        """Both curves' counts on a 1801-angle grid, pinned by sha256: every
+        point index up to 1800 on streams 0 and 1.  The digest was taken
+        from the sampler that set a freshly built state dict per point."""
+        thetas = tuple((i - 900) / 10 for i in range(1801))
+        config = ExperimentConfig(
+            qubit_hwp_angle=22.5, overlap_v=0.922, imperfection_eps=0.03, thetas=thetas,
+            pair_rate=2500.0, duration=30.0, seed=4242,
+        )
+        result = run_experiment(config)
+        text = "".join(f"{a},{b}\n" for a, b in zip(result.d1_d2.counts, result.d1_d3.counts))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a9cab33bc44f53581efc676006372f8ad5218307f49d335572b9f845c35edc01"
+        )
+
     @pytest.mark.parametrize("thetas, inits", [
         (DEFAULT_THETAS, 1), (tuple(float(t) for t in range(-90, 91)), 1),
     ], ids=["default-grid", "181-angles"])
@@ -670,6 +687,23 @@ class TestSampleCounts:
         message = r"stream \+ 1 must lie in \[0, 2\*\*64\) for 2 curves, got stream 18446744073709551615"
         with pytest.raises(ValidationError, match=message):
             sample_counts(curves, 1000.0, 60.0, seed=5, stream=2**64 - 1)
+
+    @pytest.mark.parametrize("first", [0.0, 9.5, 9.99, _POISSON_MEAN_MAX],
+                             ids=["zero", "9.5", "9.99", "largest"])
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (7, 3), (2**64 - 1, 2**64 - 2)])
+    def test_a_row_does_not_depend_on_the_row_before(self, first, seed, stream):
+        """Row 1 of a stack draws what it draws alone, whatever row 0 left in
+        the one generator a call reuses.  Means just under 10 take numpy's
+        multiplication method, which consumes many doubles; a mean of 0
+        consumes none; the largest mean takes the rejection method."""
+        means = np.array([
+            [first] * 6,
+            [0.0, 9.99, 3.0, 10.0, 1e6, _POISSON_MEAN_MAX],
+        ])
+        p = means / _POISSON_MEAN_MAX
+        stack = sample_counts(p, _POISSON_MEAN_MAX, 1.0, seed, stream=stream)
+        alone = sample_counts(p[1], _POISSON_MEAN_MAX, 1.0, seed, stream=stream + 1)
+        assert stack[1].tolist() == alone.tolist()
 
     def test_a_bad_entry_of_a_stack_is_named(self):
         with pytest.raises(ValidationError, match=r"probabilities\[1\]\[0\] must lie in \[0, 1\]"):
@@ -930,9 +964,8 @@ class TestMalusSolver:
         from loqec import experiment
 
         fits = []
-        monkeypatch.setattr(
-            experiment, "fit_malus", lambda *args: fits.append(args) or fit_malus(*args)
-        )
+        kernel = experiment._fits
+        monkeypatch.setattr(experiment, "_fits", lambda *args: fits.append(args) or kernel(*args))
         experiment._malus_solver.cache_clear()
         rng = np.random.default_rng(8)
         for angle, overlap_v in rng.uniform([-90.0, 0.0], [90.0, 1.0], size=(200, 2)):
@@ -940,6 +973,40 @@ class TestMalusSolver:
         info = experiment._malus_solver.cache_info()
         assert (info.misses, info.hits) == (1, 199)
         assert len(fits) == 200
+
+    def test_a_sweep_does_not_walk_its_checked_grid(self, monkeypatch):
+        """The config checks its grid; no sweep of it walks the grid again
+        through the readout's key or the fit's array conversion."""
+        from loqec import detection, errors, experiment
+
+        rng = np.random.default_rng(9)
+        thetas = tuple(float(t) for t in range(-90, 91))
+        configs = [
+            ExperimentConfig(qubit_hwp_angle=angle, overlap_v=overlap_v, thetas=thetas)
+            for angle, overlap_v in rng.uniform([-90.0, 0.0], [90.0, 1.0], size=(200, 2))
+        ]
+        run_analytic(configs[0])  # the grid's cache entries, built once
+        walks = []
+        grid_key = detection._grid_key
+        monkeypatch.setattr(
+            detection, "_grid_key", lambda *args: walks.append("_grid_key") or grid_key(*args)
+        )
+        for module in (errors, experiment):
+            convert = module.as_real_array
+
+            def spy(values, name, _convert=convert, **kwargs):
+                if name == "thetas":
+                    walks.append("as_real_array")
+                return _convert(values, name, **kwargs)
+
+            monkeypatch.setattr(module, "as_real_array", spy)
+        for config in configs:
+            run_analytic(config)
+        assert walks == []
+        # The spies see the public route's walks.
+        analyzer_probabilities(np.eye(2), thetas)
+        fit_malus(thetas, np.ones(len(thetas)))
+        assert walks == ["_grid_key", "as_real_array"]
 
 
 class TestFitStack:
@@ -1101,6 +1168,31 @@ class TestHomScan:
         result = hom_scan(tuple(np.linspace(-3e-12, 3e-12, 7)), 1e-12)
         assert len(result.points) == 7
         assert sorted(calls) == ["apply_element", "coincidence_postselect", "product_state"]
+
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 100])
+    def test_blocks_give_the_bits_of_one_batch(self, monkeypatch, n):
+        from loqec import experiment
+
+        rng = np.random.default_rng(n)
+        delays = np.concatenate(([0.0], rng.uniform(-5e-12, 5e-12, n - 1)))
+        whole = hom_scan(delays, self.sigma)
+        monkeypatch.setattr(experiment, "_HOM_BLOCK", 16)
+        blocked = hom_scan(delays, self.sigma)
+        assert [[x.hex() for x in dataclasses.astuple(point)] for point in blocked.points] == [
+            [x.hex() for x in dataclasses.astuple(point)] for point in whole.points
+        ]
+        assert blocked.points[0].p_coincidence == 0.0
+
+    def test_a_long_scan_runs_in_bounded_memory(self):
+        delays = np.linspace(-5e-12, 5e-12, 20_000)
+        tracemalloc.start()
+        try:
+            result = hom_scan(delays, self.sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.points) == 20_000
+        assert peak < 64 * 2**20
 
 
 class TestNumberChecks:
