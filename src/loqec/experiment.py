@@ -18,13 +18,15 @@ setting from the survivor basis, and a sweep config reads both heralds'
 ``J`` off it (see :func:`run_analytic`): no config builds a two-photon or
 a single-photon state.
 
-A sweep's angle grid is checked once, by :class:`ExperimentConfig`, which
-holds it as a tuple of finite floats.  The sweep reads the grid's cached
-analyzer trig and Malus solver for that tuple directly and runs the
-readout and the fits through the private kernels that
-:func:`~loqec.detection.analyzer_probabilities` and :func:`fit_malus`
-call after their own checks, so no config re-checks or re-converts the
-grid, and the bytes are those of the public functions.
+A sweep's inputs are checked once, by :class:`ExperimentConfig`, which
+holds its grid as a tuple of finite floats and its exposure and seed as
+checked numbers.  The sweep reads the grid's analyzer trig and Malus
+solver from one cache entry per grid (see :func:`_grid_tables`) and runs
+the readout, the fits and the counting through the private kernels that
+:func:`~loqec.detection.analyzer_probabilities`, :func:`fit_malus` and
+:func:`sample_counts` call after their own checks, so no config re-checks
+or re-converts its grid or its counting inputs, and the bytes are those of
+the public functions.
 
 Overlap convention: ``ExperimentConfig.overlap_v`` is the degree of
 indistinguishability on the probability scale, i.e. the weight of the
@@ -364,8 +366,11 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
     """Run the sweep and attach Poisson coincidence counts to both curves.
 
     The probabilities are those of :func:`run_analytic`, from the same
-    kernel.  Both curves are counted in one :func:`sample_counts` call on
-    their ``(2, n)`` stack: D1-D2 on stream 0, D1-D3 on stream 1.
+    kernel.  Both curves are counted as one ``(2, n)`` stack through the
+    kernel :func:`sample_counts` calls after its checks, with the config's
+    own checked exposure and seed: D1-D2 on stream 0, D1-D3 on stream 1.
+    The counts are those of ``sample_counts(curves, pair_rate, duration,
+    seed)`` on the run's probabilities.
     """
     return _sweep(config, counted=True)
 
@@ -382,15 +387,17 @@ def _sweep(config: ExperimentConfig, counted: bool) -> SweepResult:
 
     eps = config.imperfection_eps
     coherency = (1.0 - eps) * coherency + eps * 0.5 * weights[:, None, None] * _IDENTITY
-    # The config checked its grid; the caches key on the tuple it holds.
-    curves = _pass_probabilities(coherency, *_analyzer_trig(config.thetas))
+    # The config checked its grid, exposure and seed; the cache keys on its tuple.
+    c_trig, s_trig, solver = _grid_tables(config.thetas)
+    curves = _pass_probabilities(coherency, c_trig, s_trig)
     counts_d2 = counts_d3 = None
     if counted:
-        counts = sample_counts(curves, config.pair_rate, config.duration, config.seed)
-        counts_d2, counts_d3 = (tuple(row) for row in counts.tolist())
+        # The readout lies in [0, tr J], inside [0, 1]: no unit-interval check.
+        means = (config.pair_rate * config.duration * curves).tolist()
+        counts_d2, counts_d3 = (tuple(row) for row in _draw(means, config.seed, 0))
     p_d2, p_d3 = (tuple(p) for p in curves.tolist())
 
-    fit_d2, fit_d3 = _fits(_malus_solver(config.thetas), curves)
+    fit_d2, fit_d3 = _fits(solver, curves)
     vis_d2 = visibility(fit_d2)
     vis_d3 = visibility(fit_d3)
     fidelity = float(psi @ coherency[0] @ psi / weights[0])
@@ -437,6 +444,10 @@ def sample_counts(
     starts from exactly that state, whatever the previous draw consumed.
     The key goes in through a seed sequence that returns it as is, which
     spares the OS entropy read that ``Philox(key=...)`` makes and discards.
+
+    The checks come first; the draws are the private kernel :func:`_draw`,
+    which a sweep calls directly on its config's checked exposure and seed
+    (see :func:`run_experiment`).
     """
     p = as_real_array(probabilities, "probabilities", stack=True)
     check_unit_interval(p, "probabilities")
@@ -449,6 +460,16 @@ def sample_counts(
             f"stream + {rows - 1} must lie in [0, 2**64) for {rows} curves, got stream {first}"
         )
     means = (rate * time * p).reshape(rows, p.shape[-1]).tolist()
+    return np.array(_draw(means, seed, first), dtype=np.int64).reshape(p.shape)
+
+
+def _draw(means: list[list[float]], seed: int, first_stream: int) -> list[list[int]]:
+    """Poisson counts of each row of checked ``means``, row ``r`` on stream ``first_stream + r``.
+
+    The kernel of :func:`sample_counts`, which checks every input first:
+    the means are finite floats in ``[0, _POISSON_MEAN_MAX]``, ``seed`` and
+    every row's stream lie in ``[0, 2**64)``.
+    """
     # Looked up per call, not bound at import: the attribute may be rebound, as a tracer does.
     bit_generator = np.random.Philox(_key_sequence_type()(seed))
     draw = np.random.Generator(bit_generator).poisson
@@ -465,14 +486,16 @@ def sample_counts(
         "uinteger": 0,
     }
     counts = []
-    append = counts.append
-    for row_stream, row in enumerate(means, first):
+    for row_stream, row in enumerate(means, first_stream):
         counter[2] = row_stream
+        drawn = []
+        append = drawn.append
         for i, mean in enumerate(row):
             counter[1] = i
             bit_generator.state = state
             append(draw(mean))
-    return np.array(counts, dtype=np.int64).reshape(p.shape)
+        counts.append(drawn)
+    return counts
 
 
 def fit_malus(
@@ -509,14 +532,15 @@ def fit_malus(
         index = tuple(np.argwhere(~finite)[0].tolist())
         shown = ", ".join(map(str, index))
         raise FitError(f"values[{shown}] must be finite, got {float(y[index])!r}")
-    return _fits(solver, y)
+    # Finite values may still overflow; _malus_fit rejects what does.  A
+    # sweep's probabilities cannot, so its calls to _fits skip the errstate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _fits(solver, y)
 
 
 def _fits(solver: np.ndarray, y: np.ndarray) -> MalusFit | tuple[MalusFit, ...]:
     """The fits of the finite curve or stack ``y`` through the grid's ``solver``."""
-    # Finite values may still overflow; _malus_fit rejects what does.
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = (y[..., None, :] * solver).sum(axis=-1)
+    coeffs = (y[..., None, :] * solver).sum(axis=-1)
     if y.ndim == 1:
         return _malus_fit(*coeffs.tolist())
     return tuple(_malus_fit(*row) for row in coeffs.tolist())
@@ -554,6 +578,19 @@ def _malus_solver(thetas: tuple[float, ...]) -> np.ndarray:
     solver = (vt.T / s) @ u.T
     solver.flags.writeable = False
     return solver
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_tables(thetas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The analyzer ``cos`` and ``sin`` and the Malus solver of a config's checked grid.
+
+    One cache entry per grid, so a sweep hashes its angle tuple once per
+    config; a tuple does not keep its hash.  The entry holds the very arrays
+    of :func:`~loqec.detection._analyzer_trig` and :func:`_malus_solver`.
+    A grid the fit rejects raises on every call, since ``lru_cache`` keeps
+    no exception.
+    """
+    return (*_analyzer_trig(thetas), _malus_solver(thetas))
 
 
 def _malus_fit(offset: float, c: float, s: float) -> MalusFit:

@@ -548,6 +548,79 @@ class TestRunExperiment:
         assert run_experiment(config) == want
         assert len(built) == inits
 
+    def test_a_counted_sweep_does_not_recheck_its_config(self, monkeypatch):
+        """The config checks its exposure and seed, and the readout's curves
+        lie in [0, 1], so no counted sweep runs the sampler's checks again;
+        a public ``sample_counts`` call still runs each of them."""
+        from loqec import experiment
+
+        rng = np.random.default_rng(10)
+        configs = [
+            ExperimentConfig(
+                qubit_hwp_angle=angle, overlap_v=overlap_v, pc_enabled=bool(index % 2),
+                seed=int(seed),
+            )
+            for index, (angle, overlap_v, seed) in enumerate(
+                rng.uniform([-90.0, 0.0, 0.0], [90.0, 1.0, 2.0**63], size=(200, 3))
+            )
+        ]
+        checks = []
+        for name in ("as_real_array", "check_unit_interval", "_exposure", "_check_word"):
+
+            def spy(*args, _name=name, _check=getattr(experiment, name), **kwargs):
+                if _name != "as_real_array" or args[1] == "probabilities":
+                    checks.append(_name)
+                return _check(*args, **kwargs)
+
+            monkeypatch.setattr(experiment, name, spy)
+        for config in configs:
+            assert run_experiment(config).d1_d2.counts is not None
+        assert checks == []
+        sample_counts([[0.1, 0.2], [0.3, 0.4]], 1000.0, 60.0, seed=1)
+        assert sorted(checks) == [
+            "_check_word", "_check_word", "_exposure", "as_real_array", "check_unit_interval",
+        ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        wiring=st.sampled_from(list(WiringConfig)),
+        pc_enabled=st.booleans(),
+        eps=st.sampled_from([0.0, 0.05, 1.0]),
+        overlap_v=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        angle=st.floats(-360.0, 360.0),
+        thetas=st.sampled_from([
+            DEFAULT_THETAS,
+            tuple(float(t) for t in range(-90, 91)),
+            (-7.0, 3.5, 3.5, 41.0, 88.0, 130.0),
+        ]),
+        seed=st.sampled_from([0, 2**64 - 1]),
+        pair_rate=st.one_of(st.floats(0.0, 1e4), st.floats(0.0, _POISSON_MEAN_MAX)),
+        duration=st.sampled_from([0.0, 0.25, 1.0, 60.0]),
+    )
+    @example(
+        wiring=WiringConfig.A_TO_C_B_TO_D, pc_enabled=True, eps=0.0, overlap_v=1.0, angle=22.5,
+        thetas=DEFAULT_THETAS, seed=2**64 - 1, pair_rate=_POISSON_MEAN_MAX, duration=1.0,
+    )
+    def test_counts_are_those_of_sample_counts(
+        self, wiring, pc_enabled, eps, overlap_v, angle, thetas, seed, pair_rate, duration
+    ):
+        """A sweep's counts have the bytes of one public ``sample_counts``
+        call on its own probabilities, D1-D2 on stream 0, D1-D3 on stream 1."""
+        if pair_rate * duration > _POISSON_MEAN_MAX:
+            # Exact for these durations: (max / d) * d rounds back to max.
+            pair_rate = _POISSON_MEAN_MAX / duration
+        config = ExperimentConfig(
+            qubit_hwp_angle=angle, wiring=wiring, overlap_v=overlap_v, imperfection_eps=eps,
+            pc_enabled=pc_enabled, thetas=thetas, pair_rate=pair_rate, duration=duration,
+            seed=seed,
+        )
+        result = run_experiment(config)
+        curves = [result.d1_d2.probabilities, result.d1_d3.probabilities]
+        want = sample_counts(curves, pair_rate, duration, seed)
+        counts = (result.d1_d2.counts, result.d1_d3.counts)
+        assert all(type(n) is int for row in counts for n in row)
+        assert np.array(counts, dtype=np.int64).tobytes() == want.tobytes()
+
 
 class TestSampleCounts:
     def test_zero_probability_draws_zero(self):
@@ -955,24 +1028,39 @@ class TestMalusSolver:
         else:
             fit_malus(thetas, values)
 
-    def test_a_bad_grid_raises_on_every_call(self):
+    @pytest.mark.parametrize("run", [
+        lambda thetas: fit_malus(thetas, [1.0, 2.0, 1.0, 2.0]),
+        lambda thetas: run_analytic(ExperimentConfig(thetas=thetas)),
+        lambda thetas: run_experiment(ExperimentConfig(thetas=thetas)),
+    ], ids=["fit_malus", "run_analytic", "run_experiment"])
+    def test_a_bad_grid_raises_on_every_call(self, run):
         for _ in range(2):
             with pytest.raises(FitError, match="rank-deficient"):
-                fit_malus([0.0, 90.0, 180.0, 270.0], [1.0, 2.0, 1.0, 2.0])
+                run((0.0, 90.0, 180.0, 270.0))
 
     def test_a_sweep_on_one_grid_factors_it_once(self, monkeypatch):
-        from loqec import experiment
+        """A sweep reads its grid's trig and solver through one cache entry,
+        one lookup per config, and the grid is factored once."""
+        from loqec import detection, experiment
 
         fits = []
         kernel = experiment._fits
         monkeypatch.setattr(experiment, "_fits", lambda *args: fits.append(args) or kernel(*args))
-        experiment._malus_solver.cache_clear()
+        for cache in (experiment._grid_tables, experiment._malus_solver, detection._analyzer_trig):
+            cache.cache_clear()
         rng = np.random.default_rng(8)
         for angle, overlap_v in rng.uniform([-90.0, 0.0], [90.0, 1.0], size=(200, 2)):
             run_analytic(ExperimentConfig(qubit_hwp_angle=angle, overlap_v=overlap_v))
-        info = experiment._malus_solver.cache_info()
+        info = experiment._grid_tables.cache_info()
         assert (info.misses, info.hits) == (1, 199)
+        for cache in (experiment._malus_solver, detection._analyzer_trig):
+            info = cache.cache_info()
+            assert (info.misses, info.hits) == (1, 0)
         assert len(fits) == 200
+        c, s, solver = experiment._grid_tables(DEFAULT_THETAS)
+        trig_c, trig_s = detection._analyzer_trig(DEFAULT_THETAS)
+        assert c is trig_c and s is trig_s
+        assert solver is experiment._malus_solver(DEFAULT_THETAS)
 
     def test_a_sweep_does_not_walk_its_checked_grid(self, monkeypatch):
         """The config checks its grid; no sweep of it walks the grid again
