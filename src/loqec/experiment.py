@@ -28,6 +28,13 @@ the readout, the fits and the counting through the private kernels that
 or re-converts its grid or its counting inputs, and the bytes are those of
 the public functions.
 
+Counts are numpy's Poisson draws, each point from its own fresh Philox
+state (see :func:`sample_counts`).  A dense draw first computes every
+point's first Philox block at once and takes numpy's first-try accept of
+its rejection method wherever that needs no transcendental function;
+every other point, and every point of a small draw, goes through numpy's
+scalar draw (see :func:`_draw`).
+
 Overlap convention: ``ExperimentConfig.overlap_v`` is the degree of
 indistinguishability on the probability scale, i.e. the weight of the
 interfering (temporally matched) component in the detected ensemble.  It
@@ -96,6 +103,28 @@ _POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.in
 
 #: Delays per batch of states in :func:`hom_scan`, which bounds a scan's memory.
 _HOM_BLOCK = 2048
+
+#: Points a draw needs before :func:`_draw` runs its vectorized prefilter;
+#: a smaller draw calls numpy's scalar Poisson draw on every point.
+_PREFILTER_MIN = 512
+
+#: Points per block of the prefilter, which bounds a large draw's memory.
+_DRAW_BLOCK = 4096
+
+#: Philox4x64-10 (Salmon et al., SC'11): the round multipliers of counter
+#: words 0 and 2, as a column against the ``(2, n)`` rows of those words,
+#: with their 32-bit halves, and the Weyl increments of the two key words.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_PHILOX_M_LO = _PHILOX_M & _LOW32
+_PHILOX_M_HI = _PHILOX_M >> 32
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+#: Relative distance from the first-try accept's two decisions (``V <= vr``
+#: and the floor) within which the prefilter hands a point to numpy's draw,
+#: so that no rounding difference between numpy's C and its ufuncs can
+#: change a count.
+_QUICK_MARGIN = 2.0**-40
 
 #: Fits whose amplitude is at most this share of the offset report phase 0.
 _FLAT_FIT_TOL = 1e-12
@@ -393,8 +422,8 @@ def _sweep(config: ExperimentConfig, counted: bool) -> SweepResult:
     counts_d2 = counts_d3 = None
     if counted:
         # The readout lies in [0, tr J], inside [0, 1]: no unit-interval check.
-        means = (config.pair_rate * config.duration * curves).tolist()
-        counts_d2, counts_d3 = (tuple(row) for row in _draw(means, config.seed, 0))
+        means = config.pair_rate * config.duration * curves
+        counts_d2, counts_d3 = (tuple(row) for row in _draw(means, config.seed, 0).tolist())
     p_d2, p_d3 = (tuple(p) for p in curves.tolist())
 
     fit_d2, fit_d3 = _fits(solver, curves)
@@ -445,6 +474,12 @@ def sample_counts(
     The key goes in through a seed sequence that returns it as is, which
     spares the OS entropy read that ``Philox(key=...)`` makes and discards.
 
+    A call of at least ``_PREFILTER_MIN`` points first decides most points
+    of mean 10 or more without the generator: it computes their first
+    Philox block in numpy and applies numpy's first-try accept, which has
+    the same count, and sends every other point through the reset above
+    (see :func:`_draw`).
+
     The checks come first; the draws are the private kernel :func:`_draw`,
     which a sweep calls directly on its config's checked exposure and seed
     (see :func:`run_experiment`).
@@ -459,16 +494,28 @@ def sample_counts(
         raise ValidationError(
             f"stream + {rows - 1} must lie in [0, 2**64) for {rows} curves, got stream {first}"
         )
-    means = (rate * time * p).reshape(rows, p.shape[-1]).tolist()
-    return np.array(_draw(means, seed, first), dtype=np.int64).reshape(p.shape)
+    means = (rate * time * p).reshape(rows, p.shape[-1])
+    return _draw(means, seed, first).reshape(p.shape)
 
 
-def _draw(means: list[list[float]], seed: int, first_stream: int) -> list[list[int]]:
-    """Poisson counts of each row of checked ``means``, row ``r`` on stream ``first_stream + r``.
+def _draw(means: np.ndarray, seed: int, first_stream: int) -> np.ndarray:
+    """Poisson counts of checked ``(k, n)`` ``means``, row ``r`` on stream ``first_stream + r``.
 
     The kernel of :func:`sample_counts`, which checks every input first:
     the means are finite floats in ``[0, _POISSON_MEAN_MAX]``, ``seed`` and
-    every row's stream lie in ``[0, 2**64)``.
+    every row's stream lie in ``[0, 2**64)``.  Returns an ``int64`` array of
+    the means' shape.
+
+    Every point numpy's scalar draw decides runs through one generator
+    whose state is reset to the point's fresh state (see
+    :func:`sample_counts`).  A draw of at least ``_PREFILTER_MIN`` points
+    first runs a prefilter over blocks of ``_DRAW_BLOCK`` points: each
+    point's first two Philox words, all at once (:func:`_philox_words`),
+    and numpy's first-try accept of the rejection method for means of at
+    least 10 (:func:`_quick_poisson`), which needs no transcendental
+    function.  A point it accepts has numpy's count; every other point
+    (a mean below 10, a first try numpy would reject or test with ``log``,
+    or one within the margin of a decision) gets the scalar draw.
     """
     # Looked up per call, not bound at import: the attribute may be rebound, as a tracer does.
     bit_generator = np.random.Philox(_key_sequence_type()(seed))
@@ -485,17 +532,121 @@ def _draw(means: list[list[float]], seed: int, first_stream: int) -> list[list[i
         "has_uint32": 0,
         "uinteger": 0,
     }
-    counts = []
-    for row_stream, row in enumerate(means, first_stream):
-        counter[2] = row_stream
+    if means.size < _PREFILTER_MIN:
+        counts = []
+        for row_stream, row in enumerate(means.tolist(), first_stream):
+            counter[2] = row_stream
+            drawn = []
+            append = drawn.append
+            for i, mean in enumerate(row):
+                counter[1] = i
+                bit_generator.state = state
+                append(draw(mean))
+            counts.append(drawn)
+        return np.array(counts, dtype=np.int64).reshape(means.shape)
+
+    flat = means.reshape(-1)
+    n = means.shape[1]
+    counts = np.empty(flat.size, dtype=np.int64)
+    for start in range(0, flat.size, _DRAW_BLOCK):
+        points = np.arange(start, min(start + _DRAW_BLOCK, flat.size), dtype=np.uint64)
+        row, index = np.divmod(points, np.uint64(n))
+        block = slice(start, start + points.size)
+        quick, counts[block] = _quick_poisson(
+            flat[block], *_philox_words(seed, index, row + np.uint64(first_stream))
+        )
+        rest = np.flatnonzero(~quick) + start
         drawn = []
         append = drawn.append
-        for i, mean in enumerate(row):
-            counter[1] = i
+        for point, mean in zip(rest.tolist(), flat[rest].tolist()):
+            r, counter[1] = divmod(point, n)
+            counter[2] = first_stream + r
             bit_generator.state = state
             append(draw(mean))
-        counts.append(drawn)
-    return counts
+        counts[rest] = drawn
+    return counts.reshape(means.shape)
+
+
+def _philox_words(
+    seed: int, index: np.ndarray, stream: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first two words a fresh Philox with key ``[seed, 0]`` draws at each counter.
+
+    Point ``j`` starts at counter ``[0, index[j], stream[j], 0]``; its first
+    draw bumps word 0 and fills the buffer with the Philox4x64-10 block of
+    counter ``[1, index[j], stream[j], 0]``, whose words 0 and 1 are
+    returned as ``uint64`` arrays.  A round maps ``(x0, x1, x2, x3)`` to
+    ``(hi(M1 x2) ^ x1 ^ k0, lo(M1 x2), hi(M0 x0) ^ x3 ^ k1, lo(M0 x0))``,
+    and the key is bumped by ``(W0, W1)`` between rounds.  Words 0 and 2
+    ride in one ``(2, n)`` buffer and words 1 and 3 in another; the high
+    word of a 64x64-bit product is summed from its 32-bit halves, none of
+    whose partial sums can overflow.
+    """
+    size = index.size
+    words = np.empty((2, size), dtype=np.uint64)  # (x0, x2)
+    words[0] = 1
+    words[1] = stream
+    odd = np.zeros((2, size), dtype=np.uint64)  # (x1, x3)
+    odd[0] = index
+    low, a, b, c = (np.empty_like(words) for _ in range(4))
+    keys = np.array(
+        [[[(seed + r * _PHILOX_W[0]) % 2**64], [r * _PHILOX_W[1] % 2**64]] for r in range(10)],
+        dtype=np.uint64,
+    )
+    for key in keys:
+        np.multiply(words, _PHILOX_M, out=low)  # (lo(M0 x0), lo(M1 x2))
+        np.bitwise_and(words, _LOW32, out=a)
+        np.right_shift(words, 32, out=b)
+        np.multiply(a, _PHILOX_M_LO, out=c)
+        np.multiply(a, _PHILOX_M_HI, out=a)
+        np.right_shift(c, 32, out=c)
+        np.add(a, c, out=a)  # the middle sum t
+        np.multiply(b, _PHILOX_M_LO, out=c)
+        np.multiply(b, _PHILOX_M_HI, out=b)
+        np.bitwise_and(a, _LOW32, out=words)
+        np.add(words, c, out=words)
+        np.right_shift(a, 32, out=a)
+        np.add(b, a, out=b)
+        np.right_shift(words, 32, out=words)
+        np.add(b, words, out=b)  # (hi(M0 x0), hi(M1 x2))
+        np.bitwise_xor(b[::-1], odd, out=words)
+        np.bitwise_xor(words, key, out=words)
+        odd, low = low[::-1], odd
+    return words[0], odd[0]
+
+
+def _quick_poisson(
+    means: np.ndarray, w0: np.ndarray, w1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Poisson count where its first try accepts at once, and which points it is for.
+
+    numpy draws a mean of at least 10 by Hoermann's transformed rejection
+    (PTRS; *Insurance: Math. Econ.* 12, 39 (1993)) from the doubles
+    ``U = w0 / 2**64 - 0.5`` and ``V = w1 / 2**64`` of its first two words
+    (53 bits each), and returns ``floor((2 a / us + b) U + mean + 0.43)``
+    at once when ``us = 0.5 - |U| >= 0.07`` and ``V <= vr``.  Those steps
+    need only ``+ - * /``, ``sqrt``, ``fabs`` and ``floor``, done here in the
+    C source's order.  A point is marked only when it takes that branch and
+    neither ``V`` nor the floor's argument lies within a relative
+    ``_QUICK_MARGIN`` of its threshold or of an integer; its count is then
+    numpy's, and every other count is 0.
+    """
+    u = (w0 >> 11) * 2.0**-53 - 0.5
+    v = (w1 >> 11) * 2.0**-53
+    b = 0.931 + 2.53 * np.sqrt(means)
+    a = -0.059 + 0.02483 * b
+    us = 0.5 - np.abs(u)
+    # us is 0 for a first word below 2**11, and means below 10 may put b at 2.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vr = 0.9277 - 3.6224 / (b - 2)
+        x = (2 * a / us + b) * u + means + 0.43
+        quick = (
+            (means >= 10.0)
+            & (us >= 0.07)
+            & (vr - v > _QUICK_MARGIN * vr)
+            & (np.abs(x - np.rint(x)) > _QUICK_MARGIN * np.abs(x))
+        )
+    return quick, np.where(quick, np.floor(x), 0.0).astype(np.int64)
 
 
 def fit_malus(

@@ -1,11 +1,14 @@
 """Unit tests for the sweep pipeline, fitting, sampling, and HOM scans."""
 import dataclasses
 import hashlib
+import itertools
 import math
 import re
 import sys
 import tracemalloc
+import types
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,14 +45,43 @@ from loqec import (
     visibility,
     z_measure,
 )
+from loqec import experiment
 from loqec.detection import analyzer_probabilities, herald_coherency
-from loqec.experiment import _POISSON_MEAN_MAX
+from loqec.experiment import _POISSON_MEAN_MAX, _philox_words, _quick_poisson
 
 R = 1.0 / math.sqrt(2.0)
+
+#: Seeds and streams at the edges of a Philox word.
+EDGE_WORDS = [0, 1, 2**63, 2**64 - 1]
+
+#: The dense config whose counts ``test_dense_grid_counts_are_pinned`` pins.
+PINNED_DENSE_CONFIG = ExperimentConfig(
+    qubit_hwp_angle=22.5, overlap_v=0.922, imperfection_eps=0.03,
+    thetas=tuple((i - 900) / 10 for i in range(1801)), pair_rate=2500.0, duration=30.0,
+    seed=4242,
+)
 
 
 def label(path, pol, temporal=0):
     return ModeLabel(path, Polarization(pol), temporal)
+
+
+def fresh_poisson(seed, index, stream, mean):
+    """The draw of a fresh Philox with key ``seed`` at counter ``[0, index, stream, 0]``.
+
+    The counter is a uint64 array: a list holding a word of 2**63 or more
+    goes through float64 in ``Philox(counter=...)`` and loses bits.
+    """
+    counter = np.array([0, index, stream, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter)).poisson(mean)
+
+
+def fresh_counts(means, seed, stream):
+    """:func:`fresh_poisson` of every point of the ``(k, n)`` ``means``, row ``r`` on ``stream + r``."""
+    return [
+        [fresh_poisson(seed, i, stream + r, mean) for i, mean in enumerate(row)]
+        for r, row in enumerate(means.tolist())
+    ]
 
 
 def coefficients_after_hwp(angle_deg):
@@ -798,6 +830,75 @@ class TestSampleCounts:
         with pytest.raises(ValidationError, match="two uint64 words"):
             keys.generate_state(n_words, dtype)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(lambda k: st.integers(1, 40).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.sampled_from([0.0, 9.99, 10.0, 10.01, _POISSON_MEAN_MAX]),
+                        st.floats(0.0, 30.0),
+                        st.floats(10.0, 1e7),
+                        st.floats(0.0, _POISSON_MEAN_MAX),
+                    ),
+                    min_size=n, max_size=n,
+                ),
+                min_size=k, max_size=k,
+            )
+        )),
+        st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**64 - 1)),
+        st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**64 - 1)),
+        st.sampled_from([1, 7, 4096]),
+    )
+    def test_the_prefilter_draws_what_a_fresh_philox_draws(self, means, seed, stream, block):
+        """With the prefilter on for every call and blocks of any size, point
+        ``i`` of row ``r`` still draws what a fresh ``Philox`` with key
+        ``seed`` and counter ``[0, i, stream + r, 0]`` draws.
+
+        The means straddle numpy's switch of Poisson method at 10 and reach
+        the largest mean the exposure check lets through.
+        """
+        p = np.array(means) / _POISSON_MEAN_MAX
+        # The last row's stream may reach 2**64 - 1 but not pass it.
+        stream = min(stream, 2**64 - len(p))
+        with mock.patch.object(experiment, "_PREFILTER_MIN", 1), \
+                mock.patch.object(experiment, "_DRAW_BLOCK", block):
+            counts = sample_counts(p, _POISSON_MEAN_MAX, 1.0, seed, stream=stream)
+        assert counts.tolist() == fresh_counts(_POISSON_MEAN_MAX * 1.0 * p, seed, stream)
+
+    def test_a_dense_stack_draws_what_a_fresh_philox_draws(self):
+        """A 2x1801 stack runs the prefilter as shipped, and every point
+        still draws what a fresh ``Philox`` draws, on the last two streams.
+
+        The means hold zeros, means just under and at 10, a dense sweep's
+        range and the largest mean the exposure check lets through.
+        """
+        rng = np.random.default_rng(19)
+        means = rng.uniform(0.0, 7.5e4, (2, 1801))
+        means[:, :40] = rng.choice([0.0, 9.99, 10.0, 10.01, 1e12, _POISSON_MEAN_MAX], (2, 40))
+        p = means / _POISSON_MEAN_MAX
+        seed, stream = 2**64 - 1, 2**64 - 2
+        assert p.size >= experiment._PREFILTER_MIN
+        counts = sample_counts(p, _POISSON_MEAN_MAX, 1.0, seed, stream=stream)
+        assert counts.tolist() == fresh_counts(_POISSON_MEAN_MAX * 1.0 * p, seed, stream)
+
+    def test_a_large_draw_runs_in_bounded_memory(self):
+        """The prefilter runs in blocks of ``_DRAW_BLOCK`` points, so a
+        200 000-point call holds little beyond its probabilities, means and
+        counts (1.5 MiB each); one pass over all points at once would hold
+        about 24 MiB more."""
+        p = np.random.default_rng(3).uniform(0.0, 1.0, 200_000)
+        tracemalloc.start()
+        try:
+            counts = sample_counts(p, 1000.0, 60.0, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        means = (1000.0 * 60.0 * p).tolist()
+        for i in (0, 1, 4095, 4096, 199_999):
+            assert counts[i] == fresh_poisson(3, i, 0, means[i])
+
     def test_negative_rate_rejected(self):
         with pytest.raises(ValidationError):
             sample_counts([0.1], -100.0, 1.0, seed=0)
@@ -871,6 +972,112 @@ class TestSampleCounts:
             counts = sample_counts(p, scale, 1.0, seed)
             fit = fit_malus(config.thetas, counts.astype(float))
             assert abs(visibility(fit) - 0.922) <= 0.01
+
+
+class TestPoissonPrefilter:
+    """The parts of the sampler's prefilter: the Philox block and the
+    first-try accept of numpy's rejection method."""
+
+    @pytest.mark.parametrize("seed", EDGE_WORDS)
+    def test_philox_words_are_a_fresh_philox_first_block(self, seed):
+        pairs = list(itertools.product(EDGE_WORDS, EDGE_WORDS))
+        index, stream = (np.array(words, dtype=np.uint64) for words in zip(*pairs))
+        w0, w1 = _philox_words(seed, index, stream)
+        for (i, s), word0, word1 in zip(pairs, w0.tolist(), w1.tolist()):
+            counter = np.array([0, i, s, 0], dtype=np.uint64)
+            assert [word0, word1] == np.random.Philox(key=seed, counter=counter).random_raw(2).tolist()
+
+    @staticmethod
+    def numpy_draw(mean, word0, word1):
+        """numpy's Poisson draw from a Philox whose next two words are
+        ``word0`` and ``word1``, and whether it took just those two."""
+        bit_generator = np.random.Philox(key=0)
+        state = bit_generator.state
+        state["buffer"] = np.array([word0, word1, 0, 0], dtype=np.uint64)
+        state["buffer_pos"] = 0
+        bit_generator.state = state
+        count = np.random.Generator(bit_generator).poisson(mean)
+        return count, bit_generator.state["buffer_pos"] == 2
+
+    @staticmethod
+    def vr(mean):
+        b = 0.931 + 2.53 * np.sqrt(mean)
+        return float(0.9277 - 3.6224 / (b - 2))
+
+    def test_the_first_try_accept_is_numpys(self):
+        """Where the helper marks a point, numpy's draw takes that point's
+        two words alone and returns the helper's count."""
+        rng = np.random.default_rng(7)
+        means = np.concatenate([
+            rng.uniform(10.0, 200.0, 400), np.exp(rng.uniform(np.log(10.0), 40.0, 400)),
+        ])
+        w0, w1 = rng.integers(0, 2**64, (2, means.size), dtype=np.uint64)
+        quick, counts = _quick_poisson(means, w0, w1)
+        assert counts.dtype == np.int64 and 0.5 < quick.mean() < 0.9
+        assert (counts[~quick] == 0).all()
+        for mean, word0, word1, count in zip(
+            means[quick].tolist(), w0[quick].tolist(), w1[quick].tolist(), counts[quick].tolist()
+        ):
+            assert self.numpy_draw(mean, word0, word1) == (count, True)
+
+    def test_decisions_at_their_threshold_go_to_numpy(self):
+        """``V == vr``, ``V`` one step under ``vr`` and a floor argument
+        that is an integer are left to numpy's draw, as are means under
+        10, first tries that numpy rejects or tests further, and a first
+        word under 2**11, whose ``us`` is 0 (no warning is raised)."""
+        half = 2**63  # U = 0, so the floor argument is mean + 0.43.
+        mean = 100.0
+        at_vr = int(self.vr(mean) * 2**53) << 11
+        integral = 99.57
+        assert integral + 0.43 == 100.0
+        cases = [  # (mean, word 0, word 1, whether the helper decides it)
+            (mean, half, 0, True),
+            (mean, half, at_vr, False),
+            (mean, half, at_vr - 2**11, False),
+            (mean, half, at_vr + 2**11, False),
+            (integral, half, 0, False),
+            (integral + 1e-9, half, 0, True),
+            (9.99, half, 0, False),
+            (0.0, half, 0, False),
+            (mean, 2**10, 0, False),
+            (mean, 0, 0, False),
+            (_POISSON_MEAN_MAX, half, 0, False),
+        ]
+        means, word0, word1, want = zip(*cases)
+        quick, counts = _quick_poisson(
+            np.array(means), np.array(word0, dtype=np.uint64), np.array(word1, dtype=np.uint64)
+        )
+        assert quick.tolist() == list(want)
+        for (mean_, word0_, word1_, decided), count in zip(cases, counts.tolist()):
+            if decided:
+                assert self.numpy_draw(mean_, word0_, word1_) == (count, True)
+        # numpy accepts V == vr and an integer floor argument at once.
+        assert self.numpy_draw(mean, half, at_vr) == (100, True)
+        assert self.numpy_draw(integral, half, 0) == (100, True)
+
+    def test_most_dense_points_skip_the_scalar_draw(self, monkeypatch):
+        """On the pinned 1801-angle config, fewer than 30% of the 3602
+        points reach numpy's scalar ``poisson``; a call of fewer than
+        ``_PREFILTER_MIN`` points sends every point there."""
+        want = run_experiment(PINNED_DENSE_CONFIG)
+        draws = []
+        generator = np.random.Generator
+
+        def counting(bit_generator):
+            inner = generator(bit_generator)
+
+            def poisson(mean):
+                draws.append(mean)
+                return inner.poisson(mean)
+
+            return types.SimpleNamespace(poisson=poisson)
+
+        monkeypatch.setattr(np.random, "Generator", counting)
+        assert run_experiment(PINNED_DENSE_CONFIG) == want
+        assert 0 < len(draws) < 0.3 * 2 * 1801
+        draws.clear()
+        run_experiment(dataclasses.replace(PINNED_DENSE_CONFIG, thetas=DEFAULT_THETAS))
+        assert len(draws) == 2 * len(DEFAULT_THETAS)
 
 
 class TestFitMalus:
