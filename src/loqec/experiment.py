@@ -30,10 +30,12 @@ the public functions.
 
 Counts are numpy's Poisson draws, each point from its own fresh Philox
 state (see :func:`sample_counts`).  A dense draw first computes every
-point's first Philox block at once and takes numpy's first-try accept of
-its rejection method wherever that needs no transcendental function;
-every other point, and every point of a small draw, goes through numpy's
-scalar draw (see :func:`_draw`).
+point's first Philox block at once and runs the first two tries of
+numpy's rejection method on its four words in ufuncs, deciding a point
+only where every comparison clears a margin far beyond any rounding
+difference from numpy's C; every other point (means under 10, margin
+misses, third tries), and every point of a small draw, goes through
+numpy's scalar draw (see :func:`_draw`).
 
 Overlap convention: ``ExperimentConfig.overlap_v`` is the degree of
 indistinguishability on the probability scale, i.e. the weight of the
@@ -120,11 +122,23 @@ _PHILOX_M_LO = _PHILOX_M & _LOW32
 _PHILOX_M_HI = _PHILOX_M >> 32
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
-#: Relative distance from the first-try accept's two decisions (``V <= vr``
-#: and the floor) within which the prefilter hands a point to numpy's draw,
-#: so that no rounding difference between numpy's C and its ufuncs can
-#: change a count.
+#: Relative distance from a try's comparisons of ``V`` with ``vr`` and with
+#: ``us``, and of the floor's argument with an integer, within which the
+#: prefilter hands a point to numpy's draw, so that no rounding difference
+#: between numpy's C and its ufuncs can change a count.
 _QUICK_MARGIN = 2.0**-40
+
+#: Relative distance, of the summed sizes of its terms, within which the
+#: ``log`` test of numpy's Poisson rejection hands a point to numpy's draw:
+#: ``np.log`` and libm's ``log`` may differ by an ulp or so.
+_LOG_MARGIN = 2.0**-30
+
+#: The series of numpy's ``random_loggam``, highest order first.
+_LOGGAM_SERIES = (
+    -1.39243221690590e00, 1.796443723688307e-01, -2.955065359477124e-02, 6.410256410256410e-03,
+    -1.917526917526918e-03, 8.417508417508418e-04, -5.952380952380952e-04,
+    7.936507936507937e-04, -2.777777777777778e-03, 8.333333333333333e-02,
+)
 
 #: Fits whose amplitude is at most this share of the offset report phase 0.
 _FLAT_FIT_TOL = 1e-12
@@ -476,9 +490,9 @@ def sample_counts(
 
     A call of at least ``_PREFILTER_MIN`` points first decides most points
     of mean 10 or more without the generator: it computes their first
-    Philox block in numpy and applies numpy's first-try accept, which has
-    the same count, and sends every other point through the reset above
-    (see :func:`_draw`).
+    Philox block in numpy and runs the first two tries of numpy's
+    rejection method on it, which give the same count, and sends every
+    other point through the reset above (see :func:`_draw`).
 
     The checks come first; the draws are the private kernel :func:`_draw`,
     which a sweep calls directly on its config's checked exposure and seed
@@ -510,12 +524,13 @@ def _draw(means: np.ndarray, seed: int, first_stream: int) -> np.ndarray:
     whose state is reset to the point's fresh state (see
     :func:`sample_counts`).  A draw of at least ``_PREFILTER_MIN`` points
     first runs a prefilter over blocks of ``_DRAW_BLOCK`` points: each
-    point's first two Philox words, all at once (:func:`_philox_words`),
-    and numpy's first-try accept of the rejection method for means of at
-    least 10 (:func:`_quick_poisson`), which needs no transcendental
-    function.  A point it accepts has numpy's count; every other point
-    (a mean below 10, a first try numpy would reject or test with ``log``,
-    or one within the margin of a decision) gets the scalar draw.
+    point's first Philox block, all at once (:func:`_philox_words`), and
+    the first two tries of numpy's rejection method for means of at least
+    10 (:func:`_ptrs_try`), the first on words 0 and 1 of every point, the
+    second on words 2 and 3 of the points the first tries again.  A point
+    either try accepts has numpy's count; every other point (a mean below
+    10, a decision within its margin, ``us == 0``, ``V == 0`` or
+    ``k + 1 < 7`` at the ``log`` test, or a third try) gets the scalar draw.
     """
     # Looked up per call, not bound at import: the attribute may be rebound, as a tracer does.
     bit_generator = np.random.Philox(_key_sequence_type()(seed))
@@ -552,10 +567,12 @@ def _draw(means: np.ndarray, seed: int, first_stream: int) -> np.ndarray:
         points = np.arange(start, min(start + _DRAW_BLOCK, flat.size), dtype=np.uint64)
         row, index = np.divmod(points, np.uint64(n))
         block = slice(start, start + points.size)
-        quick, counts[block] = _quick_poisson(
-            flat[block], *_philox_words(seed, index, row + np.uint64(first_stream))
-        )
-        rest = np.flatnonzero(~quick) + start
+        lam = flat[block]
+        w0, w1, w2, w3 = _philox_words(seed, index, row + np.uint64(first_stream))
+        done, again, counts[block] = _ptrs_try(lam, w0, w1)
+        retry = _compressed(again)
+        done[retry], _, counts[block][retry] = _ptrs_try(lam[retry], w2[retry], w3[retry])
+        rest = np.flatnonzero(~done) + start
         drawn = []
         append = drawn.append
         for point, mean in zip(rest.tolist(), flat[rest].tolist()):
@@ -569,13 +586,15 @@ def _draw(means: np.ndarray, seed: int, first_stream: int) -> np.ndarray:
 
 def _philox_words(
     seed: int, index: np.ndarray, stream: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The first two words a fresh Philox with key ``[seed, 0]`` draws at each counter.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The first four words a fresh Philox with key ``[seed, 0]`` draws at each counter.
 
     Point ``j`` starts at counter ``[0, index[j], stream[j], 0]``; its first
     draw bumps word 0 and fills the buffer with the Philox4x64-10 block of
-    counter ``[1, index[j], stream[j], 0]``, whose words 0 and 1 are
-    returned as ``uint64`` arrays.  A round maps ``(x0, x1, x2, x3)`` to
+    counter ``[1, index[j], stream[j], 0]``, whose four words are returned
+    in draw order as ``uint64`` arrays: a Poisson draw's first try reads
+    words 0 and 1, its second try words 2 and 3.  A round maps
+    ``(x0, x1, x2, x3)`` to
     ``(hi(M1 x2) ^ x1 ^ k0, lo(M1 x2), hi(M0 x0) ^ x3 ^ k1, lo(M0 x0))``,
     and the key is bumped by ``(W0, W1)`` between rounds.  Words 0 and 2
     ride in one ``(2, n)`` buffer and words 1 and 3 in another; the high
@@ -612,27 +631,24 @@ def _philox_words(
         np.bitwise_xor(b[::-1], odd, out=words)
         np.bitwise_xor(words, key, out=words)
         odd, low = low[::-1], odd
-    return words[0], odd[0]
+    return words[0], odd[0], words[1], odd[1]
 
 
-def _quick_poisson(
-    means: np.ndarray, w0: np.ndarray, w1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's Poisson count where its first try accepts at once, and which points it is for.
+def _ptrs_terms(
+    means: np.ndarray, wu: np.ndarray, wv: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """One try of numpy's PTRS on the words ``wu`` and ``wv``, up to its decisions.
 
     numpy draws a mean of at least 10 by Hoermann's transformed rejection
-    (PTRS; *Insurance: Math. Econ.* 12, 39 (1993)) from the doubles
-    ``U = w0 / 2**64 - 0.5`` and ``V = w1 / 2**64`` of its first two words
-    (53 bits each), and returns ``floor((2 a / us + b) U + mean + 0.43)``
-    at once when ``us = 0.5 - |U| >= 0.07`` and ``V <= vr``.  Those steps
-    need only ``+ - * /``, ``sqrt``, ``fabs`` and ``floor``, done here in the
-    C source's order.  A point is marked only when it takes that branch and
-    neither ``V`` nor the floor's argument lies within a relative
-    ``_QUICK_MARGIN`` of its threshold or of an integer; its count is then
-    numpy's, and every other count is 0.
+    (PTRS; *Insurance: Math. Econ.* 12, 39 (1993)), each try from the
+    doubles ``U = wu / 2**64 - 0.5`` and ``V = wv / 2**64`` (53 bits each).
+    Returns ``V``, ``b``, ``a``, ``us = 0.5 - |U|``, ``vr`` and
+    ``k = floor((2 a / us + b) U + mean + 0.43)``, in the C source's
+    operation order, and whether the floor's argument lies more than a
+    relative ``_QUICK_MARGIN`` from an integer, so that ``k`` is numpy's.
     """
-    u = (w0 >> 11) * 2.0**-53 - 0.5
-    v = (w1 >> 11) * 2.0**-53
+    u = (wu >> 11) * 2.0**-53 - 0.5
+    v = (wv >> 11) * 2.0**-53
     b = 0.931 + 2.53 * np.sqrt(means)
     a = -0.059 + 0.02483 * b
     us = 0.5 - np.abs(u)
@@ -640,13 +656,85 @@ def _quick_poisson(
     with np.errstate(divide="ignore", invalid="ignore"):
         vr = 0.9277 - 3.6224 / (b - 2)
         x = (2 * a / us + b) * u + means + 0.43
-        quick = (
-            (means >= 10.0)
-            & (us >= 0.07)
-            & (vr - v > _QUICK_MARGIN * vr)
-            & (np.abs(x - np.rint(x)) > _QUICK_MARGIN * np.abs(x))
-        )
-    return quick, np.where(quick, np.floor(x), 0.0).astype(np.int64)
+        sure = np.abs(x - np.rint(x)) > _QUICK_MARGIN * np.abs(x)
+    return v, b, a, us, vr, np.floor(x), sure
+
+
+def _quick_poisson(
+    means: np.ndarray, w0: np.ndarray, w1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Poisson count where a try accepts at once, and which points it is for.
+
+    The first stage of :func:`_ptrs_try`: numpy returns ``k`` at once when
+    ``us >= 0.07`` and ``V <= vr``.  A point is marked only when its mean
+    is at least 10, it takes that branch, ``V`` lies more than a relative
+    ``_QUICK_MARGIN`` below ``vr`` and ``k`` is sure; its count is then
+    numpy's, and every other count is 0.
+    """
+    v, _, _, us, vr, k, sure = _ptrs_terms(means, w0, w1)
+    quick = sure & (means >= 10.0) & (us >= 0.07) & (vr - v > _QUICK_MARGIN * vr)
+    return quick, np.where(quick, k, 0.0).astype(np.int64)
+
+
+def _ptrs_try(
+    means: np.ndarray, wu: np.ndarray, wv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One try of numpy's PTRS loop: the points it accepts, those it tries again, and the counts.
+
+    The points of mean 10 or more that :func:`_quick_poisson` leaves run
+    the rest of the try, compressed: numpy tries again when ``k < 0``, or
+    ``us < 0.013`` and ``V > us``, and otherwise accepts iff ``log V +
+    log invalpha - log(a / us**2 + b) <= -mean + k log mean - loggam(k +
+    1)``, with numpy's ``random_loggam`` series.  A point is decided only
+    when every comparison clears its margin: ``_QUICK_MARGIN`` for ``vr``,
+    the floor and ``V`` against ``us``, and for the ``log`` test
+    ``_LOG_MARGIN`` times the summed sizes of its terms.  ``us == 0``, and
+    ``V == 0`` or ``k + 1 < 7`` (where ``random_loggam`` shifts its
+    argument) at the ``log`` test, are left undecided too.  An accepted
+    point's count is numpy's; every other count is 0.
+    """
+    accept, counts = _quick_poisson(means, wu, wv)
+    again = np.zeros_like(accept)
+    rest = _compressed(~accept & (means >= 10.0))
+    lam = means[rest]
+    v, b, a, us, vr, k, sure = _ptrs_terms(lam, wu[rest], wv[rest])
+    # Past the accept at once, numpy tries again or runs the log test.
+    past = sure & ((us < 0.07) | (v - vr > _QUICK_MARGIN * vr))
+    low = us < 0.013
+    skip = past & ((k < 0) | low & (v - us > _QUICK_MARGIN * us))
+    tested = past & (k >= 6) & (v > 0) & (~low | (us - v > _QUICK_MARGIN * us))
+    # Points outside ``tested`` may take logs of 0 or of negatives; they are masked out.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x0 = k + 1
+        x2 = (1.0 / x0) * (1.0 / x0)
+        gl0 = np.full_like(x2, _LOGGAM_SERIES[0])
+        for coefficient in _LOGGAM_SERIES[1:]:
+            gl0 *= x2
+            gl0 += coefficient
+        loggam = gl0 / x0 + 0.5 * 1.8378770664093453 + (x0 - 0.5) * np.log(x0) - x0
+        log_v, log_hat = np.log(v), np.log(a / (us * us) + b)
+        log_invalpha = np.log(1.1239 + 1.1328 / (b - 3.4))
+        k_loglam = k * np.log(lam)
+        lhs = log_v + log_invalpha - log_hat
+        rhs = -lam + k_loglam - loggam
+        terms = (log_v, log_invalpha, log_hat, lam, k_loglam, loggam)
+        tested &= np.abs(lhs - rhs) > _LOG_MARGIN * sum(np.abs(term) for term in terms)
+    accept[rest] = tested & (lhs <= rhs)
+    again[rest] = skip | tested & (lhs > rhs)
+    counts[rest] = np.where(accept[rest], k, 0.0)
+    return accept, again, counts
+
+
+def _compressed(mask: np.ndarray) -> np.ndarray:
+    """The indices of ``mask``'s true entries, cycled to a multiple of 128 of them.
+
+    Repeated indices gather and scatter the same values.  The padding keeps
+    a try's temporaries to a few sizes: numpy keeps up to 7 freed buffers of
+    every size under 1 KiB it allocates, so subsets of every size would
+    grow a long run's memory by megabytes.
+    """
+    index = np.flatnonzero(mask)
+    return np.resize(index, -(-index.size // 128) * 128)
 
 
 def fit_malus(

@@ -47,7 +47,7 @@ from loqec import (
 )
 from loqec import experiment
 from loqec.detection import analyzer_probabilities, herald_coherency
-from loqec.experiment import _POISSON_MEAN_MAX, _philox_words, _quick_poisson
+from loqec.experiment import _POISSON_MEAN_MAX, _philox_words, _ptrs_try, _quick_poisson
 
 R = 1.0 / math.sqrt(2.0)
 
@@ -866,6 +866,37 @@ class TestSampleCounts:
             counts = sample_counts(p, _POISSON_MEAN_MAX, 1.0, seed, stream=stream)
         assert counts.tolist() == fresh_counts(_POISSON_MEAN_MAX * 1.0 * p, seed, stream)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(lambda k: st.integers(1, 120).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.floats(10.0, 40.0),
+                        st.floats(0.99 * _POISSON_MEAN_MAX, _POISSON_MEAN_MAX),
+                        st.sampled_from([10.0, 14.0, _POISSON_MEAN_MAX]),
+                    ),
+                    min_size=n, max_size=n,
+                ),
+                min_size=k, max_size=k,
+            )
+        )),
+        st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**64 - 1)),
+        st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**64 - 1)),
+        st.sampled_from([1, 7, 4096]),
+    )
+    def test_both_tries_draw_what_a_fresh_philox_draws(self, means, seed, stream, block):
+        """With the prefilter on for every call, means from 10 to 40, where
+        numpy's rejection method often runs its ``log`` test or a second
+        try and ``k + 1`` nears 7, and means near the largest one still
+        draw what a fresh ``Philox`` draws."""
+        p = np.array(means) / _POISSON_MEAN_MAX
+        stream = min(stream, 2**64 - len(p))
+        with mock.patch.object(experiment, "_PREFILTER_MIN", 1), \
+                mock.patch.object(experiment, "_DRAW_BLOCK", block):
+            counts = sample_counts(p, _POISSON_MEAN_MAX, 1.0, seed, stream=stream)
+        assert counts.tolist() == fresh_counts(_POISSON_MEAN_MAX * 1.0 * p, seed, stream)
+
     def test_a_dense_stack_draws_what_a_fresh_philox_draws(self):
         """A 2x1801 stack runs the prefilter as shipped, and every point
         still draws what a fresh ``Philox`` draws, on the last two streams.
@@ -975,17 +1006,17 @@ class TestSampleCounts:
 
 
 class TestPoissonPrefilter:
-    """The parts of the sampler's prefilter: the Philox block and the
-    first-try accept of numpy's rejection method."""
+    """The parts of the sampler's prefilter: the Philox block and the first
+    two tries of numpy's rejection method."""
 
     @pytest.mark.parametrize("seed", EDGE_WORDS)
     def test_philox_words_are_a_fresh_philox_first_block(self, seed):
         pairs = list(itertools.product(EDGE_WORDS, EDGE_WORDS))
         index, stream = (np.array(words, dtype=np.uint64) for words in zip(*pairs))
-        w0, w1 = _philox_words(seed, index, stream)
-        for (i, s), word0, word1 in zip(pairs, w0.tolist(), w1.tolist()):
+        words = np.array(_philox_words(seed, index, stream)).T.tolist()
+        for (i, s), block in zip(pairs, words):
             counter = np.array([0, i, s, 0], dtype=np.uint64)
-            assert [word0, word1] == np.random.Philox(key=seed, counter=counter).random_raw(2).tolist()
+            assert block == np.random.Philox(key=seed, counter=counter).random_raw(4).tolist()
 
     @staticmethod
     def numpy_draw(mean, word0, word1):
@@ -1055,8 +1086,132 @@ class TestPoissonPrefilter:
         assert self.numpy_draw(mean, half, at_vr) == (100, True)
         assert self.numpy_draw(integral, half, 0) == (100, True)
 
+    @staticmethod
+    def numpy_words(mean, words):
+        """numpy's Poisson draw from a Philox whose next four words are
+        ``words``, and how many words it took (past 4, from later blocks)."""
+        bit_generator = np.random.Philox(key=0)
+        state = bit_generator.state
+        state["buffer"] = np.array(words, dtype=np.uint64)
+        state["buffer_pos"] = 0
+        bit_generator.state = state
+        count = np.random.Generator(bit_generator).poisson(mean)
+        after = bit_generator.state
+        return count, 4 * int(after["state"]["counter"][0]) + after["buffer_pos"]
+
+    @staticmethod
+    def word(value):
+        """The word whose 53-bit double is ``value``, for ``U + 0.5`` or ``V``."""
+        return int(value * 2**53) << 11
+
+    def test_two_tries_are_numpys(self):
+        """Where the kernel decides a point in its first or second try,
+        numpy's draw takes just that try's words and agrees: the count of a
+        try that accepts, another try where the kernel tries again.  The
+        ``log`` test and the second try both decide points."""
+        rng = np.random.default_rng(20)
+        means = np.concatenate([
+            np.exp(rng.uniform(np.log(10.0), np.log(_POISSON_MEAN_MAX), 600)),
+            rng.uniform(10.0, 40.0, 1400),
+        ])
+        words = rng.integers(0, 2**64, (4, means.size), dtype=np.uint64)
+        accept, again, counts = _ptrs_try(means, words[0], words[1])
+        retry = np.flatnonzero(again)
+        accept2, again2, counts2 = _ptrs_try(means[retry], words[2][retry], words[3][retry])
+        assert counts.dtype == counts2.dtype == np.int64
+        assert not (accept & again).any() and not (accept2 & again2).any()
+        # Beyond the accept at once, the log test accepts and both tries retry.
+        assert accept.sum() > _quick_poisson(means, words[0], words[1])[0].sum() + 100
+        assert retry.size > 100 and accept2.sum() > 0.7 * retry.size
+        # Undecided: means past 2**39 (the floor's margin), k + 1 < 7 near 10, margin misses.
+        assert accept.sum() + accept2.sum() > 0.8 * means.size
+        assert (counts[~accept] == 0).all() and (counts2[~accept2] == 0).all()
+        block = words.T.tolist()
+        for i in np.flatnonzero(accept | again).tolist():
+            count, taken = self.numpy_words(means[i], block[i])
+            if accept[i]:
+                assert (count, taken) == (counts[i], 2)
+            else:
+                assert taken >= 4
+        for j, i in enumerate(retry.tolist()):
+            count, taken = self.numpy_words(means[i], block[i])
+            if accept2[j]:
+                assert (count, taken) == (counts2[j], 4)
+            elif again2[j]:
+                assert taken >= 6
+
+    @pytest.mark.parametrize("mean, u", [(100.0, 0.46), (14.0, -0.45)], ids=["k=126", "k+1=7"])
+    def test_a_log_test_gap_inside_the_margin_goes_to_numpy(self, mean, u):
+        """With ``0.013 <= us < 0.07`` numpy decides by the ``log`` test
+        alone.  Bisecting ``V`` finds the last word numpy accepts; the
+        kernel decides neither it nor the next word, and agrees with numpy
+        a relative 1e-6 away on either side (5e-6 where the terms sum to
+        about 1200, whose margin is about 1.1e-6)."""
+        word0 = self.word(u + 0.5)
+        assert 0.013 <= 0.5 - abs(u) < 0.07
+
+        def numpy_accepts(j):
+            return self.numpy_words(mean, [word0, j << 11, 0, 0])[1] == 2
+
+        low, high = 1, 2**53 - 1
+        assert numpy_accepts(low) and not numpy_accepts(high)
+        while high - low > 1:
+            middle = (low + high) // 2
+            low, high = (middle, high) if numpy_accepts(middle) else (low, middle)
+        step = 5e-6 if mean > 50 else 1e-6
+        js = [low, high, int(low * (1 - step)), int(high * (1 + step))]
+        w1 = np.array([j << 11 for j in js], dtype=np.uint64)
+        accept, again, counts = _ptrs_try(np.full(4, mean), np.full(4, word0, np.uint64), w1)
+        assert accept.tolist() == [False, False, True, False]
+        assert again.tolist() == [False, False, False, True]
+        assert self.numpy_words(mean, [word0, js[2] << 11, 0, 0]) == (counts[2], 2)
+        assert self.numpy_words(mean, [word0, js[3] << 11, 0, 0])[1] >= 4
+
+    def test_the_other_decisions_at_their_threshold_go_to_numpy(self):
+        """``V == us`` or one step either side with ``us < 0.013``, ``V == 0``
+        at the ``log`` test, ``us == 0``, ``k + 1 < 7`` and a mean under 10
+        are left to numpy's draw.  ``k < 0`` and ``V`` well above a small
+        ``us`` are tries numpy repeats, and so does the kernel; no case
+        raises a warning."""
+        us = self.word(0.01)  # U = us - 0.5, and V == us for the same word.
+        mean = 100.0
+        cases = [  # (mean, word 0, word 1, the kernel's (accept, again))
+            (mean, us, us, (False, False)),
+            (mean, us, us + 2**11, (False, False)),
+            (mean, us, us - 2**11, (False, False)),
+            (mean, us, self.word(0.5), (False, True)),
+            (mean, self.word(0.05), 0, (False, False)),
+            (mean, 2**10, self.word(0.5), (False, False)),
+            (10.0, self.word(0.01), self.word(0.005), (False, True)),
+            (10.0, self.word(0.05), self.word(0.01), (False, False)),
+            (9.99, self.word(0.05), self.word(0.01), (False, False)),
+        ]
+        means, word0, word1, want = zip(*cases)
+        accept, again, counts = _ptrs_try(
+            np.array(means), np.array(word0, dtype=np.uint64), np.array(word1, dtype=np.uint64)
+        )
+        assert list(zip(accept.tolist(), again.tolist())) == list(want)
+        assert (counts == 0).all()
+        # numpy tries again on the cases the kernel repeats, and k < 0 there.
+        assert self.numpy_words(mean, [us, self.word(0.5), 0, 0])[1] >= 4
+        assert self.numpy_words(10.0, [self.word(0.01), self.word(0.005), 0, 0])[1] >= 4
+        # V == 0 at the log test, and k + 1 = 4: numpy accepts with its first try.
+        assert self.numpy_words(mean, [self.word(0.05), 0, 0, 0])[1] == 2
+        assert self.numpy_words(10.0, [self.word(0.05), self.word(0.01), 0, 0]) == (3, 2)
+
+    @pytest.mark.parametrize("size, true", [(0, 0), (5, 0), (5, 1), (300, 128), (300, 129), (4096, 4096)])
+    def test_a_compressed_mask_is_its_indices_cycled_to_a_multiple_of_128(self, size, true):
+        """The rest of a try runs on a mask's true indices, repeated in order up
+        to a multiple of 128, so that its temporaries come in few sizes."""
+        mask = np.zeros(size, dtype=bool)
+        mask[np.random.default_rng(size + true).permutation(size)[:true]] = True
+        index = experiment._compressed(mask)
+        want = np.flatnonzero(mask).tolist()
+        assert index.size % 128 == 0 and index.size - true < 128
+        assert index.tolist() == (want * 128)[: index.size]
+
     def test_most_dense_points_skip_the_scalar_draw(self, monkeypatch):
-        """On the pinned 1801-angle config, fewer than 30% of the 3602
+        """On the pinned 1801-angle config, fewer than 3% of the 3602
         points reach numpy's scalar ``poisson``; a call of fewer than
         ``_PREFILTER_MIN`` points sends every point there."""
         want = run_experiment(PINNED_DENSE_CONFIG)
@@ -1074,7 +1229,7 @@ class TestPoissonPrefilter:
 
         monkeypatch.setattr(np.random, "Generator", counting)
         assert run_experiment(PINNED_DENSE_CONFIG) == want
-        assert 0 < len(draws) < 0.3 * 2 * 1801
+        assert 0 < len(draws) < 0.03 * 2 * 1801
         draws.clear()
         run_experiment(dataclasses.replace(PINNED_DENSE_CONFIG, thetas=DEFAULT_THETAS))
         assert len(draws) == 2 * len(DEFAULT_THETAS)
