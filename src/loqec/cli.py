@@ -11,11 +11,13 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import re
 import sys
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Any, Collection, Mapping, Sequence
 
@@ -177,8 +179,9 @@ def load_manifest(path: Path) -> dict:
     if "config_version" not in data:
         _fail("manifest", "missing required key 'config_version'")
     version = data["config_version"]
-    if version != MANIFEST_VERSION:
-        _fail("manifest.config_version", f"expected {MANIFEST_VERSION}, got {version!r}")
+    # A bare comparison would take true and 1.0 as well: True == 1.0 == 1.
+    if type(version) is not int or version != MANIFEST_VERSION:
+        _fail("manifest.config_version", f"expected the integer {MANIFEST_VERSION}, got {version!r}")
     return data
 
 
@@ -303,15 +306,66 @@ def _sweep_rows(result: SweepResult) -> list[dict]:
     ]
 
 
+def _finite_numbers(values: Sequence[Any]) -> bool:
+    """Whether every value is a plain ``int`` or a finite ``float`` (a bool is neither)."""
+    if not set(map(type, values)) <= {int, float}:
+        return False
+    try:  # fsum is finite unless a value is not; an overflow only costs the fast path.
+        return math.isfinite(math.fsum(values))
+    except (OverflowError, ValueError):
+        return False
+
+
+def _json_text(value: Any, newline: str) -> str:
+    """``value`` as :func:`_dump_json` writes it, nested under ``newline``'s indent.
+
+    Strings, numbers, number lists and tables of same-keyed number rows are
+    formatted by C calls (json's indented encoder is pure Python).  Anything
+    else (a bool, ``None``, a subclass, a non-``str`` key, NaN or infinity)
+    goes to json itself, so its text and its refusals are json's; re-indenting
+    that text is exact because JSON text holds no raw newline.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    inner = newline + "  "
+    if kind is dict and set(map(type, value)) == {str}:
+        items = (_encode_str(key) + ": " + _json_text(value[key], inner) for key in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if (kind is list or kind is tuple) and value:
+        if _finite_numbers(value):
+            return "[" + inner + ("," + inner).join(map(repr, value)) + newline + "]"
+        first = value[0]
+        if (
+            set(map(type, value)) == {dict} and set(map(type, first)) == {str}
+            and all(map(first.keys().__eq__, map(dict.keys, value)))
+        ):
+            keys = sorted(first)
+            cells = [tuple(map(row.__getitem__, keys)) for row in value]
+            if _finite_numbers(list(itertools.chain.from_iterable(cells))):
+                row = inner + "  "
+                fields = ("," + row).join(_encode_str(key).replace("%", "%%") + ": %r" for key in keys)
+                rows = map(("{" + row + fields + inner + "}").__mod__, cells)
+                return "[" + inner + ("," + inner).join(rows) + newline + "]"
+        return "[" + inner + ("," + inner).join(_json_text(item, inner) for item in value) + newline + "]"
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", newline)
+
+
 def _dump_json(document: Any) -> str:
-    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``json.dumps(document, indent=2, sort_keys=True, allow_nan=False)`` and a newline."""
+    return _json_text(document, "\n") + "\n"
 
 
 def _write_files(files: Mapping[Path, str]) -> None:
-    """Create each file's directory and write the files in order."""
+    """Create each distinct directory once and write the files in order."""
+    made: set[Path] = set()
     try:
         for target, text in files.items():
-            target.parent.mkdir(parents=True, exist_ok=True)
+            if target.parent not in made:
+                target.parent.mkdir(parents=True, exist_ok=True)
+                made.add(target.parent)
             target.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write {target}: {exc.strerror or exc}") from exc

@@ -6,9 +6,13 @@ import math
 import re
 import subprocess
 import sys
+from enum import IntEnum
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loqec import ExperimentConfig, LoqecError, cli, hom_scan
 
@@ -210,6 +214,82 @@ class TestRunSweep:
             cli._dump_json({"visibility": math.nan})
 
 
+class Level(IntEnum):
+    ONE = 1
+
+
+def json_outcome(dump, document):
+    """The text ``dump`` writes for ``document``, or the type of what it raises."""
+    try:
+        return dump(document)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def reference_dump(document):
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+_keys = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n", "%", "%r", "%%s", "é", "ключ", "\ud800", "\x00"])
+_numbers = (
+    st.integers()
+    | st.sampled_from([2**63, -(2**63) - 1, 2**64 + 1, 10**40, 0, -1])
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf])
+)
+_scalars = (
+    _numbers | st.booleans() | st.none() | _keys
+    | st.sampled_from([np.float64(0.1), np.float64(math.nan), np.int64(3), Level.ONE])
+)
+_values = st.recursive(
+    _scalars,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_keys, children, max_size=4)
+        | st.dictionaries(st.integers() | st.floats() | st.booleans() | st.none(), children, max_size=3)
+    ),
+    max_leaves=20,
+)
+
+
+@st.composite
+def _tables(draw):
+    """A list of dicts that share one key set of numbers, maybe with one odd cell."""
+    keys = draw(st.lists(_keys, min_size=1, max_size=5, unique=True))
+    rows = [
+        {key: draw(st.integers() | st.floats(allow_nan=False, allow_infinity=False)) for key in keys}
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    odd = draw(st.sampled_from([None, True, False, math.nan, -math.inf]))
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.sampled_from(keys))] = odd
+    if draw(st.booleans()):  # the same key set in another insertion order
+        rows[-1] = dict(reversed(list(rows[-1].items())))
+    return rows
+
+
+class TestJsonWriter:
+    """``cli._dump_json`` writes what json's indented encoder writes, and
+    refuses what it refuses with the same exception type."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_values | _tables() | st.dictionaries(_keys, _tables() | _values, max_size=4))
+    def test_matches_json_dumps(self, document):
+        assert json_outcome(cli._dump_json, document) == json_outcome(reference_dump, document)
+
+    @pytest.mark.parametrize("document", [
+        {}, [], (), {"a": {}, "b": [[], {}]}, [[[]]], {"rows": [{}, {}]},
+        [{"x": 1, "y": 2.5}, {"y": -0.0, "x": 2**70}], [{"a%": 1.0}, {"a%": 2}],
+        [{"a": 1}, {"b": 1}], [{"a": 1.0}, {"a": True}], [1, 2.0, 1e308, 1e308],
+        {"pc": True, "none": None, "f": np.float64(0.1), "e": Level.ONE},
+        [{"v": math.nan}], {"k": [1.0, math.inf]}, {1: "a", "1": "b"}, {"a": object()},
+    ])
+    def test_matches_json_dumps_on_edge_documents(self, document):
+        assert json_outcome(cli._dump_json, document) == json_outcome(reference_dump, document)
+
+
 class TestManifestValidation:
     def error_of(self, capsys, args):
         code = cli.main(args)
@@ -245,6 +325,15 @@ class TestManifestValidation:
         manifest = write_manifest(tmp_path / "m.json", document)
         err = self.error_of(capsys, ["run-sweep", "--config", str(manifest)])
         assert "config_version" in err
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_config_version_must_be_the_integer_one(self, tmp_path, capsys, version):
+        document = base_manifest(tmp_path / "out")
+        document["config_version"] = version
+        manifest = write_manifest(tmp_path / "m.json", document)
+        err = self.error_of(capsys, ["run-sweep", "--config", str(manifest)])
+        assert err == f"error: manifest.config_version: expected the integer 1, got {version!r}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_json_reported(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
@@ -673,9 +762,33 @@ def counts_digest(runs):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+SWEEP_DIGESTS = {  # sha256 of every file run-sweep writes at --seed 4242
+    ("bench_sweep", "csv"): {
+        "sweep.csv": "26edc276965542abc4385585f4ab13feb2f3378ee43817070fbaa76ce3180340",
+        "sweep_summary.json": "1ad8cda1cd69a7440a4e96f10bd78aafbdb8b1ccda165dc1089b1ddd4ebefdfd",
+    },
+    ("bench_sweep", "json"): {
+        "sweep.json": "60ddfaa42f52a2185bbe89df61faaab017801e3521c8b972434a247ae5d2bf5c",
+    },
+    ("triplet", "csv"): {
+        "corrected.csv": "26edc276965542abc4385585f4ab13feb2f3378ee43817070fbaa76ce3180340",
+        "corrected_summary.json": "93ac0c181c81ea699a7e34385712df8f742049dc2051f9f658bbd02d2a4cc6c5",
+        "distinguishable.csv": "fc14719161269ea82b71ed736547db2e2ed764566d9b1f0b5deee51e05753fe9",
+        "distinguishable_summary.json": "6310f67682449634db933e999355563757248562159397c8f04c24202c190788",
+        "uncorrected.csv": "3c2a12cf2d9f09b8cba35550ed244392880bdf64a4dcc0ae730c93c0d987ec49",
+        "uncorrected_summary.json": "287479dbd66120f96c24dc8af1b4321d6c0ebed4ddc09c09cc742c813b49520a",
+    },
+    ("triplet", "json"): {
+        "corrected.json": "407c0ba3217a770b8d3446a19dc3df974b8d8d9b7d62cdffd6e4b4a8ab694193",
+        "distinguishable.json": "865e8380dba45c80c6ee9dfc68d0a821ecd00fb58c8326ef8e131af82f1d8f5d",
+        "uncorrected.json": "a5513c05bbbb1bb5e72cb3361a04877772d8d3a63a4bbee715eabbd2242f67f4",
+    },
+}
+
+
 class TestShippedOutputs:
     """The shipped manifests' outputs, pinned by digest: the sweep's counts
-    at seed 4242, and every byte of the HOM scan."""
+    and every byte of its files at seed 4242, and every byte of the HOM scan."""
 
     def test_bench_sweep_counts(self, tmp_path):
         argv = ["run-sweep", "--config", str(MANIFESTS / "bench_sweep.json"),
@@ -700,6 +813,14 @@ class TestShippedOutputs:
         assert counts_digest(runs) == (
             "b3c4631fccecaf96bcf74d3597f22a9906fa28f65b2941b49c5e424d1e896fa0"
         )
+
+    @pytest.mark.parametrize("manifest, fmt", SWEEP_DIGESTS)
+    def test_sweep_bytes(self, tmp_path, manifest, fmt):
+        argv = ["run-sweep", "--config", str(MANIFESTS / f"{manifest}.json"), "--seed", "4242",
+                "--output", str(tmp_path), "--format", fmt, "--quiet"]
+        assert cli.main(argv) == 0
+        written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+        assert written == SWEEP_DIGESTS[manifest, fmt]
 
     @pytest.mark.parametrize("fmt, digest", [
         ("csv", "a1dc06886250e0c2524b9e0a4881bad96745c4c0db5931fede749efb43b5f9ef"),

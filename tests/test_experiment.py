@@ -1021,14 +1021,11 @@ class TestPoissonPrefilter:
     @staticmethod
     def numpy_draw(mean, word0, word1):
         """numpy's Poisson draw from a Philox whose next two words are
-        ``word0`` and ``word1``, and whether it took just those two."""
-        bit_generator = np.random.Philox(key=0)
-        state = bit_generator.state
-        state["buffer"] = np.array([word0, word1, 0, 0], dtype=np.uint64)
-        state["buffer_pos"] = 0
-        bit_generator.state = state
-        count = np.random.Generator(bit_generator).poisson(mean)
-        return count, bit_generator.state["buffer_pos"] == 2
+        ``word0`` and ``word1``, and whether it took just those two (a draw
+        that reaches a third try also ends two words into a block, so the
+        words are counted across blocks)."""
+        count, taken = TestPoissonPrefilter.numpy_words(mean, (word0, word1, 0, 0))
+        return count, taken == 2
 
     @staticmethod
     def vr(mean):
