@@ -29,13 +29,14 @@ or re-converts its grid or its counting inputs, and the bytes are those of
 the public functions.
 
 Counts are numpy's Poisson draws, each point from its own fresh Philox
-state (see :func:`sample_counts`).  A dense draw first computes every
-point's first Philox block at once and runs the first two tries of
-numpy's rejection method on its four words in ufuncs, deciding a point
-only where every comparison clears a margin far beyond any rounding
-difference from numpy's C; every other point (means under 10, margin
-misses, third tries), and every point of a small draw, goes through
-numpy's scalar draw (see :func:`_draw`).
+state, set on the one Philox each thread builds on its first draw (see
+:func:`sample_counts`).  A dense draw first computes every point's first
+Philox block at once and runs the first two tries of numpy's rejection
+method on its four words in ufuncs, deciding a point only where every
+comparison clears a margin far beyond any rounding difference from
+numpy's C; every other point (means under 10, margin misses, third
+tries), and every point of a small draw, goes through numpy's scalar
+draw (see :func:`_draw`).
 
 Overlap convention: ``ExperimentConfig.overlap_v`` is the degree of
 indistinguishability on the probability scale, i.e. the weight of the
@@ -50,6 +51,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -143,10 +145,6 @@ _LOGGAM_SERIES = (
 #: Fits whose amplitude is at most this share of the offset report phase 0.
 _FLAT_FIT_TOL = 1e-12
 
-#: The 2x2 identity, read-only: the flat background is ``tr(J) I / 2``.
-_IDENTITY = np.eye(2)
-_IDENTITY.flags.writeable = False
-
 _HOM_IN1 = "hom-in-1"
 _HOM_IN2 = "hom-in-2"
 _HOM_OUT1 = "hom-out-1"
@@ -168,10 +166,8 @@ def _encode(qubit_jones: Jones, amplitude_overlap: float) -> tuple[TwoPhotonStat
     """
     qubit = SinglePhotonSpec(PATH_QUBIT_IN, qubit_jones)
     ancilla = SinglePhotonSpec(PATH_ANCILLA_IN, computational_jones(0))
-    state = product_state(
-        qubit, ancilla, amplitude_overlap, (PATH_A, PATH_B), element=_ENCODER_PBS
-    )
-    return coincidence_postselect(state)
+    state = product_state(qubit, ancilla, amplitude_overlap, (PATH_A, PATH_B))
+    return coincidence_postselect(apply_element(state, _ENCODER_PBS))
 
 
 def _survivor_basis(wiring: WiringConfig) -> tuple[tuple[str, ...], np.ndarray]:
@@ -263,30 +259,27 @@ def _check_word(value: int, name: str) -> int:
     return value
 
 
-@functools.cache
-def _key_sequence_type() -> type:
-    """The seed sequence that hands a ``sample_counts`` call's Philox its key ``[seed, 0]``.
+#: Each thread's generator (see :func:`_thread_generator`): a thread's
+#: draws run one after another, so no two draws share a generator at once.
+_THREAD = threading.local()
 
-    It serves the one ``Philox`` a call builds; every point after that is a
-    state set on that generator, with the same key and its own counter.
-    Built on first use: subclassing numpy's ``ISeedSequence`` imports
-    ``numpy.random``, which an import of loqec should not pay for.
+
+def _thread_generator() -> tuple[object, object]:
+    """This thread's one ``np.random.Philox`` and its ``Generator.poisson``.
+
+    Built on the thread's first draw, through ``np.random.Philox`` and
+    ``np.random.Generator`` looked up then, so that an import of loqec does
+    not import ``numpy.random``.  Every draw sets the generator's whole
+    state first (see :func:`_draw`), so its key 0 and the one OS entropy
+    read ``Philox(key=...)`` makes and discards never reach a count, and no
+    draw sees what another left.
     """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class KeySequence(ISeedSequence):
-        def __init__(self, seed: int) -> None:
-            self._words = np.array([seed, 0], dtype=np.uint64)
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            # Exact types only: this runs once per call, and Philox asks for nothing else.
-            if type(n_words) is not int or n_words != 2 or dtype is not np.uint64:
-                raise ValidationError(
-                    f"a Philox key is two uint64 words, not {n_words!r} of {dtype!r}"
-                )
-            return self._words.copy()
-
-    return KeySequence
+    try:
+        return _THREAD.generator
+    except AttributeError:
+        bit_generator = np.random.Philox(key=0)
+        _THREAD.generator = bit_generator, np.random.Generator(bit_generator).poisson
+        return _THREAD.generator
 
 
 @dataclass(frozen=True)
@@ -419,17 +412,33 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
 
 
 def _sweep(config: ExperimentConfig, counted: bool) -> SweepResult:
-    """The sweep of ``config``, with Poisson counts when ``counted``."""
-    psi = np.array(_hwp_image_of_h(config.qubit_hwp_angle))  # |H> after the plate
-    v = config.overlap_v
-    c = (psi[:, None] * (math.sqrt(v), math.sqrt(1.0 - v))).reshape(4)
-    form = _HERALD_FORMS[config.wiring, config.pc_enabled]
-    coherency = ((c[:, None] * c)[..., None, None, None] * form).sum(axis=(0, 1))
-    weights = coherency[:, 0, 0] + coherency[:, 1, 1]
-    p_success = float(weights.sum())
+    """The sweep of ``config``, with Poisson counts when ``counted``.
 
-    eps = config.imperfection_eps
-    coherency = (1.0 - eps) * coherency + eps * 0.5 * weights[:, None, None] * _IDENTITY
+    The 2-vectors and each herald's weight and flat-background mix are
+    Python floats, in the operation order of the numpy expressions they
+    stand for (``x * 0.0`` is the identity's off-diagonal term): at this
+    size a numpy call costs more than its arithmetic.  The form contraction,
+    the readout, the fits and the fidelity's matrix products stay numpy.
+    """
+    h, v_pol = _hwp_image_of_h(config.qubit_hwp_angle)  # |H> after the plate
+    matched, unmatched = math.sqrt(config.overlap_v), math.sqrt(1.0 - config.overlap_v)
+    psi = np.array((h, v_pol))
+    c = np.array((h * matched, h * unmatched, v_pol * matched, v_pol * unmatched))
+    form = _HERALD_FORMS[config.wiring, config.pc_enabled]
+    heralds = ((c[:, None] * c)[..., None, None, None] * form).sum(axis=(0, 1)).tolist()
+
+    keep = 1.0 - config.imperfection_eps
+    half = config.imperfection_eps * 0.5
+    weights = []
+    mixed = []
+    for (j_hh, j_hv), (j_vh, j_vv) in heralds:
+        weight = j_hh + j_vv
+        flat = half * weight
+        off = flat * 0.0
+        weights.append(weight)
+        mixed += (keep * j_hh + flat, keep * j_hv + off, keep * j_vh + off, keep * j_vv + flat)
+    p_success = weights[0] + weights[1]
+    coherency = np.array(mixed).reshape(2, 2, 2)
     # The config checked its grid, exposure and seed; the cache keys on its tuple.
     c_trig, s_trig, solver = _grid_tables(config.thetas)
     curves = _pass_probabilities(coherency, c_trig, s_trig)
@@ -478,15 +487,15 @@ def sample_counts(
     stream are integers in ``[0, 2**64)``.
 
     Philox is counter-based: its draws depend on its key and counter alone.
-    So a call builds one ``np.random.Philox`` and one ``Generator``, and
-    one state dict: the state that fresh Philox starts in, with an empty
-    buffer, whose counter is one list.  Before each row the call writes the
-    row's stream into that list, before each point the point's index, and
-    then sets the generator's state from the dict.  numpy's setter copies
-    every value into the generator and keeps no reference, so each point
-    starts from exactly that state, whatever the previous draw consumed.
-    The key goes in through a seed sequence that returns it as is, which
-    spares the OS entropy read that ``Philox(key=...)`` makes and discards.
+    So each thread builds one ``np.random.Philox`` and its ``Generator`` on
+    its first draw and keeps them, and a call builds one state dict: the
+    whole state that fresh Philox starts in (key, counter, an empty buffer,
+    ``has_uint32`` and ``uinteger``), whose counter is one list.  Before
+    each row the call writes the row's stream into that list, before each
+    point the point's index, and then sets the generator's state from the
+    dict.  numpy's setter copies every value into the generator and keeps
+    no reference, so each point starts from exactly that state, whatever
+    the previous draw, or any other use of the thread's generator, left.
 
     A call of at least ``_PREFILTER_MIN`` points first decides most points
     of mean 10 or more without the generator: it computes their first
@@ -520,21 +529,20 @@ def _draw(means: np.ndarray, seed: int, first_stream: int) -> np.ndarray:
     every row's stream lie in ``[0, 2**64)``.  Returns an ``int64`` array of
     the means' shape.
 
-    Every point numpy's scalar draw decides runs through one generator
-    whose state is reset to the point's fresh state (see
-    :func:`sample_counts`).  A draw of at least ``_PREFILTER_MIN`` points
-    first runs a prefilter over blocks of ``_DRAW_BLOCK`` points: each
-    point's first Philox block, all at once (:func:`_philox_words`), and
-    the first two tries of numpy's rejection method for means of at least
-    10 (:func:`_ptrs_try`), the first on words 0 and 1 of every point, the
-    second on words 2 and 3 of the points the first tries again.  A point
-    either try accepts has numpy's count; every other point (a mean below
-    10, a decision within its margin, ``us == 0``, ``V == 0`` or
-    ``k + 1 < 7`` at the ``log`` test, or a third try) gets the scalar draw.
+    Every point numpy's scalar draw decides runs through the thread's one
+    generator (:func:`_thread_generator`), whose whole state is first set
+    to the point's fresh state (see :func:`sample_counts`).  A draw of at
+    least ``_PREFILTER_MIN`` points first runs a prefilter over blocks of
+    ``_DRAW_BLOCK`` points: each point's first Philox block, all at once
+    (:func:`_philox_words`), and the first two tries of numpy's rejection
+    method for means of at least 10 (:func:`_ptrs_try`), the first on
+    words 0 and 1 of every point, the second on words 2 and 3 of the points
+    the first tries again.  A point either try accepts has numpy's count;
+    every other point (a mean below 10, a decision within its margin,
+    ``us == 0``, ``V == 0`` or ``k + 1 < 7`` at the ``log`` test, or a third
+    try) gets the scalar draw.
     """
-    # Looked up per call, not bound at import: the attribute may be rebound, as a tracer does.
-    bit_generator = np.random.Philox(_key_sequence_type()(seed))
-    draw = np.random.Generator(bit_generator).poisson
+    bit_generator, draw = _thread_generator()
     # A fresh Philox's state.  buffer_pos 4 marks the buffer empty, so the
     # first draw bumps the counter and refills it, as a fresh one does.  The
     # setter reads lists faster than uint64 arrays.

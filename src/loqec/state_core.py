@@ -395,8 +395,6 @@ def product_state(
     photon_b: SinglePhotonSpec,
     overlap: float | Sequence[float] | np.ndarray = 1.0,
     paths: Iterable[str] = (),
-    *,
-    element: "LinearElement | None" = None,
 ) -> TwoPhotonState:
     """Normalized two-photon product state of two input specs.
 
@@ -412,16 +410,6 @@ def product_state(
     ``a b^T + b a^T``, normalized; the two specs may share a spatial path,
     even a mode.  The declared paths are the two photons' paths, then
     ``paths``.
-
-    With ``element``, the state leaves through that linear element.  On a
-    product state an element acts photon by photon,
-    ``U (a b^T + b a^T) U^T = (U a)(U b)^T + (U b)(U a)^T``, so each mode
-    vector goes through ``U`` (each product rounded on its own, as in
-    :func:`apply_element_single`) and the pair matrix is formed from the
-    images, in place of :func:`apply_element`'s congruence.  The norm is
-    still taken of the pair before the element: for an element that only
-    routes modes, such as a polarizing beam splitter, every entry is then
-    the same product, normalized alike, as the congruence gives.
     """
     batch = isinstance(overlap, (Sequence, np.ndarray)) and not isinstance(overlap, (str, bytes))
     u = as_real_array(overlap, "overlap") if batch else np.array(as_real(overlap, "overlap"))
@@ -443,9 +431,6 @@ def product_state(
     matrix = _pairs(vectors)
     # Unit Jones vectors and an overlap in [0, 1] give a squared norm 1 + |<a|b>|^2 >= 1.
     norm = np.sqrt(_norm_squared(matrix if batch else matrix[0]))
-    if element is not None:
-        operator = _mode_operator(declared, element)
-        matrix = _pairs((operator * vectors[:, None, :]).sum(axis=-1))
     matrix = matrix / norm[..., None, None]
     return TwoPhotonState(declared, matrix if batch else matrix[0])
 
@@ -471,9 +456,7 @@ def apply_element(state: TwoPhotonState, element: "LinearElement") -> TwoPhotonS
     in place of an exact zero.  Only the modes occupied somewhere in the
     batch enter the sums, and only the modes ``U`` maps them onto are
     computed; every other sum would be of exact zeros.  ``U`` comes from
-    the cache of :func:`_mode_operator`.  A product state need not take
-    this route: ``product_state(..., element=...)`` applies an element
-    photon by photon.
+    the cache of :func:`_mode_operator`.
     """
     u = _mode_operator(state.paths, element)
     matrix = state.matrix

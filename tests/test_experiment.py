@@ -3,8 +3,13 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import os
+import pathlib
 import re
+import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import types
 from fractions import Fraction
@@ -82,6 +87,25 @@ def fresh_counts(means, seed, stream):
         [fresh_poisson(seed, i, stream + r, mean) for i, mean in enumerate(row)]
         for r, row in enumerate(means.tolist())
     ]
+
+
+def in_fresh_thread(work, timeout=60.0):
+    """``work()``'s result, run in a new thread, which has built no generator yet."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = work()
+        except BaseException as error:  # re-raised in the calling thread
+            out["error"] = error
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
 
 
 def coefficients_after_hwp(angle_deg):
@@ -204,11 +228,8 @@ class TestEncodeQubit:
         st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, allow_nan=False)),
     )
     def test_photon_wise_encoder_equals_the_congruence(self, angle, phase_a, phase_b, overlap_v):
-        """The encoder's photon-wise PBS gives the congruence's state and probability.
-
-        The state agrees bit for bit up to the sign of an exact zero, which
-        the two routes' products may set differently.
-        """
+        """The encoder is the chain ``product_state``, the PBS's congruence
+        ``apply_element`` and ``coincidence_postselect``, bit for bit."""
         from loqec import experiment
 
         alpha = complex(math.cos(math.radians(angle))) * np.exp(1j * math.radians(phase_a))
@@ -222,7 +243,7 @@ class TestEncodeQubit:
         want, want_p = coincidence_postselect(apply_element(pair, experiment._ENCODER_PBS))
         got, got_p = encode_qubit(alpha, beta, overlap_v)
         assert got == want
-        assert (got.matrix + 0.0).tobytes() == (want.matrix + 0.0).tobytes()
+        assert got.matrix.tobytes() == want.matrix.tobytes()
         assert float(got_p).hex() == float(want_p).hex()
 
     def test_distinguishable_photons_tag_the_reflected_component(self):
@@ -560,13 +581,14 @@ class TestRunExperiment:
             "a9cab33bc44f53581efc676006372f8ad5218307f49d335572b9f845c35edc01"
         )
 
-    @pytest.mark.parametrize("thetas, inits", [
-        (DEFAULT_THETAS, 1), (tuple(float(t) for t in range(-90, 91)), 1),
+    @pytest.mark.parametrize("thetas", [
+        DEFAULT_THETAS, tuple(float(t) for t in range(-90, 91)),
     ], ids=["default-grid", "181-angles"])
-    def test_one_philox_per_point(self, monkeypatch, thetas, inits):
-        """A run's one ``sample_counts`` call builds one generator through
-        ``np.random.Philox``, looked up on every call, so a rebound attribute
-        sees it, and resets its counter for every point."""
+    def test_one_philox_per_thread(self, monkeypatch, thetas):
+        """A thread's first counted run builds its one generator through
+        ``np.random.Philox``, looked up then, so a rebound attribute sees it;
+        later runs in that thread, and runs in a thread that has its
+        generator, build none.  Every run has the unpatched run's counts."""
         config = ExperimentConfig(qubit_hwp_angle=30.0, thetas=thetas, seed=4)
         want = run_experiment(config)
         built = []
@@ -577,8 +599,17 @@ class TestRunExperiment:
             return philox(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", counting)
+
+        def runs():
+            first = run_experiment(config)
+            inits = len(built)
+            return first, inits, [run_experiment(config) for _ in range(3)]
+
+        first, inits, later = in_fresh_thread(runs)
+        assert first == want and later == [want] * 3
+        assert inits == 1 and len(built) == 1
         assert run_experiment(config) == want
-        assert len(built) == inits
+        assert len(built) == 1
 
     def test_a_counted_sweep_does_not_recheck_its_config(self, monkeypatch):
         """The config checks its exposure and seed, and the readout's curves
@@ -798,7 +829,7 @@ class TestSampleCounts:
     @pytest.mark.parametrize("seed, stream", [(0, 0), (7, 3), (2**64 - 1, 2**64 - 2)])
     def test_a_row_does_not_depend_on_the_row_before(self, first, seed, stream):
         """Row 1 of a stack draws what it draws alone, whatever row 0 left in
-        the one generator a call reuses.  Means just under 10 take numpy's
+        the one generator a thread reuses.  Means just under 10 take numpy's
         multiplication method, which consumes many doubles; a mean of 0
         consumes none; the largest mean takes the rejection method."""
         means = np.array([
@@ -810,25 +841,99 @@ class TestSampleCounts:
         alone = sample_counts(p[1], _POISSON_MEAN_MAX, 1.0, seed, stream=stream + 1)
         assert stack[1].tolist() == alone.tolist()
 
+    def test_other_use_of_the_thread_generator_does_not_carry_over(self):
+        """Between two draws the thread's generator serves other work: raw
+        words, a 32-bit integer that leaves its other half held
+        (``has_uint32``), and a Poisson draw.  The next draws equal the
+        earlier ones and the draws of fresh Philox generators."""
+        seed = 2**64 - 1
+        p = np.array([[0.0, 0.3, 1e-4, 0.9, 0.16], [0.5, 1.0, 0.2, 0.01, 1e-6]])
+        config = ExperimentConfig(qubit_hwp_angle=12.0, overlap_v=0.6, seed=seed)
+        counts = sample_counts(p, 1000.0, 60.0, seed, stream=5)
+        result = run_experiment(config)
+
+        def other_work():
+            bit_generator, poisson = experiment._thread_generator()
+            bit_generator.random_raw(3)
+            np.random.Generator(bit_generator).integers(2**32, dtype=np.uint32)
+            assert bit_generator.state["has_uint32"] == 1
+            poisson(3.0)
+
+        other_work()
+        again = sample_counts(p, 1000.0, 60.0, seed, stream=5)
+        assert again.tolist() == counts.tolist() == fresh_counts(1000.0 * 60.0 * p, seed, 5)
+        other_work()
+        rerun = run_experiment(config)
+        assert rerun == result
+        curves = np.array([rerun.d1_d2.probabilities, rerun.d1_d3.probabilities])
+        counts = [list(rerun.d1_d2.counts), list(rerun.d1_d3.counts)]
+        assert counts == fresh_counts(config.pair_rate * config.duration * curves, seed, 0)
+
+    def test_importing_loqec_does_not_import_numpy_random(self):
+        """A thread's generator is built on its first draw, not at import."""
+        src = str(pathlib.Path(experiment.__file__).parents[1])
+        code = "import sys, loqec; print('numpy.random' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_threads_draw_the_single_thread_counts(self, monkeypatch):
+        """Eight threads, more than the cores, switching every microsecond,
+        each run counted sweeps on the default and the 1801-angle grid with
+        seeds of their own.  Each thread builds its own generator, whose
+        draws yield the interpreter between the state reset and the draw, so
+        that a generator two threads shared would draw from the other's
+        state; every result is the single-thread result."""
+        configs = [
+            [
+                ExperimentConfig(qubit_hwp_angle=7.0 * k, overlap_v=0.8, seed=2**64 - 1 - k),
+                dataclasses.replace(PINNED_DENSE_CONFIG, seed=k),
+            ]
+            for k in range(8)
+        ]
+        want = [[run_experiment(config) for config in pair] * 3 for pair in configs]
+        built = []
+        generator = np.random.Generator
+
+        def yielding(bit_generator):
+            inner = generator(bit_generator)
+            built.append(bit_generator)
+
+            def poisson(mean):
+                time.sleep(0)
+                return inner.poisson(mean)
+
+            return types.SimpleNamespace(poisson=poisson)
+
+        monkeypatch.setattr(np.random, "Generator", yielding)
+        results = [[] for _ in configs]
+
+        def work(pair, out):
+            for _ in range(3):
+                out.extend(run_experiment(config) for config in pair)
+
+        threads = [threading.Thread(target=work, args=args) for args in zip(configs, results)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == want
+        assert len({id(bit_generator) for bit_generator in built}) == len(built) == len(threads)
+
     def test_a_bad_entry_of_a_stack_is_named(self):
         with pytest.raises(ValidationError, match=r"probabilities\[1\]\[0\] must lie in \[0, 1\]"):
             sample_counts([[0.5, 0.5], [1.5, 0.5]], 100.0, 1.0, seed=0)
         with pytest.raises(ValidationError, match=r"probabilities\[0\]\[1\] must be a real number"):
             sample_counts([[0.5, "x"], [0.5, 0.5]], 100.0, 1.0, seed=0)
-
-    @pytest.mark.parametrize("n_words, dtype", [
-        (1, np.uint64), (3, np.uint64), (4, np.uint64), (2, np.uint32), (2, np.float64),
-        (2.0, np.uint64), (True, np.uint64),
-    ])
-    def test_key_sequence_serves_only_a_philox_key(self, n_words, dtype):
-        from loqec.experiment import _key_sequence_type
-
-        keys = _key_sequence_type()(2**64 - 1)
-        words = keys.generate_state(2, np.uint64)
-        assert words.dtype == np.uint64 and words.tolist() == [2**64 - 1, 0]
-        assert keys.generate_state(2, np.uint64) is not words
-        with pytest.raises(ValidationError, match="two uint64 words"):
-            keys.generate_state(n_words, dtype)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1225,11 +1330,18 @@ class TestPoissonPrefilter:
             return types.SimpleNamespace(poisson=poisson)
 
         monkeypatch.setattr(np.random, "Generator", counting)
-        assert run_experiment(PINNED_DENSE_CONFIG) == want
-        assert 0 < len(draws) < 0.03 * 2 * 1801
-        draws.clear()
-        run_experiment(dataclasses.replace(PINNED_DENSE_CONFIG, thetas=DEFAULT_THETAS))
-        assert len(draws) == 2 * len(DEFAULT_THETAS)
+
+        def runs():
+            dense = run_experiment(PINNED_DENSE_CONFIG)
+            dense_draws = len(draws)
+            run_experiment(dataclasses.replace(PINNED_DENSE_CONFIG, thetas=DEFAULT_THETAS))
+            return dense, dense_draws, len(draws) - dense_draws
+
+        # A fresh thread builds its generator through the patched Generator.
+        dense, dense_draws, default_draws = in_fresh_thread(runs)
+        assert dense == want
+        assert 0 < dense_draws < 0.03 * 2 * 1801
+        assert default_draws == 2 * len(DEFAULT_THETAS)
 
 
 class TestFitMalus:

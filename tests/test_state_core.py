@@ -410,50 +410,6 @@ def random_element(seed, paths):
     return LinearElement("random", channels, unitary)
 
 
-class TestPhotonWiseElement:
-    """``product_state(..., element=U)`` against the congruence ``apply_element``."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        unit_jones(),
-        unit_jones(),
-        st.lists(st.floats(0.0, 1.0, allow_nan=False), max_size=6),
-        st.integers(0, 2**32 - 1),
-        st.sampled_from([("1", "2"), ("1", "3"), ("2", "3", "4"), ("1", "2", "3", "4")]),
-    )
-    def test_matches_the_congruence_for_random_unitaries(self, jones_a, jones_b, drawn, seed, on):
-        a, b = SinglePhotonSpec("1", jones_a), SinglePhotonSpec("2", jones_b)
-        element = random_element(seed, on)
-        for overlap in ([0.0, *drawn, 1.0], *drawn):
-            photon_wise = product_state(a, b, overlap, ("3", "4"), element=element)
-            congruence = apply_element(product_state(a, b, overlap, ("3", "4")), element)
-            assert photon_wise.paths == congruence.paths
-            assert photon_wise.matrix.shape == congruence.matrix.shape
-            assert np.abs(photon_wise.matrix - congruence.matrix).max() <= 1e-12
-            assert np.array_equal(photon_wise.matrix, np.swapaxes(photon_wise.matrix, -1, -2))
-
-    @settings(max_examples=60, deadline=None)
-    @given(unit_jones(), unit_jones(), st.lists(st.floats(0.0, 1.0, allow_nan=False), max_size=6))
-    def test_a_routing_element_gives_the_congruence_bit_for_bit(self, jones_a, jones_b, drawn):
-        """A PBS only routes modes, so each entry is the same product as the congruence gives."""
-        a, b = SinglePhotonSpec("1", jones_a), SinglePhotonSpec("2", jones_b)
-        element = pbs("1", "2", "3", "4")
-        for overlap in ([0.0, *drawn, 1.0], *drawn):
-            photon_wise = product_state(a, b, overlap, ("3", "4"), element=element)
-            congruence = apply_element(product_state(a, b, overlap, ("3", "4")), element)
-            # Bit for bit, up to the sign of an exact zero.
-            assert (photon_wise.matrix + 0.0).tobytes() == (congruence.matrix + 0.0).tobytes()
-
-    def test_element_is_keyword_only(self):
-        with pytest.raises(TypeError):
-            product_state(_H1, _H2, 1.0, ("3", "4"), pbs("1", "2", "3", "4"))
-
-    def test_undeclared_path_rejected_on_every_call(self):
-        for _ in range(2):
-            with pytest.raises(ConfigurationError, match="undeclared paths"):
-                product_state(_H1, _H2, element=pbs("1", "2", "3", "4"))
-
-
 class TestModeOperator:
     def test_operator_is_read_only_and_built_once(self):
         from loqec import state_core
