@@ -51,13 +51,17 @@ from loqec import (
     z_measure,
 )
 from loqec import experiment
-from loqec.detection import analyzer_probabilities, herald_coherency
+from loqec.detection import _pass_probabilities, analyzer_probabilities, herald_coherency
+from loqec.elements import _hwp_image_of_h
 from loqec.experiment import _POISSON_MEAN_MAX, _philox_words, _ptrs_try, _quick_poisson
 
 R = 1.0 / math.sqrt(2.0)
 
 #: Seeds and streams at the edges of a Philox word.
 EDGE_WORDS = [0, 1, 2**63, 2**64 - 1]
+
+#: The 181-angle grid, one degree apart.
+GRID_181 = tuple(float(t) for t in range(-90, 91))
 
 #: The dense config whose counts ``test_dense_grid_counts_are_pinned`` pins.
 PINNED_DENSE_CONFIG = ExperimentConfig(
@@ -403,6 +407,75 @@ class TestRunAnalytic:
                 2 * math.radians(theta - fit.phase_deg)
             )
             assert model == pytest.approx(result.d1_d2.probabilities[i], abs=1e-9)
+
+    @pytest.mark.parametrize("angle, overlap_v, eps, pc_enabled, wiring, thetas", [
+        (22.5, 1.0, 0.0, True, WiringConfig.A_TO_C_B_TO_D, DEFAULT_THETAS),
+        (17.0, 0.37, 0.05, False, WiringConfig.A_TO_D_B_TO_C, DEFAULT_THETAS),
+        (70.0, 0.0, 1.0, True, WiringConfig.A_TO_C_B_TO_D, GRID_181),
+        (-33.3, 0.922, 0.03, True, WiringConfig.A_TO_D_B_TO_C, PINNED_DENSE_CONFIG.thetas),
+        (0.0, 1.0, 0.05, False, WiringConfig.A_TO_C_B_TO_D, GRID_181),
+        (45.0, 0.5, 1.0, False, WiringConfig.A_TO_D_B_TO_C, (-7.0, 3.25, 88.0)),
+    ], ids=["ideal", "eps-0.05", "eps-1-v-0", "dense", "h-input", "eps-1-random-grid"])
+    def test_float_algebra_has_the_numpy_expressions_bytes(
+        self, angle, overlap_v, eps, pc_enabled, wiring, thetas
+    ):
+        """The sweep's 2-vectors, herald weights and flat-background mix,
+        done in Python floats, give the bytes the numpy expressions give."""
+        config = ExperimentConfig(
+            qubit_hwp_angle=angle, overlap_v=overlap_v, imperfection_eps=eps,
+            pc_enabled=pc_enabled, wiring=wiring, thetas=thetas,
+        )
+        assert repr(sweep_summary(run_analytic(config))) == repr(numpy_algebra(config))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-360.0, 360.0, allow_nan=False),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, allow_nan=False)),
+        st.one_of(st.sampled_from([0.0, 0.05, 1.0]), st.floats(0.0, 1.0, allow_nan=False)),
+        st.booleans(),
+        st.sampled_from(list(WiringConfig)),
+    )
+    def test_float_algebra_matches_numpy_on_random_configs(
+        self, angle, overlap_v, eps, pc_enabled, wiring
+    ):
+        config = ExperimentConfig(
+            qubit_hwp_angle=angle, overlap_v=overlap_v, imperfection_eps=eps,
+            pc_enabled=pc_enabled, wiring=wiring,
+        )
+        assert repr(sweep_summary(run_analytic(config))) == repr(numpy_algebra(config))
+
+
+def sweep_summary(result):
+    """What of a sweep's result the herald algebra decides."""
+    return (
+        result.d1_d2.probabilities, result.d1_d3.probabilities,
+        result.d1_d2.fit, result.d1_d3.fit,
+        result.success_probability.hex(), result.discarded_probability.hex(),
+        result.fidelity.hex(),
+    )
+
+
+def numpy_algebra(config):
+    """:func:`sweep_summary` of ``config``'s sweep with its 2-vector and
+    2x2 algebra done in numpy arrays, as the sweep's float algebra stands for."""
+    psi = np.array(_hwp_image_of_h(config.qubit_hwp_angle))
+    v = config.overlap_v
+    c = (psi[:, None] * (math.sqrt(v), math.sqrt(1.0 - v))).reshape(4)
+    form = experiment._HERALD_FORMS[config.wiring, config.pc_enabled]
+    coherency = ((c[:, None] * c)[..., None, None, None] * form).sum(axis=(0, 1))
+    weights = coherency[:, 0, 0] + coherency[:, 1, 1]
+    p_success = float(weights.sum())
+    eps = config.imperfection_eps
+    coherency = (1.0 - eps) * coherency + eps * 0.5 * weights[:, None, None] * np.eye(2)
+    c_trig, s_trig, solver = experiment._grid_tables(config.thetas)
+    curves = _pass_probabilities(coherency, c_trig, s_trig)
+    fit_d2, fit_d3 = experiment._fits(solver, curves)
+    fidelity = float(psi @ coherency[0] @ psi / weights[0])
+    p_d2, p_d3 = (tuple(p) for p in curves.tolist())
+    return (
+        p_d2, p_d3, fit_d2, fit_d3,
+        p_success.hex(), (1.0 - p_success).hex(), min(max(fidelity, 0.0), 1.0).hex(),
+    )
 
 
 def direct_chain(config):
@@ -868,6 +941,43 @@ class TestSampleCounts:
         curves = np.array([rerun.d1_d2.probabilities, rerun.d1_d3.probabilities])
         counts = [list(rerun.d1_d2.counts), list(rerun.d1_d3.counts)]
         assert counts == fresh_counts(config.pair_rate * config.duration * curves, seed, 0)
+
+    @pytest.mark.parametrize("points", [10, 2 * 300], ids=["small", "dense"])
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+    def test_a_scrambled_thread_generator_draws_fresh_counts(self, seed, points):
+        """Whatever key, counter, buffer, held 32-bit half and position the
+        thread's generator was left in, every point, through the scalar draw
+        or the prefilter, draws what a fresh Philox draws."""
+        rng = np.random.default_rng(points)
+        p = rng.random((2, points // 2)) ** 4
+        p[:, ::7] = 0.0
+        bit_generator, _ = experiment._thread_generator()
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": rng.integers(0, 2**64, 4, dtype=np.uint64),
+                "key": rng.integers(0, 2**64, 2, dtype=np.uint64),
+            },
+            "buffer": rng.integers(0, 2**64, 4, dtype=np.uint64),
+            "buffer_pos": 1,
+            "has_uint32": 1,
+            "uinteger": 12345,
+        }
+        counts = sample_counts(p, 1000.0, 60.0, seed, stream=2**64 - 2)
+        assert counts.tolist() == fresh_counts(1000.0 * 60.0 * p, seed, 2**64 - 2)
+
+    def test_each_thread_keeps_one_generator(self):
+        """A thread's generator is the same on every call and is no other thread's."""
+        here = experiment._thread_generator()
+        assert experiment._thread_generator() is here
+
+        def twice():
+            return experiment._thread_generator(), experiment._thread_generator()
+
+        first, second = in_fresh_thread(twice)
+        assert first is second
+        assert first[0] is not here[0]
+        assert experiment._thread_generator() is here
 
     def test_importing_loqec_does_not_import_numpy_random(self):
         """A thread's generator is built on its first draw, not at import."""
