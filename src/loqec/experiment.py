@@ -798,7 +798,10 @@ def _malus_solver(thetas: tuple[float, ...]) -> np.ndarray:
     """The read-only ``(3, n)`` least-squares solver of the grid ``thetas``.
 
     The grid is checked here, once per grid: its angles must be finite and
-    hold at least 3 distinct values.  The solver is the pseudo-inverse
+    hold at least 3 distinct values.  They are counted as a set of the
+    grid's floats, which holds ``-0.0`` and ``0.0`` as one value, as
+    ``np.unique`` does; ``np.unique`` would import ``numpy.ma`` into the
+    process for its masked-array check.  The solver is the pseudo-inverse
     ``V diag(1/s) U^T`` of the design ``{1, cos 2 theta, sin 2 theta}``,
     from a thin SVD, under the rank rule ``np.linalg.lstsq`` applies by
     default: a singular value counts when it exceeds ``eps * max(n, 3)``
@@ -810,7 +813,7 @@ def _malus_solver(thetas: tuple[float, ...]) -> np.ndarray:
     if non_finite.size:
         index = int(non_finite[0])
         raise FitError(f"thetas[{index}] must be finite, got {float(th[index])!r}")
-    distinct = np.unique(th).size
+    distinct = len(set(thetas))
     if distinct < 3:
         raise FitError(f"need at least 3 distinct angles, got {distinct}")
     # fmod is exact and leaves |theta| < 180 as is; doubling 1e308 would overflow.

@@ -990,6 +990,31 @@ class TestSampleCounts:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
+    def test_sweeps_fits_and_the_cli_do_not_import_numpy_ma(self, tmp_path):
+        """A grid's distinct angles are counted without ``np.unique``, whose
+        masked-array check imports ``numpy.ma`` into the process."""
+        src = str(pathlib.Path(experiment.__file__).parents[1])
+        manifest = pathlib.Path(__file__).resolve().parents[1] / "scripts/manifests/bench_sweep.json"
+        code = "\n".join([
+            "import sys",
+            "from loqec import ExperimentConfig, fit_malus, run_experiment",
+            "from loqec.cli import main",
+            "run_experiment(ExperimentConfig())",
+            "run_experiment(ExperimentConfig(thetas=tuple(t / 10 for t in range(-900, 901))))",
+            "fit_malus([0.0, 45.0, 90.0], [1.0, 0.5, 0.0])",
+            "manifest, out = sys.argv[1:]",
+            "assert main(['run-sweep', '--config', manifest, '--output', out,"
+            " '--format', 'csv', '--quiet']) == 0",
+            "assert main(['fit', out + '/sweep.csv', '--quiet']) == 0",
+            "print('numpy.ma' in sys.modules)",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(manifest), str(tmp_path)],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_threads_draw_the_single_thread_counts(self, monkeypatch):
         """Eight threads, more than the cores, switching every microsecond,
         each run counted sweeps on the default and the 1801-angle grid with
@@ -1521,13 +1546,35 @@ class TestFitMalus:
         with pytest.raises(FitError, match="the fit overflows"):
             fit_malus([0.0, 45.0, 90.0], values)
 
-    def test_too_few_distinct_angles_rejected(self):
-        with pytest.raises(FitError):
-            fit_malus([0.0, 0.0, 10.0], [1.0, 1.0, 2.0])
+    @pytest.mark.parametrize("thetas", [
+        (0.0, 0.0, 10.0), (0.0, -0.0, 10.0), (-0.0, 0.0, 0.0, 10.0),
+    ])
+    def test_too_few_distinct_angles_rejected(self, thetas):
+        with pytest.raises(FitError, match="need at least 3 distinct angles, got 2"):
+            fit_malus(thetas, [1.0] * (len(thetas) - 1) + [2.0])
 
     def test_congruent_angles_are_rank_deficient(self):
-        with pytest.raises(FitError):
+        with pytest.raises(FitError, match="rank-deficient"):
             fit_malus([0.0, 90.0, 180.0, 270.0], [1.0, 2.0, 1.0, 2.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 10.0, math.nextafter(10.0, math.inf),
+        math.nextafter(10.0, -math.inf), 190.0, -170.0, 45.0, 225.0,
+    ]), min_size=1, max_size=8))
+    def test_distinct_angles_are_counted_as_np_unique_counts_them(self, thetas):
+        """Signed zeros are one angle; subnormals, one-ulp neighbours and
+        angles 180 degrees apart are distinct ones."""
+        distinct = np.unique(thetas).size
+        values = [float(k % 3) for k in range(len(thetas))]
+        if distinct < 3:
+            with pytest.raises(FitError, match=f"^need at least 3 distinct angles, got {distinct}$"):
+                fit_malus(thetas, values)
+            return
+        try:
+            fit_malus(thetas, values)
+        except FitError as exc:
+            assert "distinct angles" not in str(exc)
 
     @pytest.mark.parametrize("grid,index", [("values", 2), ("thetas", 4)])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
