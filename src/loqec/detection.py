@@ -44,19 +44,6 @@ def _survivor_rows(survivor: SinglePhotonState) -> np.ndarray:
     return survivor.vector
 
 
-@functools.lru_cache(maxsize=8)
-def _other_modes(n_paths: int, index: int) -> np.ndarray:
-    """Read-only indices, in order, of the modes off path ``index`` of ``n_paths``.
-
-    The index depends on the path layout alone, so it is built once per
-    layout; the bench measures on one.
-    """
-    modes = np.arange(4 * n_paths)
-    others = np.concatenate((modes[: 4 * index], modes[4 * index + 4 :]))
-    others.flags.writeable = False
-    return others
-
-
 def z_measure(state: TwoPhotonState, path: str) -> SinglePhotonState:
     """Destructively measure the photon on ``path`` in the computational basis.
 
@@ -69,12 +56,10 @@ def z_measure(state: TwoPhotonState, path: str) -> SinglePhotonState:
     With ``beta`` a detector's conjugate Jones vector on the measured path
     at one temporal index, the survivor is the contraction ``v = beta^T A``
     over the modes of the other paths.  The measured path's rows are the
-    slice ``4p:4p+4`` of ``A`` for path index ``p``, read in place; the
-    other modes are picked by an index cached per path layout (see
-    :func:`_other_modes`).  The measured path's own block and the other
-    paths' block among themselves must hold no more weight than
-    ``AMPLITUDE_TOL**2``, since every amplitude must put exactly one photon
-    on ``path``; anything else raises a structural error.
+    slice ``4p:4p+4`` of ``A`` for path index ``p``.  That path's own
+    block and the other paths' block among themselves must hold no more
+    weight than ``AMPLITUDE_TOL**2``, since every amplitude must put
+    exactly one photon on ``path``; anything else raises a structural error.
     """
     _one_state(state.matrix, 2, "z_measure")
     if path not in state.paths:
@@ -82,7 +67,7 @@ def z_measure(state: TwoPhotonState, path: str) -> SinglePhotonState:
     # Modes are (path, pol, temporal), four per path, in state_core's order.
     index = state.paths.index(path)
     on_path = slice(4 * index, 4 * index + 4)
-    others = _other_modes(len(state.paths), index)
+    others = np.delete(np.arange(4 * len(state.paths)), on_path)
     rows = state.matrix[on_path]
     for count, block in ((2, rows[:, on_path]), (0, state.matrix[others[:, None], others])):
         weight = float(np.vdot(block, block).real)
@@ -100,9 +85,9 @@ def apply_feedforward(survivor: SinglePhotonState, enabled: bool) -> SinglePhoto
     """Fire the Pockels cell on arm C for the bit-flip (D3) herald.
 
     The cell's cached mode operator ``U`` acts on the survivor's D3 row as
-    ``v -> U v``, each product rounded on its own as in
-    :func:`~loqec.state_core.apply_element_single`; the D2 row is kept as
-    it is, and one state is built for the result.  The correction is
+    ``v -> U v``, each product rounded on its own before the sum, as in
+    :func:`~loqec.state_core.apply_element`; the D2 row is kept as it is,
+    and one state is built for the result.  The correction is
     unitary, so the outcome weights are untouched; with ``enabled=False``
     the survivor passes through unchanged.
     """
@@ -142,15 +127,6 @@ class AnalyzerCurves:
     p_d1_d3: tuple[float, ...]
 
 
-def herald_coherency(survivor: SinglePhotonState) -> np.ndarray:
-    """Coherency matrices of the D2 (value 0), then the D3 (value 1), herald.
-
-    Each is summed over the measured temporal index; the shape is (2, 2, 2).
-    """
-    _survivor_rows(survivor)
-    return survivor.coherency().sum(axis=1)
-
-
 def analyzer_probabilities(coherency: np.ndarray, thetas: Sequence[float]) -> np.ndarray:
     """Probability of passing a linear analyzer at each angle of ``thetas``.
 
@@ -163,14 +139,13 @@ def analyzer_probabilities(coherency: np.ndarray, thetas: Sequence[float]) -> np
 
     ``coherency`` must be an array of numbers of shape ``(..., 2, 2)``
     with finite entries; anything else raises a ``ValidationError``.
-    ``thetas`` is checked as by :func:`~loqec.errors.as_grid`, and its
-    cosines and sines depend on the grid alone: they are cached per grid
-    (see :func:`_analyzer_trig`), so a sweep of many configs on one grid
-    checks it and takes them once.  A sweep, whose config has checked its
+    ``thetas`` is checked as by :func:`~loqec.errors.as_grid` and keys
+    the cache of its cosines and sines, which depend on the grid alone
+    (see :func:`_analyzer_trig`).  A sweep, whose config has checked its
     grid, reads the cache and calls the same kernel directly.
     """
     j = _coherency_array(coherency)
-    return _pass_probabilities(j, *_analyzer_trig(_grid_key(thetas)))
+    return _pass_probabilities(j, *_analyzer_trig(tuple(as_grid(thetas, "thetas").tolist())))
 
 
 def _pass_probabilities(j: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -199,19 +174,6 @@ def _coherency_array(coherency: object) -> np.ndarray:
     return j
 
 
-def _grid_key(thetas: Sequence[float]) -> tuple[float, ...]:
-    """``thetas`` as the tuple of floats that keys its cache entry.
-
-    A tuple of floats, the form a config holds, is its own key.  Anything
-    else is converted through :func:`~loqec.errors.as_grid` first, which
-    rejects what is no grid: a bool, for one, equals 0 or 1 and would
-    otherwise share their entry.
-    """
-    if type(thetas) is tuple and all(type(t) is float for t in thetas):
-        return thetas
-    return tuple(as_grid(thetas, "thetas").tolist())
-
-
 @functools.lru_cache(maxsize=8)
 def _analyzer_trig(thetas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``cos`` and ``sin`` of the grid ``thetas``, reduced modulo 180.
@@ -232,6 +194,7 @@ def analyzer_curve(survivor: SinglePhotonState, thetas: Sequence[float]) -> Anal
     Each point is the total probability that the surviving photon passes
     the analyzer, incoherently summed over the measured temporal index.
     """
-    grid = _grid_key(thetas)
-    p_d2, p_d3 = analyzer_probabilities(herald_coherency(survivor), grid).tolist()
+    _survivor_rows(survivor)
+    grid = tuple(as_grid(thetas, "thetas").tolist())
+    p_d2, p_d3 = analyzer_probabilities(survivor.coherency().sum(axis=1), grid).tolist()
     return AnalyzerCurves(grid, tuple(p_d2), tuple(p_d3))

@@ -60,7 +60,7 @@ import numpy as np
 from .detection import (
     _analyzer_trig,
     _pass_probabilities,
-    analyzer_curve,  # noqa: F401  (kept importable from this module)
+    analyzer_curve,  # noqa: F401  (unused; perfbench's tracing test looks it up here)
     apply_feedforward,
     coincidence_postselect,
     z_measure,
@@ -197,8 +197,8 @@ def _herald_form(wiring: WiringConfig, pc_enabled: bool) -> np.ndarray:
     With ``u[k]`` the survivor basis row ``k`` after :func:`apply_feedforward`,
     ``F[k, l, h]`` is the real part of ``sum_g u[k, h, g] u[l, h, g]^dagger``
     for herald ``h``, averaged with its ``(l, k)`` twin.  ``g`` runs over the
-    (measured temporal index, path, temporal) groups that
-    :func:`~loqec.detection.herald_coherency` sums over.  A survivor
+    (measured temporal index, path, temporal) groups, whose coherency
+    matrices add up to the herald's ``J``.  A survivor
     ``sum_k c_k u[k]`` with real ``c`` then has the real herald coherencies
     ``sum_kl c_k c_l F[k, l]``; the average drops only the antisymmetric
     part, which cancels in that sum.
@@ -668,44 +668,33 @@ def _ptrs_terms(
     return v, b, a, us, vr, np.floor(x), sure
 
 
-def _quick_poisson(
-    means: np.ndarray, w0: np.ndarray, w1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's Poisson count where a try accepts at once, and which points it is for.
-
-    The first stage of :func:`_ptrs_try`: numpy returns ``k`` at once when
-    ``us >= 0.07`` and ``V <= vr``.  A point is marked only when its mean
-    is at least 10, it takes that branch, ``V`` lies more than a relative
-    ``_QUICK_MARGIN`` below ``vr`` and ``k`` is sure; its count is then
-    numpy's, and every other count is 0.
-    """
-    v, _, _, us, vr, k, sure = _ptrs_terms(means, w0, w1)
-    quick = sure & (means >= 10.0) & (us >= 0.07) & (vr - v > _QUICK_MARGIN * vr)
-    return quick, np.where(quick, k, 0.0).astype(np.int64)
-
-
 def _ptrs_try(
     means: np.ndarray, wu: np.ndarray, wv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One try of numpy's PTRS loop: the points it accepts, those it tries again, and the counts.
 
-    The points of mean 10 or more that :func:`_quick_poisson` leaves run
-    the rest of the try, compressed: numpy tries again when ``k < 0``, or
-    ``us < 0.013`` and ``V > us``, and otherwise accepts iff ``log V +
-    log invalpha - log(a / us**2 + b) <= -mean + k log mean - loggam(k +
-    1)``, with numpy's ``random_loggam`` series.  A point is decided only
-    when every comparison clears its margin: ``_QUICK_MARGIN`` for ``vr``,
-    the floor and ``V`` against ``us``, and for the ``log`` test
-    ``_LOG_MARGIN`` times the summed sizes of its terms.  ``us == 0``, and
-    ``V == 0`` or ``k + 1 < 7`` (where ``random_loggam`` shifts its
-    argument) at the ``log`` test, are left undecided too.  An accepted
-    point's count is numpy's; every other count is 0.
+    Every point's terms are computed once (:func:`_ptrs_terms`).  For a
+    mean of 10 or more numpy returns ``k`` at once when ``us >= 0.07`` and
+    ``V <= vr``; the other such points run the rest of the try,
+    compressed: numpy tries again when ``k < 0``, or ``us < 0.013`` and
+    ``V > us``, and otherwise accepts iff ``log V + log invalpha - log(a /
+    us**2 + b) <= -mean + k log mean - loggam(k + 1)``, with numpy's
+    ``random_loggam`` series.  A point is decided only when every
+    comparison clears its margin: ``_QUICK_MARGIN`` for ``vr``, the floor
+    and ``V`` against ``us``, and for the ``log`` test ``_LOG_MARGIN``
+    times the summed sizes of its terms.  ``us == 0``, and ``V == 0`` or
+    ``k + 1 < 7`` (where ``random_loggam`` shifts its argument) at the
+    ``log`` test, are left undecided too.  An accepted point's count is
+    numpy's; every other count is 0.
     """
-    accept, counts = _quick_poisson(means, wu, wv)
+    v, b, a, us, vr, k, sure = _ptrs_terms(means, wu, wv)
+    ptrs = means >= 10.0
+    accept = sure & ptrs & (us >= 0.07) & (vr - v > _QUICK_MARGIN * vr)
+    counts = np.where(accept, k, 0.0).astype(np.int64)
     again = np.zeros_like(accept)
-    rest = _compressed(~accept & (means >= 10.0))
+    rest = _compressed(~accept & ptrs)
     lam = means[rest]
-    v, b, a, us, vr, k, sure = _ptrs_terms(lam, wu[rest], wv[rest])
+    v, b, a, us, vr, k, sure = (term[rest] for term in (v, b, a, us, vr, k, sure))
     # Past the accept at once, numpy tries again or runs the log test.
     past = sure & ((us < 0.07) | (v - vr > _QUICK_MARGIN * vr))
     low = us < 0.013

@@ -31,9 +31,9 @@ builds a batch from a 1-D array of overlaps, :func:`apply_element`,
 :func:`relabel_paths` and ``detection.coincidence_postselect`` act on
 every matrix of it, and ``norm_squared`` is then an array.  A
 single-photon vector batches alike, shape ``(..., n)``: it is how
-``detection.z_measure`` returns its survivor, and :func:`apply_element_single`,
-``norm_squared`` and ``coherency()`` act per vector.  Whatever reads one
-state (``amplitude``, ``from_terms``, ``projection_probability``,
+``detection.z_measure`` returns its survivor, and ``norm_squared`` and
+``coherency()`` act per vector.  Whatever reads one state
+(``amplitude``, ``from_terms``, ``projection_probability``,
 ``detection.z_measure``) rejects a batch.
 """
 from __future__ import annotations
@@ -128,14 +128,6 @@ def computational_jones(value: int) -> Jones:
     return (_INV_SQRT2 + 0j, _INV_SQRT2 + 0j)
 
 
-def jones_to_computational(jones: Sequence[complex]) -> tuple[complex, complex]:
-    """Coefficients (alpha, beta) of a Jones vector on |0>, |1>."""
-    vec = _as_jones(jones, "jones vector")
-    alpha = (vec[0] + vec[1]) * _INV_SQRT2
-    beta = (vec[0] - vec[1]) * _INV_SQRT2
-    return alpha, beta
-
-
 @dataclass(frozen=True)
 class SinglePhotonSpec:
     """Input description of one photon: path and unit-norm Jones vector."""
@@ -223,11 +215,11 @@ def _mode_operator(paths: tuple[str, ...], element: "LinearElement") -> np.ndarr
 
     The element's matrix acts alike on its channels at either temporal
     index; every other mode passes through.  The matrix depends on the
-    bench layout alone, so it is built once per ``(paths, element)`` and
-    cached: a sweep of many configs builds each operator it uses once.
-    The bench and the HOM scan use three, well within the 16 kept.  An
-    undeclared path raises on every call, since ``lru_cache`` keeps no
-    exception.
+    bench layout alone, so it is cached per ``(paths, element)``.  No sweep
+    builds one: the encoder and the feed-forward build theirs at import,
+    and ``experiment.hom_scan`` its splitter on its first call; these three
+    fit well within the 16 kept.  An undeclared path raises on every call,
+    since ``lru_cache`` keeps no exception.
     """
     missing = sorted({path for path, _ in element.channels} - set(paths))
     if missing:
@@ -470,16 +462,6 @@ def apply_element(state: TwoPhotonState, element: "LinearElement") -> TwoPhotonS
     out = np.zeros(matrix.shape, dtype=complex)
     out[..., reached[:, None], reached] = (half[..., :, None, :] * u).sum(axis=-1)
     return TwoPhotonState(state.paths, out)
-
-
-def apply_element_single(state: SinglePhotonState, element: "LinearElement") -> SinglePhotonState:
-    """Single-photon version of :func:`apply_element`: ``v -> U v``.
-
-    A batch is transformed vector by vector with one operator ``U``, each
-    product rounded on its own before the sum, as in :func:`apply_element`.
-    """
-    u = _mode_operator(state.paths, element)
-    return SinglePhotonState(state.paths, (u * state.vector[..., None, :]).sum(axis=-1))
 
 
 def relabel_paths(state: TwoPhotonState, mapping: Mapping[str, str]) -> TwoPhotonState:

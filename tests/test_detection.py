@@ -22,7 +22,6 @@ from loqec import (
     Z_VALUE1_DETECTOR,
     analyzer_curve,
     apply_element,
-    apply_element_single,
     apply_feedforward,
     coincidence_postselect,
     computational_jones,
@@ -33,7 +32,7 @@ from loqec import (
     rewire,
     z_measure,
 )
-from loqec.detection import analyzer_probabilities, herald_coherency
+from loqec.detection import analyzer_probabilities
 
 R = 1.0 / math.sqrt(2.0)
 
@@ -155,7 +154,7 @@ class TestZMeasure:
         survivor = z_measure(rewire(state, wiring), PATH_D)
         assert survivor.vector.shape == (2, 2, 12)
         assert survivor.norm_squared.sum() == pytest.approx(p_success, abs=1e-12)
-        coherency = herald_coherency(survivor)
+        coherency = survivor.coherency().sum(axis=1)
         for outcome in (0, 1):
             branches = encoder_branch_states(alpha, beta, math.sqrt(overlap_v), outcome)
             want = np.zeros((2, 2), dtype=complex)
@@ -177,25 +176,6 @@ class TestZMeasure:
                 assert survivor.paths.index(PATH_C) == 2 and not row.vector[:8].any()
                 if t not in branches:
                     assert not row.vector.any()
-
-    def test_other_modes_are_indexed_once_per_layout(self):
-        """The survivor's modes come from a read-only index cached per
-        (number of paths, measured path index): one miss per layout."""
-        from loqec import detection
-
-        detection._other_modes.cache_clear()
-        for angle in (0.0, 0.4, 1.1):
-            state = encoded_on_bench(math.cos(angle), math.sin(angle), 0.6)
-            z_measure(state, PATH_D)
-        assert detection._other_modes.cache_info().misses == 1
-        pair = TwoPhotonState.from_terms({(label("A", "H"), label("B", "V")): 1.0})
-        z_measure(pair, "B")
-        assert detection._other_modes.cache_info().misses == 2
-        others = detection._other_modes(len(state.paths), state.paths.index(PATH_D))
-        assert not others.flags.writeable
-        assert detection._other_modes.cache_info().misses == 2
-        modes = np.arange(4 * len(state.paths)) // 4
-        assert others.tolist() == np.flatnonzero(modes != state.paths.index(PATH_D)).tolist()
 
     def test_default_detector_pair_layout(self):
         """Axis 0 of the survivor is D2 (value 0, +45) then D3 (value 1, -45)."""
@@ -234,13 +214,19 @@ class TestFeedForward:
 
     def test_one_operator_flips_every_trigger_branch(self, monkeypatch):
         """Both D3 rows (one per temporal index) share one Pockels operator,
-        and the D3 row comes out exactly as a flip of that row alone."""
+        and the D3 row comes out exactly as the cell's matrix, laid over the
+        survivor's modes, flips that row alone."""
         from loqec import state_core
 
         survivor = z_measure(encoded_on_bench(0.3, math.sqrt(1 - 0.09), 0.4), PATH_D)
         assert (survivor.norm_squared[1] > 0.0).all()
-        alone = SinglePhotonState(survivor.paths, survivor.vector[1])
-        want = apply_element_single(alone, pockels(PATH_C, active=True))
+        cell = pockels(PATH_C, active=True)
+        # The matrix acts on the cell's channels at either temporal index; other modes pass.
+        u = np.eye(survivor.vector.shape[-1], dtype=complex)
+        for t in (0, 1):
+            modes = [4 * survivor.paths.index(p) + 2 * (pol == "V") + t for p, pol in cell.channels]
+            u[np.ix_(modes, modes)] = cell.matrix
+        want = (u * survivor.vector[1][..., None, :]).sum(axis=-1)
         built = []
         original = state_core._mode_operator
         monkeypatch.setattr(
@@ -248,13 +234,13 @@ class TestFeedForward:
         )
         corrected = apply_feedforward(survivor, enabled=True)
         assert len(built) == 1
-        assert corrected.vector[1].tobytes() == want.vector.tobytes()
+        assert corrected.vector[1].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("reader", [
         lambda s: apply_feedforward(s, True),
         lambda s: apply_feedforward(s, False),
-        herald_coherency,
-    ], ids=["feedforward-on", "feedforward-off", "herald_coherency"])
+        lambda s: analyzer_curve(s, (0.0, 45.0)),
+    ], ids=["feedforward-on", "feedforward-off", "analyzer_curve"])
     def test_a_state_of_another_shape_is_rejected(self, reader):
         survivor = z_measure(encoded_on_bench(1.0, 0.0), PATH_D)
         for vector in (survivor.vector[0], survivor.vector[0, 0], survivor.vector[:, :, None]):

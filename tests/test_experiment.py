@@ -41,7 +41,6 @@ from loqec import (
     fit_malus,
     hom_scan,
     hwp,
-    jones_to_computational,
     product_state,
     rewire,
     run_analytic,
@@ -51,11 +50,16 @@ from loqec import (
     z_measure,
 )
 from loqec import experiment
-from loqec.detection import _pass_probabilities, analyzer_probabilities, herald_coherency
+from loqec.detection import _pass_probabilities, analyzer_probabilities
 from loqec.elements import _hwp_image_of_h
-from loqec.experiment import _POISSON_MEAN_MAX, _philox_words, _ptrs_try, _quick_poisson
+from loqec.experiment import _POISSON_MEAN_MAX, _philox_words, _ptrs_try
 
 R = 1.0 / math.sqrt(2.0)
+
+#: 64-bit words: any integer, or the word whose 53-bit double is a float in [0, 1).
+WORDS = st.integers(0, 2**64 - 1) | st.floats(0.0, 1.0, exclude_max=True).map(
+    lambda x: int(x * 2**53) << 11
+)
 
 #: Seeds and streams at the edges of a Philox word.
 EDGE_WORDS = [0, 1, 2**63, 2**64 - 1]
@@ -483,9 +487,10 @@ def direct_chain(config):
     through a two-photon state of its own, as the survivor basis replaces."""
     w = math.radians(config.qubit_hwp_angle)
     psi = np.array([math.cos(2.0 * w), math.sin(2.0 * w)])
-    state, p_success = encode_qubit(*jones_to_computational(psi), config.overlap_v)
+    alpha, beta = (psi[0] + psi[1]) * R, (psi[0] - psi[1]) * R
+    state, p_success = encode_qubit(alpha, beta, config.overlap_v)
     survivor = z_measure(rewire(state, config.wiring), PATH_D)
-    coherency = herald_coherency(apply_feedforward(survivor, config.pc_enabled))
+    coherency = apply_feedforward(survivor, config.pc_enabled).coherency().sum(axis=1)
     weights = np.trace(coherency, axis1=1, axis2=2).real
     eps = config.imperfection_eps
     coherency = (1.0 - eps) * coherency + eps * 0.5 * weights[:, None, None] * np.eye(2)
@@ -529,7 +534,7 @@ class TestSurvivorBasis:
         modules = [m for n, m in sys.modules.items() if n == "loqec" or n.startswith("loqec.")]
         for name in (
             "product_state", "coincidence_postselect", "relabel_paths", "z_measure",
-            "apply_feedforward", "herald_coherency", "SinglePhotonState",
+            "apply_feedforward", "analyzer_curve", "SinglePhotonState",
         ):
             for module in modules:
                 if hasattr(module, name):
@@ -571,7 +576,7 @@ class TestSurvivorBasis:
 
         paths, basis = experiment._SURVIVOR_BASES[wiring]
         survivor = SinglePhotonState(paths, (np.reshape(c, (4, 1, 1, 1)) * basis).sum(axis=0))
-        expected = herald_coherency(apply_feedforward(survivor, pc_enabled)).real
+        expected = apply_feedforward(survivor, pc_enabled).coherency().sum(axis=1).real
         form = experiment._HERALD_FORMS[wiring, pc_enabled]
         got = (np.multiply.outer(c, c)[..., None, None, None] * form).sum(axis=(0, 1))
         assert np.abs(got - expected).max() <= 1e-15
@@ -1270,55 +1275,50 @@ class TestPoissonPrefilter:
     @staticmethod
     def vr(mean):
         b = 0.931 + 2.53 * np.sqrt(mean)
-        return float(0.9277 - 3.6224 / (b - 2))
+        return 0.9277 - 3.6224 / (b - 2)
 
-    def test_the_first_try_accept_is_numpys(self):
-        """Where the helper marks a point, numpy's draw takes that point's
-        two words alone and returns the helper's count."""
-        rng = np.random.default_rng(7)
-        means = np.concatenate([
-            rng.uniform(10.0, 200.0, 400), np.exp(rng.uniform(np.log(10.0), 40.0, 400)),
-        ])
-        w0, w1 = rng.integers(0, 2**64, (2, means.size), dtype=np.uint64)
-        quick, counts = _quick_poisson(means, w0, w1)
-        assert counts.dtype == np.int64 and 0.5 < quick.mean() < 0.9
-        assert (counts[~quick] == 0).all()
-        for mean, word0, word1, count in zip(
-            means[quick].tolist(), w0[quick].tolist(), w1[quick].tolist(), counts[quick].tolist()
-        ):
-            assert self.numpy_draw(mean, word0, word1) == (count, True)
+    @staticmethod
+    def accepts_at_once(means, word0, word1):
+        """Where numpy's try on ``word0`` and ``word1`` returns ``k`` at
+        once, ``us >= 0.07`` and ``V <= vr``, for means of 10 or more."""
+        u = (word0 >> 11) * 2.0**-53 - 0.5
+        v = (word1 >> 11) * 2.0**-53
+        vr = TestPoissonPrefilter.vr(means)
+        return (means >= 10.0) & (0.5 - np.abs(u) >= 0.07) & (v <= vr)
 
     def test_decisions_at_their_threshold_go_to_numpy(self):
-        """``V == vr``, ``V`` one step under ``vr`` and a floor argument
-        that is an integer are left to numpy's draw, as are means under
-        10, first tries that numpy rejects or tests further, and a first
-        word under 2**11, whose ``us`` is 0 (no warning is raised)."""
+        """At the accept at once, ``V == vr``, ``V`` one step either side of
+        ``vr`` and a floor argument that is an integer are left to numpy's
+        draw, as are means under 10, and a first word under 2**11, whose
+        ``us`` is 0 (no warning is raised)."""
         half = 2**63  # U = 0, so the floor argument is mean + 0.43.
         mean = 100.0
-        at_vr = int(self.vr(mean) * 2**53) << 11
+        at_vr = int(float(self.vr(mean)) * 2**53) << 11
         integral = 99.57
         assert integral + 0.43 == 100.0
-        cases = [  # (mean, word 0, word 1, whether the helper decides it)
-            (mean, half, 0, True),
-            (mean, half, at_vr, False),
-            (mean, half, at_vr - 2**11, False),
-            (mean, half, at_vr + 2**11, False),
-            (integral, half, 0, False),
-            (integral + 1e-9, half, 0, True),
-            (9.99, half, 0, False),
-            (0.0, half, 0, False),
-            (mean, 2**10, 0, False),
-            (mean, 0, 0, False),
-            (_POISSON_MEAN_MAX, half, 0, False),
+        cases = [  # (mean, word 0, word 1, the try's (accept, again))
+            (mean, half, 0, (True, False)),
+            (mean, half, at_vr, (False, False)),
+            (mean, half, at_vr - 2**11, (False, False)),
+            (mean, half, at_vr + 2**11, (False, False)),
+            (integral, half, 0, (False, False)),
+            (integral + 1e-9, half, 0, (True, False)),
+            (9.99, half, 0, (False, False)),
+            (0.0, half, 0, (False, False)),
+            (mean, 2**10, 0, (False, False)),
+            (mean, 0, 0, (False, False)),
+            (_POISSON_MEAN_MAX, half, 0, (False, False)),
         ]
         means, word0, word1, want = zip(*cases)
-        quick, counts = _quick_poisson(
+        accept, again, counts = _ptrs_try(
             np.array(means), np.array(word0, dtype=np.uint64), np.array(word1, dtype=np.uint64)
         )
-        assert quick.tolist() == list(want)
-        for (mean_, word0_, word1_, decided), count in zip(cases, counts.tolist()):
-            if decided:
+        assert list(zip(accept.tolist(), again.tolist())) == list(want)
+        for (mean_, word0_, word1_, (accepted, _)), count in zip(cases, counts.tolist()):
+            if accepted:
                 assert self.numpy_draw(mean_, word0_, word1_) == (count, True)
+            else:
+                assert count == 0
         # numpy accepts V == vr and an integer floor argument at once.
         assert self.numpy_draw(mean, half, at_vr) == (100, True)
         assert self.numpy_draw(integral, half, 0) == (100, True)
@@ -1358,7 +1358,8 @@ class TestPoissonPrefilter:
         assert counts.dtype == counts2.dtype == np.int64
         assert not (accept & again).any() and not (accept2 & again2).any()
         # Beyond the accept at once, the log test accepts and both tries retry.
-        assert accept.sum() > _quick_poisson(means, words[0], words[1])[0].sum() + 100
+        at_once = accept & self.accepts_at_once(means, words[0], words[1])
+        assert accept.sum() > at_once.sum() + 100
         assert retry.size > 100 and accept2.sum() > 0.7 * retry.size
         # Undecided: means past 2**39 (the floor's margin), k + 1 < 7 near 10, margin misses.
         assert accept.sum() + accept2.sum() > 0.8 * means.size
@@ -1376,6 +1377,38 @@ class TestPoissonPrefilter:
                 assert (count, taken) == (counts2[j], 4)
             elif again2[j]:
                 assert taken >= 6
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.one_of(
+                st.floats(9.5, 12.0),
+                st.floats(0.99 * 2.0**39, 1.01 * 2.0**39),
+                st.floats(0.999 * _POISSON_MEAN_MAX, _POISSON_MEAN_MAX),
+                st.floats(math.log(10.0), math.log(_POISSON_MEAN_MAX)).map(
+                    lambda x: min(math.exp(x), _POISSON_MEAN_MAX)
+                ),
+            ),
+            WORDS,
+            WORDS,
+        ),
+        min_size=1, max_size=40,
+    ))
+    def test_a_try_accepts_and_retries_as_numpy_does(self, points):
+        """Wherever a try accepts, numpy's draw takes just its two words and
+        returns its count; wherever it tries again, numpy takes at least
+        four words.  A mean under 10 is neither."""
+        means, word0, word1 = zip(*points)
+        means, word0, word1 = np.array(means), *np.array((word0, word1), dtype=np.uint64)
+        accept, again, counts = _ptrs_try(means, word0, word1)
+        assert not (accept & again).any() and not (accept | again)[means < 10.0].any()
+        assert (counts[~accept] == 0).all()
+        for i, (mean, w0, w1) in enumerate(points):
+            count, taken = self.numpy_words(mean, (w0, w1, 0, 0))
+            if accept[i]:
+                assert (count, taken) == (counts[i], 2)
+            elif again[i]:
+                assert taken >= 4
 
     @pytest.mark.parametrize("mean, u", [(100.0, 0.46), (14.0, -0.45)], ids=["k=126", "k+1=7"])
     def test_a_log_test_gap_inside_the_margin_goes_to_numpy(self, mean, u):
@@ -1692,8 +1725,8 @@ class TestMalusSolver:
 
     def test_a_sweep_does_not_walk_its_checked_grid(self, monkeypatch):
         """The config checks its grid; no sweep of it walks the grid again
-        through the readout's key or the fit's array conversion."""
-        from loqec import detection, errors, experiment
+        through the readout's or the fit's array conversion."""
+        from loqec import errors, experiment
 
         rng = np.random.default_rng(9)
         thetas = tuple(float(t) for t in range(-90, 91))
@@ -1703,10 +1736,6 @@ class TestMalusSolver:
         ]
         run_analytic(configs[0])  # the grid's cache entries, built once
         walks = []
-        grid_key = detection._grid_key
-        monkeypatch.setattr(
-            detection, "_grid_key", lambda *args: walks.append("_grid_key") or grid_key(*args)
-        )
         for module in (errors, experiment):
             convert = module.as_real_array
 
@@ -1722,7 +1751,7 @@ class TestMalusSolver:
         # The spies see the public route's walks.
         analyzer_probabilities(np.eye(2), thetas)
         fit_malus(thetas, np.ones(len(thetas)))
-        assert walks == ["_grid_key", "as_real_array"]
+        assert walks == ["as_real_array", "as_real_array"]
 
 
 class TestFitStack:

@@ -1,4 +1,8 @@
-"""The package's public names, pinned so that each addition or deletion is deliberate."""
+"""The package's public names, pinned so that each addition or deletion is deliberate,
+and its private helpers, each of which something in the package must use."""
+import ast
+from pathlib import Path
+
 import loqec
 
 PUBLIC_NAMES = [
@@ -35,7 +39,6 @@ PUBLIC_NAMES = [
     "Z_VALUE1_DETECTOR",
     "analyzer_curve",
     "apply_element",
-    "apply_element_single",
     "apply_feedforward",
     "bs5050",
     "coincidence_postselect",
@@ -44,7 +47,6 @@ PUBLIC_NAMES = [
     "fit_malus",
     "hom_scan",
     "hwp",
-    "jones_to_computational",
     "pbs",
     "pockels",
     "product_state",
@@ -59,7 +61,30 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 53
+    assert len(PUBLIC_NAMES) == 51
     assert len(set(loqec.__all__)) == len(loqec.__all__)
     assert sorted(loqec.__all__) == PUBLIC_NAMES
     assert [name for name in PUBLIC_NAMES if not hasattr(loqec, name)] == []
+
+
+def test_every_private_helper_is_used_in_the_package():
+    """A module-level private function or class that nothing in the package
+    loads by name, as a name, an attribute or an import, is dead code."""
+    trees = [ast.parse(path.read_text()) for path in Path(loqec.__file__).parent.glob("*.py")]
+    defined = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    }
+    used = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    assert {"_mode_operator", "_ptrs_try", "_survivor_rows"} <= defined
+    assert sorted(defined - used) == []

@@ -19,12 +19,10 @@ from loqec import (
     TwoPhotonState,
     ValidationError,
     apply_element,
-    apply_element_single,
     bs5050,
     coincidence_postselect,
     computational_jones,
     hwp,
-    jones_to_computational,
     pbs,
     product_state,
     relabel_paths,
@@ -119,18 +117,6 @@ class TestPolarizationBasis:
     def test_numpy_integers_accepted(self):
         assert computational_jones(np.int64(1)) == computational_jones(1)
 
-    @given(unit_jones())
-    def test_basis_change_round_trips(self, jones):
-        alpha, beta = jones_to_computational(jones)
-        zero, one = computational_jones(0), computational_jones(1)
-        back = (alpha * zero[0] + beta * one[0], alpha * zero[1] + beta * one[1])
-        assert abs(back[0] - jones[0]) < 1e-12
-        assert abs(back[1] - jones[1]) < 1e-12
-
-    def test_non_unit_jones_rejected(self):
-        with pytest.raises(ValidationError):
-            jones_to_computational((1.0, 1.0))
-
 
 class TestSpecValidation:
     def test_non_unit_jones_rejected(self):
@@ -155,8 +141,6 @@ class TestSpecValidation:
         message = rf"jones vector\[{index}\] must be a number, got ({shown})$"
         with pytest.raises(ValidationError, match=message):
             SinglePhotonSpec("a", jones)
-        with pytest.raises(ValidationError, match=message):
-            jones_to_computational(jones)
 
     def test_non_sequence_jones_rejected(self):
         with pytest.raises(ValidationError, match="jones vector must be a pair of numbers, got 1.0"):
@@ -173,9 +157,6 @@ class TestSpecValidation:
     def test_valid_jones_keep_their_bytes(self, jones):
         expected = tuple(complex(c) for c in jones)
         assert repr(SinglePhotonSpec("a", jones).jones) == repr(expected)
-        alpha = (expected[0] + expected[1]) * R
-        beta = (expected[0] - expected[1]) * R
-        assert repr(jones_to_computational(jones)) == repr((alpha, beta))
 
     @pytest.mark.parametrize("bad", [-0.1, 1.01, 2.0, math.nan])
     def test_overlap_out_of_range_rejected(self, bad):
@@ -496,32 +477,6 @@ class TestBatch:
     def test_overlaps_must_be_a_flat_array_of_numbers(self, overlaps, message):
         with pytest.raises(ValidationError, match=message):
             product_state(_H1, _H2, overlaps)
-
-    def test_single_photon_states_share_one_operator(self, monkeypatch):
-        """A batch of vectors goes through one operator, each vector exactly
-        as on its own."""
-        from loqec import state_core
-
-        element = beam_splitter_h("P", "Q")
-        states = [
-            SinglePhotonState.from_terms({label("P", "H"): 0.6}, paths=("P", "Q")),
-            SinglePhotonState.from_terms({label("Q", "H", 1): 0.8j}, paths=("P", "Q")),
-            SinglePhotonState.from_terms(
-                {label("P", "V"): 0.3, label("Q", "H"): -0.4j}, paths=("P", "Q")
-            ),
-        ]
-        alone = [apply_element_single(state, element) for state in states]
-        batch = SinglePhotonState(("P", "Q"), np.stack([s.vector for s in states]).reshape(3, 1, 8))
-        built = []
-        original = state_core._mode_operator
-        monkeypatch.setattr(
-            state_core, "_mode_operator", lambda *args: built.append(args) or original(*args)
-        )
-        together = apply_element_single(batch, element)
-        assert len(built) == 1
-        assert together.paths == batch.paths and together.vector.shape == (3, 1, 8)
-        for k, one in enumerate(alone):
-            assert together.vector[k, 0].tobytes() == one.vector.tobytes()
 
 
 class TestRelabelPaths:
