@@ -177,6 +177,24 @@ class TestZMeasure:
                 if t not in branches:
                     assert not row.vector.any()
 
+    @pytest.mark.parametrize("path", ["A", "B", "C"])
+    def test_survivor_keeps_the_other_paths_modes_in_order(self, path):
+        """Measuring the first, middle or last of three paths leaves the
+        survivor on the other two, in their declared order, each amplitude
+        on the mode it had in the pair."""
+        others = tuple(p for p in ("A", "B", "C") if p != path)
+        partner = {label(others[0], "V", 1): 0.6, label(others[1], "H"): -0.8j}
+        pair = TwoPhotonState.from_terms(
+            {(label(path, "H"), mode): amp for mode, amp in partner.items()}, paths=("A", "B", "C")
+        )
+        survivor = z_measure(pair, path)
+        assert survivor.paths == others and survivor.vector.shape == (2, 2, 8)
+        # An H photon on the measured path goes to either detector with amplitude 1/sqrt(2).
+        want = SinglePhotonState.from_terms(partner, paths=others).vector * R
+        for herald in (0, 1):
+            assert np.abs(survivor.vector[herald, 0] - want).max() <= 1e-15
+            assert not survivor.vector[herald, 1].any()
+
     def test_default_detector_pair_layout(self):
         """Axis 0 of the survivor is D2 (value 0, +45) then D3 (value 1, -45)."""
         assert (Z_VALUE0_DETECTOR, Z_VALUE1_DETECTOR) == ("D2", "D3")

@@ -1286,6 +1286,23 @@ class TestPoissonPrefilter:
         vr = TestPoissonPrefilter.vr(means)
         return (means >= 10.0) & (0.5 - np.abs(u) >= 0.07) & (v <= vr)
 
+    def test_the_first_try_accept_is_numpys(self):
+        """Where the try accepts at once, numpy's draw takes that point's
+        two words alone and returns the try's count."""
+        rng = np.random.default_rng(7)
+        means = np.concatenate([
+            rng.uniform(10.0, 200.0, 400), np.exp(rng.uniform(np.log(10.0), 40.0, 400)),
+        ])
+        w0, w1 = rng.integers(0, 2**64, (2, means.size), dtype=np.uint64)
+        accept, _, counts = _ptrs_try(means, w0, w1)
+        quick = accept & self.accepts_at_once(means, w0, w1)
+        assert counts.dtype == np.int64 and 0.5 < quick.mean() < 0.9
+        assert (counts[~accept] == 0).all()
+        for mean, word0, word1, count in zip(
+            means[quick].tolist(), w0[quick].tolist(), w1[quick].tolist(), counts[quick].tolist()
+        ):
+            assert self.numpy_draw(mean, word0, word1) == (count, True)
+
     def test_decisions_at_their_threshold_go_to_numpy(self):
         """At the accept at once, ``V == vr``, ``V`` one step either side of
         ``vr`` and a floor argument that is an integer are left to numpy's

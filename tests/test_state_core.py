@@ -117,6 +117,17 @@ class TestPolarizationBasis:
     def test_numpy_integers_accepted(self):
         assert computational_jones(np.int64(1)) == computational_jones(1)
 
+    @given(unit_jones())
+    def test_basis_change_round_trips(self, jones):
+        """The two computational states are an orthonormal basis: a Jones
+        vector is the sum of its projections onto them."""
+        zero, one = computational_jones(0), computational_jones(1)
+        alpha = zero[0].conjugate() * jones[0] + zero[1].conjugate() * jones[1]
+        beta = one[0].conjugate() * jones[0] + one[1].conjugate() * jones[1]
+        back = (alpha * zero[0] + beta * one[0], alpha * zero[1] + beta * one[1])
+        assert abs(back[0] - jones[0]) < 1e-12
+        assert abs(back[1] - jones[1]) < 1e-12
+
 
 class TestSpecValidation:
     def test_non_unit_jones_rejected(self):
