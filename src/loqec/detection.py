@@ -9,7 +9,6 @@ feed-forward and the readout act on it as a whole.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -139,13 +138,13 @@ def analyzer_probabilities(coherency: np.ndarray, thetas: Sequence[float]) -> np
 
     ``coherency`` must be an array of numbers of shape ``(..., 2, 2)``
     with finite entries; anything else raises a ``ValidationError``.
-    ``thetas`` is checked as by :func:`~loqec.errors.as_grid` and keys
-    the cache of its cosines and sines, which depend on the grid alone
-    (see :func:`_analyzer_trig`).  A sweep, whose config has checked its
-    grid, reads the cache and calls the same kernel directly.
+    ``thetas`` is checked as by :func:`~loqec.errors.as_grid`, and its
+    cosines and sines are taken on each call (:func:`_analyzer_trig`).  A
+    sweep, whose config has checked its grid, reads the same arrays from
+    its grid's one cache entry and calls the same kernel directly.
     """
     j = _coherency_array(coherency)
-    return _pass_probabilities(j, *_analyzer_trig(tuple(as_grid(thetas, "thetas").tolist())))
+    return _pass_probabilities(j, *_analyzer_trig(as_grid(thetas, "thetas")))
 
 
 def _pass_probabilities(j: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -174,18 +173,10 @@ def _coherency_array(coherency: object) -> np.ndarray:
     return j
 
 
-@functools.lru_cache(maxsize=8)
-def _analyzer_trig(thetas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``cos`` and ``sin`` of the grid ``thetas``, reduced modulo 180.
-
-    The grid is checked here, once per grid, by
-    :func:`~loqec.errors.as_grid`; a bad grid raises on every call, since
-    ``lru_cache`` keeps no exception.
-    """
-    rad = np.radians(as_grid(thetas, "thetas") % 180.0)
-    c, s = np.cos(rad), np.sin(rad)
-    c.flags.writeable = s.flags.writeable = False
-    return c, s
+def _analyzer_trig(thetas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """``cos`` and ``sin`` of a checked grid, a tuple or an array, reduced modulo 180."""
+    rad = np.radians(np.asarray(thetas) % 180.0)
+    return np.cos(rad), np.sin(rad)
 
 
 def analyzer_curve(survivor: SinglePhotonState, thetas: Sequence[float]) -> AnalyzerCurves:
@@ -195,6 +186,6 @@ def analyzer_curve(survivor: SinglePhotonState, thetas: Sequence[float]) -> Anal
     the analyzer, incoherently summed over the measured temporal index.
     """
     _survivor_rows(survivor)
-    grid = tuple(as_grid(thetas, "thetas").tolist())
+    grid = as_grid(thetas, "thetas")
     p_d2, p_d3 = analyzer_probabilities(survivor.coherency().sum(axis=1), grid).tolist()
-    return AnalyzerCurves(grid, tuple(p_d2), tuple(p_d3))
+    return AnalyzerCurves(tuple(grid.tolist()), tuple(p_d2), tuple(p_d3))

@@ -8,35 +8,30 @@ undoes the heralded bit flip before the analyzer.
 
 Everything from the encoder to the Z station is fixed optics, so the
 survivor of the Z measurement is linear in the qubit's Jones vector and in
-photon b's two temporal amplitudes.  Each wiring's survivors of the four
-basis inputs, H or V times temporal index 0 or 1, are built once at import
-through :func:`encode_qubit`'s own chain.  The Pockels cell is fixed too,
-and the analyzer reads a herald only through its 2x2 coherency matrix
-``J``, which is therefore a fixed quadratic form in the four real input
-amplitudes.  That form is built at import for each wiring and Pockels
-setting from the survivor basis, and a sweep config reads both heralds'
-``J`` off it (see :func:`run_analytic`): no config builds a two-photon or
-a single-photon state.
+photon b's two temporal amplitudes.  The Pockels cell is fixed too, and
+the analyzer reads a herald only through its 2x2 coherency matrix ``J``,
+which is therefore a fixed quadratic form in the four real input
+amplitudes.  One import-time build per wiring (:func:`_herald_forms`)
+makes the survivors of the four basis inputs, H or V times temporal index
+0 or 1, through :func:`encode_qubit`'s own chain, and from them the form
+of each Pockels setting.  A sweep config reads both heralds' ``J`` off it
+(see :func:`run_analytic`): no config builds a two-photon or a
+single-photon state.
 
 A sweep's inputs are checked once, by :class:`ExperimentConfig`, which
 holds its grid as a tuple of finite floats and its exposure and seed as
-checked numbers.  The sweep reads the grid's analyzer trig and Malus
-solver from one cache entry per grid (see :func:`_grid_tables`) and runs
-the readout, the fits and the counting through the private kernels that
-:func:`~loqec.detection.analyzer_probabilities`, :func:`fit_malus` and
-:func:`sample_counts` call after their own checks, so no config re-checks
-or re-converts its grid or its counting inputs, and the bytes are those of
-the public functions.
+checked numbers.  A grid's analyzer trig and Malus solver have one cache,
+one entry per grid (see :func:`_grid_tables`).  The sweep reads it and
+runs the readout, the fits and the counting through the private kernels
+that :func:`~loqec.detection.analyzer_probabilities`, :func:`fit_malus`
+and :func:`sample_counts` call after their own checks, so no config
+re-checks or re-converts its grid or its counting inputs, and the bytes
+are those of the public functions.
 
 Counts are numpy's Poisson draws, each point from its own fresh Philox
-state, set on the one Philox each thread builds on its first draw (see
-:func:`sample_counts`).  A dense draw first computes every point's first
-Philox block at once and runs the first two tries of numpy's rejection
-method on its four words in ufuncs, deciding a point only where every
-comparison clears a margin far beyond any rounding difference from
-numpy's C; every other point (means under 10, margin misses, third
-tries), and every point of a small draw, goes through numpy's scalar
-draw (see :func:`_draw`).
+state (see :func:`sample_counts`, and :func:`_draw` for how it is set).
+A dense draw decides most points in ufuncs first, from their first
+Philox block, and sends the rest to numpy's scalar draw.
 
 Overlap convention: ``ExperimentConfig.overlap_v`` is the degree of
 indistinguishability on the probability scale, i.e. the weight of the
@@ -91,7 +86,6 @@ from .errors import (
 from .state_core import (
     Jones,
     SinglePhotonSpec,
-    SinglePhotonState,
     TwoPhotonState,
     _polarization_pairs,
     apply_element,
@@ -170,55 +164,44 @@ def _encode(qubit_jones: Jones, amplitude_overlap: float) -> tuple[TwoPhotonStat
     return coincidence_postselect(apply_element(state, _ENCODER_PBS))
 
 
-def _survivor_basis(wiring: WiringConfig) -> tuple[tuple[str, ...], np.ndarray]:
-    """The survivor's paths and its read-only ``(4, 2, 2, n)`` basis for ``wiring``.
+def _herald_forms(wiring: WiringConfig) -> dict[bool, np.ndarray]:
+    """The read-only real ``(4, 4, 2, 2, 2)`` herald form of ``wiring`` for each Pockels setting.
 
-    Row ``2 p + t`` is the survivor of ``z_measure`` on arm D for the qubit
-    on H (``p = 0``) or V (``p = 1``) and the ancilla on temporal index
-    ``t``: amplitude overlap 1 for index 0, 0 for index 1.
+    Survivor ``k = 2 p + t`` is that of ``z_measure`` on arm D for the
+    qubit on H (``p = 0``) or V (``p = 1``) and the ancilla on temporal
+    index ``t``: amplitude overlap 1 for index 0, 0 for index 1; the four
+    serve both settings.  With ``u[k]`` survivor ``k`` after
+    :func:`apply_feedforward`, ``F[k, l, h]`` is the real part of
+    ``sum_g u[k, h, g] u[l, h, g]^dagger`` for herald ``h``, averaged with
+    its ``(l, k)`` twin.  ``g`` runs over the (measured temporal index,
+    path, temporal) groups, whose coherency matrices add up to the
+    herald's ``J``.  A survivor ``sum_k c_k u[k]`` with real ``c`` then has
+    the real herald coherencies ``sum_kl c_k c_l F[k, l]``; the average
+    drops only the antisymmetric part, which cancels in that sum.
     """
     survivors = [
         z_measure(rewire(_encode(jones, overlap)[0], wiring), PATH_D)
         for jones in ((1.0, 0.0), (0.0, 1.0))
         for overlap in (1.0, 0.0)
     ]
-    basis = np.array([survivor.vector for survivor in survivors])
-    basis.flags.writeable = False
-    return survivors[0].paths, basis
+    forms = {}
+    for pc_enabled in (False, True):
+        rows = [apply_feedforward(survivor, pc_enabled).vector for survivor in survivors]
+        # (k, herald, measured temporal, group, pol) -> (k, herald, group, pol)
+        u = _polarization_pairs(np.array(rows)).reshape(4, 2, -1, 2)
+        form = np.einsum("khga,lhgb->klhab", u, u.conj()).real
+        form = 0.5 * (form + form.swapaxes(0, 1))
+        form.flags.writeable = False
+        forms[pc_enabled] = form
+    return forms
 
 
-#: Each wiring's survivor basis, built at import so that no sweep builds it.
-_SURVIVOR_BASES = {wiring: _survivor_basis(wiring) for wiring in WiringConfig}
-
-
-def _herald_form(wiring: WiringConfig, pc_enabled: bool) -> np.ndarray:
-    """The read-only real ``(4, 4, 2, 2, 2)`` herald form of ``wiring`` and ``pc_enabled``.
-
-    With ``u[k]`` the survivor basis row ``k`` after :func:`apply_feedforward`,
-    ``F[k, l, h]`` is the real part of ``sum_g u[k, h, g] u[l, h, g]^dagger``
-    for herald ``h``, averaged with its ``(l, k)`` twin.  ``g`` runs over the
-    (measured temporal index, path, temporal) groups, whose coherency
-    matrices add up to the herald's ``J``.  A survivor
-    ``sum_k c_k u[k]`` with real ``c`` then has the real herald coherencies
-    ``sum_kl c_k c_l F[k, l]``; the average drops only the antisymmetric
-    part, which cancels in that sum.
-    """
-    paths, basis = _SURVIVOR_BASES[wiring]
-    rows = [apply_feedforward(SinglePhotonState(paths, row), pc_enabled).vector for row in basis]
-    # (k, herald, measured temporal, group, pol) -> (k, herald, group, pol)
-    u = _polarization_pairs(np.array(rows)).reshape(4, 2, -1, 2)
-    form = np.einsum("khga,lhgb->klhab", u, u.conj()).real
-    form = 0.5 * (form + form.swapaxes(0, 1))
-    form.flags.writeable = False
-    return form
-
-
-#: Each wiring's and Pockels setting's herald form, built at import so that
-#: no sweep builds a survivor.
+#: Each wiring's and Pockels setting's herald form, built at import, one
+#: wiring's four survivors at a time, so that no sweep builds a survivor.
 _HERALD_FORMS = {
-    (wiring, pc_enabled): _herald_form(wiring, pc_enabled)
+    (wiring, pc_enabled): form
     for wiring in WiringConfig
-    for pc_enabled in (False, True)
+    for pc_enabled, form in _herald_forms(wiring).items()
 }
 
 
@@ -269,10 +252,8 @@ def _thread_generator() -> tuple[object, object]:
 
     Built on the thread's first draw, through ``np.random.Philox`` and
     ``np.random.Generator`` looked up then, so that an import of loqec does
-    not import ``numpy.random``.  Every draw sets the generator's whole
-    state first (see :func:`_draw`), so its key 0 and the one OS entropy
-    read ``Philox(key=...)`` makes and discards never reach a count, and no
-    draw sees what another left.
+    not import ``numpy.random``.  :func:`_draw` sets its whole state before
+    every point.
     """
     try:
         return _THREAD.generator
@@ -486,26 +467,12 @@ def sample_counts(
     that row alone gets on stream ``stream + r``.  ``seed`` and every row's
     stream are integers in ``[0, 2**64)``.
 
-    Philox is counter-based: its draws depend on its key and counter alone.
-    So each thread builds one ``np.random.Philox`` and its ``Generator`` on
-    its first draw and keeps them, and a call builds one state dict: the
-    whole state that fresh Philox starts in (key, counter, an empty buffer,
-    ``has_uint32`` and ``uinteger``), whose counter is one list.  Before
-    each row the call writes the row's stream into that list, before each
-    point the point's index, and then sets the generator's state from the
-    dict.  numpy's setter copies every value into the generator and keeps
-    no reference, so each point starts from exactly that state, whatever
-    the previous draw, or any other use of the thread's generator, left.
-
-    A call of at least ``_PREFILTER_MIN`` points first decides most points
-    of mean 10 or more without the generator: it computes their first
-    Philox block in numpy and runs the first two tries of numpy's
-    rejection method on it, which give the same count, and sends every
-    other point through the reset above (see :func:`_draw`).
-
-    The checks come first; the draws are the private kernel :func:`_draw`,
-    which a sweep calls directly on its config's checked exposure and seed
-    (see :func:`run_experiment`).
+    A call of at least ``_PREFILTER_MIN`` points decides most points of
+    mean 10 or more in numpy, from their first Philox block, and gets the
+    same counts.  The checks come first; the draws are the private kernel
+    :func:`_draw`, which says how each point's state is set, and which a
+    sweep calls directly on its config's checked exposure and seed (see
+    :func:`run_experiment`).
     """
     p = as_real_array(probabilities, "probabilities", stack=True)
     check_unit_interval(p, "probabilities")
@@ -530,8 +497,16 @@ def _draw(means: np.ndarray, seed: int, first_stream: int) -> np.ndarray:
     the means' shape.
 
     Every point numpy's scalar draw decides runs through the thread's one
-    generator (:func:`_thread_generator`), whose whole state is first set
-    to the point's fresh state (see :func:`sample_counts`).  A draw of at
+    generator (:func:`_thread_generator`).  Philox is counter-based: its
+    draws depend on its key and counter alone.  So a call builds one state
+    dict, the whole state a fresh Philox starts in (key, counter, an empty
+    buffer, ``has_uint32`` and ``uinteger``), whose counter is one list.
+    Before each point it writes the point's stream and index into that
+    list and sets the generator's state from the dict.  numpy's setter
+    copies every value and keeps no reference, so each point starts from
+    exactly that state, whatever the previous draw or any other use of the
+    generator left; the generator's key 0 and the one OS entropy read
+    ``Philox(key=...)`` makes and discards never reach a count.  A draw of at
     least ``_PREFILTER_MIN`` points first runs a prefilter over blocks of
     ``_DRAW_BLOCK`` points: each point's first Philox block, all at once
     (:func:`_philox_words`), and the first two tries of numpy's rejection
@@ -642,18 +617,30 @@ def _philox_words(
     return words[0], odd[0], words[1], odd[1]
 
 
-def _ptrs_terms(
+def _ptrs_try(
     means: np.ndarray, wu: np.ndarray, wv: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """One try of numpy's PTRS on the words ``wu`` and ``wv``, up to its decisions.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One try of numpy's PTRS loop: the points it accepts, those it tries again, and the counts.
 
     numpy draws a mean of at least 10 by Hoermann's transformed rejection
     (PTRS; *Insurance: Math. Econ.* 12, 39 (1993)), each try from the
     doubles ``U = wu / 2**64 - 0.5`` and ``V = wv / 2**64`` (53 bits each).
-    Returns ``V``, ``b``, ``a``, ``us = 0.5 - |U|``, ``vr`` and
-    ``k = floor((2 a / us + b) U + mean + 0.43)``, in the C source's
-    operation order, and whether the floor's argument lies more than a
-    relative ``_QUICK_MARGIN`` from an integer, so that ``k`` is numpy's.
+    Every point's terms are computed once, in the C source's operation
+    order: ``b``, ``a``, ``us = 0.5 - |U|``, ``vr`` and
+    ``k = floor((2 a / us + b) U + mean + 0.43)``, with whether the floor's
+    argument lies more than a relative ``_QUICK_MARGIN`` from an integer,
+    so that ``k`` is numpy's.  numpy returns ``k`` at once when
+    ``us >= 0.07`` and ``V <= vr``; the other such points run the rest of
+    the try, compressed: numpy tries again when ``k < 0``, or
+    ``us < 0.013`` and ``V > us``, and otherwise accepts iff ``log V +
+    log invalpha - log(a / us**2 + b) <= -mean + k log mean - loggam(k +
+    1)``, with numpy's ``random_loggam`` series.  A point is decided only
+    when every comparison clears its margin: ``_QUICK_MARGIN`` for ``vr``,
+    the floor and ``V`` against ``us``, and for the ``log`` test
+    ``_LOG_MARGIN`` times the summed sizes of its terms.  ``us == 0``, and
+    ``V == 0`` or ``k + 1 < 7`` (where ``random_loggam`` shifts its
+    argument) at the ``log`` test, are left undecided too.  An accepted
+    point's count is numpy's; every other count is 0.
     """
     u = (wu >> 11) * 2.0**-53 - 0.5
     v = (wv >> 11) * 2.0**-53
@@ -665,29 +652,8 @@ def _ptrs_terms(
         vr = 0.9277 - 3.6224 / (b - 2)
         x = (2 * a / us + b) * u + means + 0.43
         sure = np.abs(x - np.rint(x)) > _QUICK_MARGIN * np.abs(x)
-    return v, b, a, us, vr, np.floor(x), sure
-
-
-def _ptrs_try(
-    means: np.ndarray, wu: np.ndarray, wv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One try of numpy's PTRS loop: the points it accepts, those it tries again, and the counts.
-
-    Every point's terms are computed once (:func:`_ptrs_terms`).  For a
-    mean of 10 or more numpy returns ``k`` at once when ``us >= 0.07`` and
-    ``V <= vr``; the other such points run the rest of the try,
-    compressed: numpy tries again when ``k < 0``, or ``us < 0.013`` and
-    ``V > us``, and otherwise accepts iff ``log V + log invalpha - log(a /
-    us**2 + b) <= -mean + k log mean - loggam(k + 1)``, with numpy's
-    ``random_loggam`` series.  A point is decided only when every
-    comparison clears its margin: ``_QUICK_MARGIN`` for ``vr``, the floor
-    and ``V`` against ``us``, and for the ``log`` test ``_LOG_MARGIN``
-    times the summed sizes of its terms.  ``us == 0``, and ``V == 0`` or
-    ``k + 1 < 7`` (where ``random_loggam`` shifts its argument) at the
-    ``log`` test, are left undecided too.  An accepted point's count is
-    numpy's; every other count is 0.
-    """
-    v, b, a, us, vr, k, sure = _ptrs_terms(means, wu, wv)
+    k = np.floor(x)
+    del u, x  # the full-size temporaries the rest of the try no longer reads
     ptrs = means >= 10.0
     accept = sure & ptrs & (us >= 0.07) & (vr - v > _QUICK_MARGIN * vr)
     counts = np.where(accept, k, 0.0).astype(np.int64)
@@ -749,20 +715,21 @@ def fit_malus(
 
     ``values`` is one curve of shape ``(n,)``, which returns one fit, or a
     stack of curves of shape ``(k, n)``, which returns a tuple of ``k``
-    fits.  The grid's checks and its least-squares solver depend on the
-    grid alone: the solver is the design's pseudo-inverse, built from one
-    SVD and cached per grid (see :func:`_malus_solver`), so a sweep of many
-    configs on one grid checks and factors it once.  The coefficients are
-    elementwise products with the solver, summed over the grid, not a BLAS
-    matrix product, whose blocking may depend on the stack size: a curve's
-    fit has the same bytes alone as in any stack.  A sweep, whose config
-    has checked its grid, calls the same solver and fit kernel directly.
+    fits.  The least-squares solver is the design's pseudo-inverse, built
+    from one SVD of the grid on each call (see :func:`_malus_solver`).  The
+    coefficients are elementwise products with the solver, summed over the
+    grid, not a BLAS matrix product, whose blocking may depend on the
+    stack size: a curve's fit has the same bytes alone as in any stack.  A
+    sweep, whose config has checked its grid, reads the same solver from
+    its grid's one cache entry (see :func:`_grid_tables`), so a sweep of
+    many configs on one grid factors it once, and calls the same fit
+    kernel directly.
     """
     th = as_real_array(thetas, "thetas")
     y = as_real_array(values, "values", stack=True)
     if th.shape != y.shape[-1:]:
         raise FitError(f"angle and value grids must match, got {th.shape} and {y.shape}")
-    solver = _malus_solver(tuple(th.tolist()))
+    solver = _malus_solver(th)
     finite = np.isfinite(y)
     if not finite.all():
         index = tuple(np.argwhere(~finite)[0].tolist())
@@ -782,27 +749,24 @@ def _fits(solver: np.ndarray, y: np.ndarray) -> MalusFit | tuple[MalusFit, ...]:
     return tuple(_malus_fit(*row) for row in coeffs.tolist())
 
 
-@functools.lru_cache(maxsize=8)
-def _malus_solver(thetas: tuple[float, ...]) -> np.ndarray:
-    """The read-only ``(3, n)`` least-squares solver of the grid ``thetas``.
+def _malus_solver(thetas: Sequence[float]) -> np.ndarray:
+    """The ``(3, n)`` least-squares solver of the grid ``thetas``, a tuple or an array.
 
-    The grid is checked here, once per grid: its angles must be finite and
-    hold at least 3 distinct values.  They are counted as a set of the
-    grid's floats, which holds ``-0.0`` and ``0.0`` as one value, as
-    ``np.unique`` does; ``np.unique`` would import ``numpy.ma`` into the
-    process for its masked-array check.  The solver is the pseudo-inverse
-    ``V diag(1/s) U^T`` of the design ``{1, cos 2 theta, sin 2 theta}``,
-    from a thin SVD, under the rank rule ``np.linalg.lstsq`` applies by
-    default: a singular value counts when it exceeds ``eps * max(n, 3)``
-    times the largest.  A bad grid raises, and ``lru_cache`` keeps no
-    exception, so it raises on every call.
+    The grid's angles must be finite and hold at least 3 distinct values.
+    They are counted as a set of the grid's floats, which holds ``-0.0``
+    and ``0.0`` as one value, as ``np.unique`` does; ``np.unique`` would
+    import ``numpy.ma`` into the process for its masked-array check.  The
+    solver is the pseudo-inverse ``V diag(1/s) U^T`` of the design
+    ``{1, cos 2 theta, sin 2 theta}``, from a thin SVD, under the rank rule
+    ``np.linalg.lstsq`` applies by default: a singular value counts when
+    it exceeds ``eps * max(n, 3)`` times the largest.
     """
-    th = np.array(thetas)
+    th = np.asarray(thetas)
     non_finite = np.flatnonzero(~np.isfinite(th))
     if non_finite.size:
         index = int(non_finite[0])
         raise FitError(f"thetas[{index}] must be finite, got {float(th[index])!r}")
-    distinct = len(set(thetas))
+    distinct = len(set(th.tolist()))
     if distinct < 3:
         raise FitError(f"need at least 3 distinct angles, got {distinct}")
     # fmod is exact and leaves |theta| < 180 as is; doubling 1e308 would overflow.
@@ -814,22 +778,23 @@ def _malus_solver(thetas: tuple[float, ...]) -> np.ndarray:
             "analyzer grid is rank-deficient for a fixed-period fit "
             "(angles congruent modulo 90 degrees?)"
         )
-    solver = (vt.T / s) @ u.T
-    solver.flags.writeable = False
-    return solver
+    return (vt.T / s) @ u.T
 
 
 @functools.lru_cache(maxsize=8)
 def _grid_tables(thetas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The analyzer ``cos`` and ``sin`` and the Malus solver of a config's checked grid.
+    """The read-only analyzer ``cos`` and ``sin`` and Malus solver of a config's checked grid.
 
-    One cache entry per grid, so a sweep hashes its angle tuple once per
-    config; a tuple does not keep its hash.  The entry holds the very arrays
-    of :func:`~loqec.detection._analyzer_trig` and :func:`_malus_solver`.
-    A grid the fit rejects raises on every call, since ``lru_cache`` keeps
-    no exception.
+    The one cache of a grid's tables, one entry per grid, so a sweep hashes
+    its angle tuple once per config (a tuple does not keep its hash) and
+    takes the trig (:func:`~loqec.detection._analyzer_trig`) and factors
+    the grid (:func:`_malus_solver`) once per grid.  A grid the fit rejects
+    raises on every call, since ``lru_cache`` keeps no exception.
     """
-    return (*_analyzer_trig(thetas), _malus_solver(thetas))
+    tables = (*_analyzer_trig(thetas), _malus_solver(thetas))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _malus_fit(offset: float, c: float, s: float) -> MalusFit:

@@ -425,13 +425,15 @@ class TestAnalyzerProbabilities:
         direct = j[:, 0, 0] * c * c + j[:, 1, 1] * s * s + 2.0 * j[:, 0, 1] * c * s
         assert want.tobytes() == np.maximum(direct, 0.0).tobytes()
 
-    def test_trig_is_taken_once_per_grid(self):
-        from loqec import detection
+    @pytest.mark.parametrize("size", [19, 181, 1801])
+    def test_the_readout_has_the_bytes_of_a_sweeps_cached_trig(self, size):
+        """The public readout takes its grid's trig on each call, and a sweep
+        reads it from its grid's one cache entry: both give the same bytes."""
+        from loqec import experiment
+        from loqec.detection import _pass_probabilities
 
-        detection._analyzer_trig.cache_clear()
-        for grid in ((0.0, 45.0, 90.0), [0.0, 45.0, 90.0], np.array([0.0, 45.0, 90.0])):
-            analyzer_probabilities(self.coherency, grid)
-        info = detection._analyzer_trig.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-        c, s = detection._analyzer_trig((0.0, 45.0, 90.0))
-        assert not c.flags.writeable and not s.flags.writeable
+        grid = tuple(np.linspace(-90.0, 90.0, size).tolist())
+        c, s, _ = experiment._grid_tables(grid)
+        want = _pass_probabilities(self.coherency, c, s).tobytes()
+        for form in (grid, list(grid), np.array(grid)):
+            assert analyzer_probabilities(self.coherency, form).tobytes() == want

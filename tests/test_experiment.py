@@ -484,7 +484,7 @@ def numpy_algebra(config):
 
 def direct_chain(config):
     """Curves, success probability and fidelity of ``config``, computed
-    through a two-photon state of its own, as the survivor basis replaces."""
+    through a two-photon state of its own, as the herald forms replace."""
     w = math.radians(config.qubit_hwp_angle)
     psi = np.array([math.cos(2.0 * w), math.sin(2.0 * w)])
     alpha, beta = (psi[0] + psi[1]) * R, (psi[0] - psi[1]) * R
@@ -499,8 +499,20 @@ def direct_chain(config):
     return curves, p_success, min(max(fidelity, 0.0), 1.0)
 
 
+def basis_survivors(wiring):
+    """The four survivors of ``wiring`` that its herald forms stand for, each
+    through the encoder, the wiring and the Z measurement on arm D: the qubit
+    on H then V, each with the ancilla on temporal index 0 then 1."""
+    return [
+        z_measure(rewire(experiment._encode(jones, overlap)[0], wiring), PATH_D)
+        for jones in ((1.0, 0.0), (0.0, 1.0))
+        for overlap in (1.0, 0.0)
+    ]
+
+
 class TestSurvivorBasis:
-    """A sweep config reads its survivor off a basis built once per wiring."""
+    """A sweep config reads both heralds off forms built once per wiring
+    from the survivors of four basis inputs."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -572,25 +584,36 @@ class TestSurvivorBasis:
     @example([1.0, 0.0, 0.0, 0.0], True, WiringConfig.A_TO_C_B_TO_D)
     @example([0.6, -0.8, 0.0, 0.0], False, WiringConfig.A_TO_D_B_TO_C)
     def test_a_herald_form_gives_the_survivors_coherency(self, c, pc_enabled, wiring):
-        from loqec import experiment
-
-        paths, basis = experiment._SURVIVOR_BASES[wiring]
-        survivor = SinglePhotonState(paths, (np.reshape(c, (4, 1, 1, 1)) * basis).sum(axis=0))
+        survivors = basis_survivors(wiring)
+        basis = np.array([survivor.vector for survivor in survivors])
+        vector = (np.reshape(c, (4, 1, 1, 1)) * basis).sum(axis=0)
+        survivor = SinglePhotonState(survivors[0].paths, vector)
         expected = apply_feedforward(survivor, pc_enabled).coherency().sum(axis=1).real
         form = experiment._HERALD_FORMS[wiring, pc_enabled]
         got = (np.multiply.outer(c, c)[..., None, None, None] * form).sum(axis=(0, 1))
         assert np.abs(got - expected).max() <= 1e-15
 
-    def test_each_wiring_has_a_read_only_basis(self):
-        from loqec import experiment
-
-        assert set(experiment._SURVIVOR_BASES) == set(WiringConfig)
-        for paths, basis in experiment._SURVIVOR_BASES.values():
-            assert paths == ("qubit-in", "ancilla-in", "C")
-            assert basis.shape == (4, 2, 2, 12)
-            assert not basis.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                basis[0, 0, 0, 0] = 1.0
+    def test_a_wirings_forms_are_built_from_its_four_survivors(self, monkeypatch):
+        survivors = []
+        measure = experiment.z_measure
+        monkeypatch.setattr(
+            experiment, "z_measure", lambda *args: survivors.append(measure(*args)) or survivors[-1]
+        )
+        for wiring in WiringConfig:
+            survivors.clear()
+            forms = experiment._herald_forms(wiring)
+            assert len(survivors) == 4
+            for survivor in survivors:
+                assert survivor.paths == ("qubit-in", "ancilla-in", "C")
+                assert survivor.vector.shape == (2, 2, 12)
+            assert set(forms) == {False, True}
+            for pc_enabled, form in forms.items():
+                shipped = experiment._HERALD_FORMS[wiring, pc_enabled]
+                assert (form.shape, form.dtype) == (shipped.shape, shipped.dtype)
+                assert form.tobytes() == shipped.tobytes()
+                assert not form.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    form[0, 0, 0, 0, 0] = 1.0
 
 
 class TestRunExperiment:
@@ -1719,26 +1742,31 @@ class TestMalusSolver:
     def test_a_sweep_on_one_grid_factors_it_once(self, monkeypatch):
         """A sweep reads its grid's trig and solver through one cache entry,
         one lookup per config, and the grid is factored once."""
-        from loqec import detection, experiment
-
         fits = []
         kernel = experiment._fits
         monkeypatch.setattr(experiment, "_fits", lambda *args: fits.append(args) or kernel(*args))
-        for cache in (experiment._grid_tables, experiment._malus_solver, detection._analyzer_trig):
-            cache.cache_clear()
+        built = {"_analyzer_trig": [], "_malus_solver": []}
+        plain = {name: getattr(experiment, name) for name in built}
+        for name, calls in built.items():
+            monkeypatch.setattr(
+                experiment, name,
+                lambda thetas, _t=plain[name], _c=calls: _c.append(thetas) or _t(thetas),
+            )
+        experiment._grid_tables.cache_clear()
         rng = np.random.default_rng(8)
         for angle, overlap_v in rng.uniform([-90.0, 0.0], [90.0, 1.0], size=(200, 2)):
             run_analytic(ExperimentConfig(qubit_hwp_angle=angle, overlap_v=overlap_v))
         info = experiment._grid_tables.cache_info()
         assert (info.misses, info.hits) == (1, 199)
-        for cache in (experiment._malus_solver, detection._analyzer_trig):
-            info = cache.cache_info()
-            assert (info.misses, info.hits) == (1, 0)
+        assert {name: len(calls) for name, calls in built.items()} == {
+            "_analyzer_trig": 1, "_malus_solver": 1,
+        }
         assert len(fits) == 200
-        c, s, solver = experiment._grid_tables(DEFAULT_THETAS)
-        trig_c, trig_s = detection._analyzer_trig(DEFAULT_THETAS)
-        assert c is trig_c and s is trig_s
-        assert solver is experiment._malus_solver(DEFAULT_THETAS)
+        tables = experiment._grid_tables(DEFAULT_THETAS)
+        direct = (*plain["_analyzer_trig"](DEFAULT_THETAS), plain["_malus_solver"](DEFAULT_THETAS))
+        for table, want in zip(tables, direct):
+            assert not table.flags.writeable
+            assert table.tobytes() == want.tobytes()
 
     def test_a_sweep_does_not_walk_its_checked_grid(self, monkeypatch):
         """The config checks its grid; no sweep of it walks the grid again

@@ -1,6 +1,8 @@
 """The package's public names, pinned so that each addition or deletion is deliberate,
 and its private helpers, each of which something in the package must use."""
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import loqec
@@ -88,3 +90,25 @@ def test_every_private_helper_is_used_in_the_package():
             used.update(alias.name for alias in node.names)
     assert {"_mode_operator", "_ptrs_try", "_survivor_rows"} <= defined
     assert sorted(defined - used) == []
+
+
+def test_the_only_caches_are_the_grid_tables_the_mode_operators_and_the_parser():
+    """One owner per table: a per-function cache beside these would keep a
+    second copy of what one of them holds."""
+    modules = [loqec] + [
+        importlib.import_module(f"loqec.{info.name}")
+        for info in pkgutil.iter_modules(loqec.__path__)
+    ]
+    found = [value for module in modules for value in vars(module).values()]
+    found += [
+        value
+        for owner in found
+        if isinstance(owner, type) and owner.__module__.startswith("loqec")
+        for value in vars(owner).values()
+    ]
+    cached = {
+        f"{value.__module__}.{value.__qualname__}" for value in found if hasattr(value, "cache_info")
+    }
+    assert sorted(cached) == [
+        "loqec.cli._parser", "loqec.experiment._grid_tables", "loqec.state_core._mode_operator",
+    ]
