@@ -494,6 +494,134 @@ class TestOneRuleSet:
         assert capsys.readouterr().err == f"error: experiment.thetas: {message}\n"
 
 
+_SWEEP = {"config_version": 1, "experiment": {}, "outputs": {"directory": "out"}}
+_HOM = {
+    "config_version": 1,
+    "hom_scan": {"delays": [0.0], "coherence_time": 1e-12},
+    "outputs": {"directory": "out"},
+}
+
+
+def _with(base, **changes):
+    """``base`` with top-level keys replaced, or dropped where the value is ``...``."""
+    document = {**base, **changes}
+    return {key: value for key, value in document.items() if value is not ...}
+
+
+def _thetas(thetas):
+    return _with(_SWEEP, experiment={"thetas": thetas})
+
+
+def _delays(delays):
+    return _with(_HOM, hom_scan={"delays": delays, "coherence_time": 1e-12})
+
+
+def _run(entry):
+    return _with(_SWEEP, experiment=..., runs=[entry])
+
+
+#: ``(id, command, manifest, the stderr line)`` of one-fault manifests, plus a
+#: few two-fault ones that pin which fault is reported first.
+_ERROR_LINES = [
+    ("manifest-not-object", "run-sweep", [], "manifest: expected an object, got list"),
+    ("manifest-unknown-key", "run-sweep", _with(_SWEEP, extra=1),
+     "manifest: unknown key 'extra' (allowed: config_version, experiment, hom_scan, outputs, runs)"),
+    ("manifest-no-version", "run-sweep", _with(_SWEEP, config_version=...),
+     "manifest: missing required key 'config_version'"),
+    ("unknown-key-before-no-version", "run-sweep", _with(_SWEEP, config_version=..., extra=1),
+     "manifest: unknown key 'extra' (allowed: config_version, experiment, hom_scan, outputs, runs)"),
+    ("experiment-not-object", "run-sweep", _with(_SWEEP, experiment=[]),
+     "experiment: expected an object, got list"),
+    ("experiment-unknown-key", "run-sweep", _with(_SWEEP, experiment={"qubit_hwp": 3.0}),
+     "experiment: unknown key 'qubit_hwp' (allowed: duration, imperfection_eps, overlap_v, "
+     "pair_rate, pc_enabled, qubit_hwp_angle, seed, thetas, wiring)"),
+    ("outputs-not-object", "run-sweep", _with(_SWEEP, outputs=[]),
+     "outputs: expected an object, got list"),
+    ("outputs-unknown-key", "run-sweep", _with(_SWEEP, outputs={"dir": "out"}),
+     "outputs: unknown key 'dir' (allowed: directory, format)"),
+    ("outputs-directory-empty", "run-sweep", _with(_SWEEP, outputs={"directory": ""}),
+     "outputs.directory: expected a non-empty string, got ''"),
+    ("outputs-format-xml", "run-sweep", _with(_SWEEP, outputs={"directory": "out", "format": "xml"}),
+     "outputs.format: expected one of csv, json, got 'xml'"),
+    ("thetas-unknown-key", "run-sweep", _thetas({"start": 0, "stop": 90, "step": 45, "num": 3}),
+     "experiment.thetas: unknown key 'num' (allowed: start, step, stop)"),
+    ("thetas-no-step", "run-sweep", _thetas({"start": 0, "stop": 90}),
+     "experiment.thetas: range needs 'step'"),
+    ("thetas-step-zero", "run-sweep", _thetas({"start": 0, "stop": 90, "step": 0}),
+     "experiment.thetas: step must be nonzero"),
+    ("thetas-empty-range", "run-sweep", _thetas({"start": 10, "stop": 0, "step": 1}),
+     "experiment.thetas: range produces no angles"),
+    ("thetas-string", "run-sweep", _thetas("x"),
+     "experiment.thetas: expected a list of angles or a start/stop/step object, got 'x'"),
+    ("no-experiment-or-runs", "run-sweep", _with(_SWEEP, experiment=...),
+     "manifest: run-sweep needs an 'experiment' or 'runs' section"),
+    ("experiment-and-runs", "run-sweep", _with(_SWEEP, runs=[{"name": "r", "experiment": {}}]),
+     "manifest: give either 'experiment' or 'runs', not both"),
+    ("runs-empty", "run-sweep", _with(_SWEEP, experiment=..., runs=[]),
+     "manifest.runs: expected a non-empty list of runs"),
+    ("runs-not-list", "run-sweep", _with(_SWEEP, experiment=..., runs={}),
+     "manifest.runs: expected a non-empty list of runs"),
+    ("run-not-object", "run-sweep", _run([]), "runs[0]: expected an object, got list"),
+    ("run-unknown-key", "run-sweep", _run({"name": "r", "experiment": {}, "seed": 1}),
+     "runs[0]: unknown key 'seed' (allowed: experiment, name)"),
+    ("run-no-name", "run-sweep", _run({"experiment": {}}), "runs[0]: missing required key 'name'"),
+    ("run-no-name-before-bad-experiment", "run-sweep", _run({"experiment": []}),
+     "runs[0]: missing required key 'name'"),
+    ("run-name-path", "run-sweep", _run({"name": "../x", "experiment": {}}),
+     "runs[0].name: expected a plain filename stem, got '../x'"),
+    ("run-bad-name-before-no-experiment", "run-sweep", _run({"name": "../x"}),
+     "runs[0].name: expected a plain filename stem, got '../x'"),
+    ("run-no-experiment", "run-sweep", _run({"name": "r"}), "runs[0]: missing required key 'experiment'"),
+    ("run-experiment-not-object", "run-sweep", _run({"name": "r", "experiment": []}),
+     "runs[0].experiment: expected an object, got list"),
+    ("runs-duplicate-name", "run-sweep",
+     _with(_SWEEP, experiment=..., runs=[{"name": "r", "experiment": {}}] * 2),
+     "runs[1].name: duplicate run name 'r'"),
+    ("hom-no-section", "hom-scan", _with(_HOM, hom_scan=...), "manifest: hom-scan needs a 'hom_scan' section"),
+    ("hom-not-object", "hom-scan", _with(_HOM, hom_scan=[]), "hom_scan: expected an object, got list"),
+    ("hom-unknown-key", "hom-scan", _with(_HOM, hom_scan={"delays": [0.0], "coherence_time": 1e-12, "x": 1}),
+     "hom_scan: unknown key 'x' (allowed: coherence_time, delays)"),
+    ("hom-no-delays", "hom-scan", _with(_HOM, hom_scan={"coherence_time": 1e-12}),
+     "hom_scan: missing required key 'delays'"),
+    ("hom-no-coherence-time", "hom-scan", _with(_HOM, hom_scan={"delays": [0.0]}),
+     "hom_scan: missing required key 'coherence_time'"),
+    ("delays-unknown-key", "hom-scan", _delays({"start": 0, "stop": 1, "num": 2, "step": 1}),
+     "hom_scan.delays: unknown key 'step' (allowed: num, start, stop)"),
+    ("delays-no-num", "hom-scan", _delays({"start": 0, "stop": 1}), "hom_scan.delays: range needs 'num'"),
+    ("delays-start-string", "hom-scan", _delays({"start": "a", "stop": 1, "num": 2}),
+     "hom_scan.delays: start must be a real number, got 'a'"),
+    ("delays-num-fraction", "hom-scan", _delays({"start": 0, "stop": 1, "num": 2.5}),
+     "hom_scan.delays: num must be an integer, got 2.5"),
+    ("delays-num-bool", "hom-scan", _delays({"start": 0, "stop": 1, "num": True}),
+     "hom_scan.delays: num must be an integer, got True"),
+    ("delays-num-string", "hom-scan", _delays({"start": 0, "stop": 1, "num": "3"}),
+     "hom_scan.delays: num must be an integer, got '3'"),
+    ("delays-num-zero", "hom-scan", _delays({"start": 0, "stop": 1, "num": 0}),
+     "hom_scan.delays: num must be at least 1, got 0"),
+    ("delays-string", "hom-scan", _delays("x"),
+     "hom_scan.delays: expected a list of delays or a start/stop/num object, got 'x'"),
+    ("hom-outputs-format-xml", "hom-scan", _with(_HOM, outputs={"directory": "out", "format": "xml"}),
+     "outputs.format: expected one of csv, json, got 'xml'"),
+]
+
+
+class TestManifestErrorLines:
+    """Every manifest fault the CLI itself reports, pinned line for line:
+    exit 1, exactly one ``error: <location>: <message>`` line on stderr,
+    nothing on stdout, and no file or directory made."""
+
+    @pytest.mark.parametrize(
+        "command,document,line", [case[1:] for case in _ERROR_LINES], ids=[case[0] for case in _ERROR_LINES]
+    )
+    def test_reports_one_located_line(self, tmp_path, monkeypatch, capsys, command, document, line):
+        write_manifest(tmp_path / "m.json", document)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, "--config", "m.json"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {line}\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["m.json"]
+
+
 class TestHomScanCommand:
     def manifest(self, tmp_path, delays):
         return write_manifest(
