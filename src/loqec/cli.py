@@ -19,7 +19,7 @@ import sys
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-from typing import Any, Collection, Mapping, Sequence
+from typing import Any, Callable, Collection, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .errors import (
     UsageError,
     ValidationError,
     as_finite_real,
+    as_integer,
 )
 from .experiment import (
     CurveResult,
@@ -60,34 +61,31 @@ _FORMATS = ("csv", "json")
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 
-def _fail(where: str, message: str) -> None:
+def _fail(where: str, message: str) -> NoReturn:
     raise ManifestError(f"{where}: {message}")
 
 
-def _mapping(value: Any, where: str) -> dict:
+def _section(
+    value: Any, where: str, allowed: Collection[str], required: Sequence[str] = ()
+) -> dict:
+    """``value`` as a manifest object: only ``allowed`` keys, and each ``required`` one in order."""
     if not isinstance(value, dict):
         _fail(where, f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _check_keys(section: Mapping[str, Any], allowed: Collection[str], where: str) -> None:
-    unknown = sorted(set(section).difference(allowed))
+    unknown = sorted(set(value).difference(allowed))
     if unknown:
         _fail(where, f"unknown key {unknown[0]!r} (allowed: {', '.join(sorted(allowed))})")
+    for key in required:
+        if key not in value:
+            _fail(where, f"missing required key {key!r}")
+    return value
 
 
-def _number(value: Any, name: str, where: str) -> float:
-    """A range object's bound or step: a finite number, as :func:`as_finite_real` reads one."""
+def _read(check: Callable[[Any, str], Any], value: Any, name: str, where: str) -> Any:
+    """``check(value, name)``, a library number check, its error located at ``where``."""
     try:
-        return as_finite_real(value, name)
+        return check(value, name)
     except ValidationError as exc:
         _fail(where, str(exc))
-
-
-def _integer(value: Any, name: str, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(where, f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def _check_grid_size(count: float, what: str, where: str) -> None:
@@ -96,7 +94,7 @@ def _check_grid_size(count: float, what: str, where: str) -> None:
 
 
 def _range_object(value: dict, keys: tuple[str, ...], where: str) -> None:
-    _check_keys(value, keys, where)
+    _section(value, where, keys)
     for key in keys:
         if key not in value:
             _fail(where, f"range needs {key!r}")
@@ -109,9 +107,9 @@ def _angle_grid(value: Any, where: str) -> Any:
         return value
     if isinstance(value, dict):
         _range_object(value, _THETA_RANGE_KEYS, where)
-        start = _number(value["start"], "start", where)
-        stop = _number(value["stop"], "stop", where)
-        step = _number(value["step"], "step", where)
+        start, stop, step = (
+            _read(as_finite_real, value[key], key, where) for key in _THETA_RANGE_KEYS
+        )
         if step == 0.0:
             _fail(where, "step must be nonzero")
         span = (stop - start) / step
@@ -122,7 +120,6 @@ def _angle_grid(value: Any, where: str) -> Any:
         _check_grid_size(count, "angles", where)
         return tuple(start + i * step for i in range(count))
     _fail(where, f"expected a list of angles or a start/stop/step object, got {value!r}")
-    raise AssertionError("unreachable")
 
 
 def _delay_grid(value: Any, where: str) -> Any:
@@ -132,9 +129,8 @@ def _delay_grid(value: Any, where: str) -> Any:
         return value
     if isinstance(value, dict):
         _range_object(value, _DELAY_RANGE_KEYS, where)
-        start = _number(value["start"], "start", where)
-        stop = _number(value["stop"], "stop", where)
-        num = _integer(value["num"], "num", where)
+        start, stop = (_read(as_finite_real, value[key], key, where) for key in ("start", "stop"))
+        num = _read(as_integer, value["num"], "num", where)
         if num < 1:
             _fail(where, f"num must be at least 1, got {num}")
         _check_grid_size(num, "delays", where)
@@ -142,15 +138,13 @@ def _delay_grid(value: Any, where: str) -> Any:
             _fail(where, f"range from start {start!r} to stop {stop!r} spans beyond the float range")
         return tuple(float(t) for t in np.linspace(start, stop, num))
     _fail(where, f"expected a list of delays or a start/stop/num object, got {value!r}")
-    raise AssertionError("unreachable")
 
 
 def _experiment_config(
     section: Any, where: str, seed_override: int | None
 ) -> ExperimentConfig:
     """The config of one experiment section; its values are checked by ``ExperimentConfig``."""
-    section = _mapping(section, where)
-    _check_keys(section, _EXPERIMENT_KEYS, where)
+    section = _section(section, where, _EXPERIMENT_KEYS)
     kwargs = dict(section)
     if "thetas" in section:
         kwargs["thetas"] = _angle_grid(section["thetas"], f"{where}.thetas")
@@ -160,7 +154,6 @@ def _experiment_config(
         return ExperimentConfig(**kwargs)
     except LoqecError as exc:
         _fail(where, str(exc))
-    raise AssertionError("unreachable")
 
 
 def load_manifest(path: Path) -> dict:
@@ -174,10 +167,7 @@ def load_manifest(path: Path) -> dict:
     # ValueError is also bad UTF-8 or an integer too long to parse; RecursionError, a nest too deep.
     except (ValueError, RecursionError) as exc:
         raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
-    data = _mapping(data, "manifest")
-    _check_keys(data, _TOP_KEYS, "manifest")
-    if "config_version" not in data:
-        _fail("manifest", "missing required key 'config_version'")
+    data = _section(data, "manifest", _TOP_KEYS, ("config_version",))
     version = data["config_version"]
     # A bare comparison would take true and 1.0 as well: True == 1.0 == 1.
     if type(version) is not int or version != MANIFEST_VERSION:
@@ -205,18 +195,14 @@ def _sweep_jobs(
     seen: set[str] = set()
     for i, entry in enumerate(runs):
         where = f"runs[{i}]"
-        entry = _mapping(entry, where)
-        _check_keys(entry, _RUN_KEYS, where)
-        if "name" not in entry:
-            _fail(where, "missing required key 'name'")
-        name = entry["name"]
+        name = _section(entry, where, _RUN_KEYS, ("name",))["name"]
         if not isinstance(name, str) or not _NAME_RE.match(name):
             _fail(f"{where}.name", f"expected a plain filename stem, got {name!r}")
         if name in seen:
             _fail(f"{where}.name", f"duplicate run name {name!r}")
         seen.add(name)
-        if "experiment" not in entry:
-            _fail(where, "missing required key 'experiment'")
+        # Required only now, so that a bad name is reported before a missing experiment.
+        entry = _section(entry, where, _RUN_KEYS, ("experiment",))
         config = _experiment_config(entry["experiment"], f"{where}.experiment", seed_override)
         jobs.append((f"{where} ({name})", name, config))
     return jobs
@@ -225,8 +211,7 @@ def _sweep_jobs(
 def _output_settings(
     manifest: Mapping[str, Any], directory_override: str | None, format_override: str | None
 ) -> tuple[Path, str]:
-    section = _mapping(manifest.get("outputs", {}), "outputs")
-    _check_keys(section, _OUTPUT_KEYS, "outputs")
+    section = _section(manifest.get("outputs", {}), "outputs", _OUTPUT_KEYS)
     directory = section.get("directory", ".")
     if not isinstance(directory, str) or not directory:
         _fail("outputs.directory", f"expected a non-empty string, got {directory!r}")
@@ -240,18 +225,15 @@ def _output_settings(
     return Path(directory), fmt
 
 
-def _float_str(value: float) -> str:
-    """Shortest decimal string that round-trips the float."""
-    return repr(float(value))
-
-
 def _csv_text(rows: list[dict]) -> str:
-    """A header of the rows' keys, then one line of values per row."""
+    """A header of the rows' keys, then one line of values per row.
+
+    Every cell is an exact ``float`` or ``int``, whose ``repr`` is its
+    shortest round-tripping decimal.
+    """
     lines = [",".join(rows[0])]
     for row in rows:
-        lines.append(
-            ",".join(_float_str(v) if isinstance(v, float) else str(v) for v in row.values())
-        )
+        lines.append(",".join(map(repr, row.values())))
     return "\n".join(lines) + "\n"
 
 
@@ -292,15 +274,16 @@ def _config_dict(config: ExperimentConfig) -> dict:
 
 
 def _sweep_rows(result: SweepResult) -> list[dict]:
-    counts_d2 = result.d1_d2.counts or ()
-    counts_d3 = result.d1_d3.counts or ()
+    """One row per angle of a counted sweep, as :func:`run_experiment` returns it."""
+    counts_d2 = result.d1_d2.counts
+    counts_d3 = result.d1_d3.counts
     return [
         {
             "theta_deg": theta,
             "p_d1_d2": result.d1_d2.probabilities[i],
             "p_d1_d3": result.d1_d3.probabilities[i],
-            "counts_d1_d2": int(counts_d2[i]),
-            "counts_d1_d3": int(counts_d3[i]),
+            "counts_d1_d2": counts_d2[i],
+            "counts_d1_d3": counts_d3[i],
         }
         for i, theta in enumerate(result.thetas)
     ]
@@ -414,12 +397,7 @@ def _cmd_hom_scan(args: argparse.Namespace) -> int:
     manifest = load_manifest(Path(args.config))
     if "hom_scan" not in manifest:
         _fail("manifest", "hom-scan needs a 'hom_scan' section")
-    section = _mapping(manifest["hom_scan"], "hom_scan")
-    _check_keys(section, _HOM_KEYS, "hom_scan")
-    if "delays" not in section:
-        _fail("hom_scan", "missing required key 'delays'")
-    if "coherence_time" not in section:
-        _fail("hom_scan", "missing required key 'coherence_time'")
+    section = _section(manifest["hom_scan"], "hom_scan", _HOM_KEYS, ("delays", "coherence_time"))
     delays = _delay_grid(section["delays"], "hom_scan.delays")
     directory, fmt = _output_settings(manifest, args.output, args.format)
     try:

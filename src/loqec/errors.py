@@ -1,6 +1,7 @@
 """Exception types shared across the simulator, and the number checks behind them."""
 
 import math
+import numbers
 
 import numpy as np
 
@@ -66,6 +67,13 @@ def _convert(kind: type, value: object, name: str, what: str):
 def as_real(value: object, name: str) -> float:
     """``value`` as a float; a bool, a string or another non-number is rejected."""
     return _convert(float, value, name, "a real number")
+
+
+def as_integer(value: object, name: str) -> int:
+    """``value`` as an int; a bool, a float or another non-integer is rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {_shown(value)}")
+    return int(value)
 
 
 def as_finite_real(value: object, name: str) -> float:

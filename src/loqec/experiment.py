@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -79,6 +78,7 @@ from .errors import (
     as_complex,
     as_finite_real,
     as_grid,
+    as_integer,
     as_real,
     as_real_array,
     check_unit_interval,
@@ -234,9 +234,7 @@ def _exposure(pair_rate: object, duration: object) -> tuple[float, float]:
 
 def _check_word(value: int, name: str) -> int:
     """``value`` as an int, which must fit one 64-bit Philox word unaltered."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
+    value = as_integer(value, name)
     if not 0 <= value < 2**64:
         raise ValidationError(f"{name} must lie in [0, 2**64), got {_shown(value)}")
     return value

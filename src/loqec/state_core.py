@@ -157,19 +157,19 @@ def _declare(paths: Iterable[str], labels: Iterable[ModeLabel]) -> tuple[str, ..
 
 
 def _checked(
-    values: np.ndarray, paths: Iterable[str], ndim: int, batch: bool = False
+    values: np.ndarray, paths: Iterable[str], ndim: int
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Distinct paths, and the amplitudes as a read-only complex array of their modes.
 
-    The last ``ndim`` axes run over the modes; with ``batch`` any leading
-    axes are batch axes.  Every amplitude must be finite.
+    The last ``ndim`` axes run over the modes; any leading axes are batch
+    axes.  Every amplitude must be finite.
     """
     paths = tuple(paths)
     if len(set(paths)) != len(paths):
         raise ConfigurationError(f"paths must be distinct, got {paths!r}")
     values = np.asarray(values, dtype=complex)
     lead = values.ndim - ndim
-    if lead < 0 or (lead and not batch) or values.shape[lead:] != (4 * len(paths),) * ndim:
+    if lead < 0 or values.shape[lead:] != (4 * len(paths),) * ndim:
         raise ValidationError(
             f"amplitude array shape {values.shape} does not fit {len(paths)} paths"
         )
@@ -247,7 +247,7 @@ class TwoPhotonState:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        paths, matrix = _checked(self.matrix, self.paths, 2, batch=True)
+        paths, matrix = _checked(self.matrix, self.paths, 2)
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "matrix", matrix)
 
@@ -317,7 +317,7 @@ class SinglePhotonState:
     vector: np.ndarray
 
     def __post_init__(self) -> None:
-        paths, vector = _checked(self.vector, self.paths, 1, batch=True)
+        paths, vector = _checked(self.vector, self.paths, 1)
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "vector", vector)
 

@@ -666,6 +666,11 @@ class TestHomScanCommand:
         assert len(csv_rows) == 13
         assert [{key: float(v) for key, v in row.items()} for row in csv_rows] == json_rows["rows"]
 
+    def test_lists_the_file_it_wrote(self, tmp_path, capsys):
+        manifest = self.manifest(tmp_path, [0.0])
+        assert cli.main(["hom-scan", "--config", str(manifest)]) == 0
+        assert capsys.readouterr().out == f"wrote {tmp_path / 'out' / 'hom_scan.csv'}\n"
+
     def test_empty_delay_list_rejected(self, tmp_path, capsys):
         manifest = self.manifest(tmp_path, [])
         assert cli.main(["hom-scan", "--config", str(manifest)]) == 1
@@ -798,6 +803,16 @@ class TestFitCommand:
         data = self.sweep_csv(tmp_path)
         assert cli.main(["fit", str(data), "--column", "nope"]) == 1
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,found", [
+        ("angle,p_d1_d2\n0,0.5\n", "angle, p_d1_d2"),
+        ("", "none"),
+    ], ids=["other-columns", "empty-file"])
+    def test_missing_angle_column_rejected(self, tmp_path, capsys, text, found):
+        data = tmp_path / "d.csv"
+        data.write_text(text, encoding="utf-8")
+        assert cli.main(["fit", str(data)]) == 1
+        assert capsys.readouterr().err == f"error: d.csv has no 'theta_deg' column (found: {found})\n"
 
     def test_unwritable_record_is_an_error_line(self, tmp_path, capsys):
         data = self.sweep_csv(tmp_path)

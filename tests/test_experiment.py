@@ -52,6 +52,7 @@ from loqec import (
 from loqec import experiment
 from loqec.detection import _pass_probabilities, analyzer_probabilities
 from loqec.elements import _hwp_image_of_h
+from loqec.errors import as_integer, as_real_array
 from loqec.experiment import _POISSON_MEAN_MAX, _philox_words, _ptrs_try
 
 R = 1.0 / math.sqrt(2.0)
@@ -2030,6 +2031,27 @@ class TestNumberChecks:
             ExperimentConfig(pair_rate=Fraction(10**400, 3))
         with pytest.raises(ValidationError, match="range, got a Fraction too long to print$"):
             encode_qubit(1.0, 0.0, Fraction(10**5000))
+
+    @pytest.mark.parametrize("value", [0, 7, 2**70, np.int64(-3), np.uint64(2**64 - 1)])
+    def test_an_integer_is_read_as_an_int(self, value):
+        number = as_integer(value, "n")
+        assert type(number) is int and number == value
+
+    @pytest.mark.parametrize("value", [True, np.True_, 1.0, "7", None, Fraction(3, 1), [1]])
+    def test_a_non_integer_is_named(self, value):
+        with pytest.raises(ValidationError) as raised:
+            as_integer(value, "n")
+        assert str(raised.value) == f"n must be an integer, got {value!r}"
+
+    def test_a_non_integer_too_long_to_print_is_named(self):
+        """Its ``repr`` would raise; the seed check names it by its type."""
+        message = "seed must be an integer, got a Fraction too long to print$"
+        with pytest.raises(ValidationError, match=message):
+            sample_counts([0.5], 1.0, 1.0, seed=Fraction(10**5000, 3))
+
+    def test_a_non_sequence_is_not_a_number_array(self):
+        with pytest.raises(ValidationError, match="^x must be a sequence of real numbers, got <"):
+            as_real_array(object(), "x")
 
     def test_complex_coefficients_accepted(self):
         _, p = encode_qubit(np.complex128(R), 1j * R)

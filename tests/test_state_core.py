@@ -153,6 +153,11 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match=message):
             SinglePhotonSpec("a", jones)
 
+    def test_three_component_jones_rejected(self):
+        message = "^jones vector must have exactly two components, got 3$"
+        with pytest.raises(ValidationError, match=message):
+            SinglePhotonSpec("a", (1.0, 0.0, 0.0))
+
     def test_non_sequence_jones_rejected(self):
         with pytest.raises(ValidationError, match="jones vector must be a pair of numbers, got 1.0"):
             SinglePhotonSpec("a", 1.0)
@@ -223,6 +228,17 @@ class TestFromTerms:
         l1, l2 = label("P", "H"), label("Q", "H")
         state = TwoPhotonState.from_terms([((l1, l2), 0.25), ((l2, l1), 0.25)])
         assert state.amplitude(l1, l2) == 0.5
+
+    def test_amplitude_off_the_declared_paths_is_zero(self):
+        state = pair_state({(("P", "H"), ("Q", "V")): 1.0})
+        assert state.amplitude(label("P", "H"), label("R", "V")) == 0j
+        assert state.amplitude(label("R", "H"), label("Q", "V")) == 0j
+
+    def test_a_state_is_never_equal_to_a_non_state(self):
+        """``==`` with another type falls back to identity through ``NotImplemented``."""
+        state = pair_state({(("P", "H"), ("Q", "V")): 1.0})
+        assert state.__eq__(1) is NotImplemented
+        assert (state == 1) is False and (state != 1) is True
 
     def test_overnormalized_state_rejected(self):
         with pytest.raises(ValidationError):
@@ -606,6 +622,16 @@ class TestSinglePhotonState:
                 {label("A", "H"): math.cos(a), label("A", "V"): math.sin(a)}
             )
             assert state.projection_probability((-math.sin(a), math.cos(a))) >= 0.0
+
+    def test_amplitude_off_the_declared_paths_is_zero(self):
+        state = SinglePhotonState.from_terms({label("A", "H"): 1.0})
+        assert state.amplitude(label("B", "H")) == 0j
+
+    def test_a_state_is_never_equal_to_a_non_state(self):
+        """``==`` with another type falls back to identity through ``NotImplemented``."""
+        state = SinglePhotonState.from_terms({label("A", "H"): 1.0})
+        assert state.__eq__(1) is NotImplemented
+        assert (state == 1) is False and (state != 1) is True
 
     def test_overnormalized_state_rejected(self):
         with pytest.raises(ValidationError):
