@@ -100,7 +100,12 @@ DEFAULT_THETAS = tuple(float(t) for t in range(-90, 91, 10))
 _POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 
 #: Delays per batch of states in :func:`hom_scan`, which bounds a scan's memory.
-_HOM_BLOCK = 2048
+#: A delay's largest arrays are 4096 B: the (16, 16) complex pair matrices of
+#: the state, the splitter's output and the post-selected copy.  31 delays keep
+#: each batch array at 126 976 B, under glibc's default mmap threshold of
+#: 128 KiB, which glibc only ever raises; the batches then come from the heap,
+#: where 32-delay ones would be mapped afresh and fault on every call.
+_HOM_BLOCK = (128 * 1024 - 1) // (16 * 16 * 16)
 
 #: Points a draw needs before :func:`_draw` runs its vectorized prefilter;
 #: a smaller draw calls numpy's scalar Poisson draw on every point.
@@ -848,9 +853,10 @@ def hom_scan(delays: Sequence[float], coherence_time: float) -> HomScanResult:
     splitter, and records the probability of a coincidence across the two
     outputs.  Zero delay gives zero coincidences; far beyond the coherence
     time the classical value one half is recovered.  The grid runs in
-    blocks of ``_HOM_BLOCK`` delays, each one batch of states through the
-    splitter and the post-selection, so a scan's memory does not grow with
-    its grid; a grid of one block is one batch.  A delay's point does not
+    blocks of ``_HOM_BLOCK`` (31) delays, each one batch of states through
+    the splitter and the post-selection, so a scan's memory does not grow
+    with its grid and every batch array stays under the allocator's mmap
+    threshold; a grid of one block is one batch.  A delay's point does not
     depend on its block.
     """
     grid = as_grid(delays, "delays")

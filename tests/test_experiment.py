@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import pathlib
+import platform
 import re
 import subprocess
 import sys
@@ -1273,6 +1274,45 @@ class TestSampleCounts:
             fit = fit_malus(config.thetas, counts.astype(float))
             assert abs(visibility(fit) - 0.922) <= 0.01
 
+    @pytest.mark.parametrize("mean, seed", [
+        (0.5, 1), (9.99, 2), (10.0, 3), (37.0, 4), (1e4, 5), (1e12, 6),
+    ])
+    def test_counts_follow_the_poisson_law(self, mean, seed):
+        """10**5 points of one mean, checked against the law itself rather
+        than numpy's bytes: the sample mean and variance each lie within 5
+        sigma of the mean, and for a small mean the histogram passes a
+        chi-square test against the exact Poisson pmf.  The means straddle
+        the prefilter's threshold of 10 and reach far past it."""
+        n = 10**5
+        counts = sample_counts(np.ones(n), mean, 1.0, seed=seed)
+        assert counts.dtype == np.int64 and counts.min() >= 0
+        deviations = counts.astype(float) - mean
+        sample_mean = deviations.mean()
+        # The standard deviations of the sample mean and variance: the
+        # Poisson law's variance is its mean and its fourth central moment
+        # mean + 3 mean**2.
+        assert abs(sample_mean) <= 5.0 * math.sqrt(mean / n)
+        variance = (deviations - sample_mean).var(ddof=1)
+        assert abs(variance - mean) <= 5.0 * math.sqrt((mean + 2.0 * mean**2) / n)
+        if mean > 37.0:
+            return
+        # Bins of every count whose expected number is at least 5, the two
+        # tails pooled into the bins at the ends.
+        ks = np.arange(counts.max() + 1)
+        pmf = np.array([math.exp(k * math.log(mean) - mean - math.lgamma(k + 1)) for k in ks])
+        kept = np.flatnonzero(n * pmf >= 5.0)
+        low, high = kept[0], kept[-1]
+        observed = np.bincount(np.clip(counts, low, high) - low, minlength=high - low + 1)
+        expected = n * pmf[low : high + 1]
+        expected[0] = n * pmf[: low + 1].sum()
+        expected[-1] = n - expected[:-1].sum()
+        chi2 = float((((observed - expected) ** 2) / expected).sum())
+        # The chi-square quantile at 1 - 1e-4 (z = 3.719), by Wilson and
+        # Hilferty's cube-root normal approximation.
+        dof = observed.size - 1
+        quantile = dof * (1.0 - 2.0 / (9 * dof) + 3.719 * math.sqrt(2.0 / (9 * dof))) ** 3
+        assert chi2 < quantile, (chi2, quantile, dof)
+
 
 class TestPoissonPrefilter:
     """The parts of the sampler's prefilter: the Philox block and the first
@@ -1945,10 +1985,10 @@ class TestHomScan:
                 hom_coincidence(point.delay, 1e-12), abs=1e-12
             )
 
-    def test_one_batched_call_per_stage(self, monkeypatch):
-        """State preparation, the splitter and the post-selection each run once per scan."""
-        from loqec import experiment
-
+    @pytest.mark.parametrize("n, blocks", [(7, 1), (61, 2)])
+    def test_one_batched_call_per_stage(self, monkeypatch, n, blocks):
+        """State preparation, the splitter and the post-selection each run
+        once per block: 7 delays are one block, 61 are two (31 + 30)."""
         calls = []
         for name in ("product_state", "apply_element", "coincidence_postselect"):
             original = getattr(experiment, name)
@@ -1956,23 +1996,55 @@ class TestHomScan:
                 experiment, name,
                 lambda *args, _name=name, _f=original: calls.append(_name) or _f(*args),
             )
-        result = hom_scan(tuple(np.linspace(-3e-12, 3e-12, 7)), 1e-12)
-        assert len(result.points) == 7
-        assert sorted(calls) == ["apply_element", "coincidence_postselect", "product_state"]
+        result = hom_scan(tuple(np.linspace(-3e-12, 3e-12, n)), 1e-12)
+        assert len(result.points) == n
+        assert sorted(calls) == sorted(
+            ["apply_element", "coincidence_postselect", "product_state"] * blocks
+        )
 
-    @pytest.mark.parametrize("n", [1, 15, 16, 17, 100])
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 31, 32, 61, 62, 100])
     def test_blocks_give_the_bits_of_one_batch(self, monkeypatch, n):
-        from loqec import experiment
-
+        """The default block and blocks of 16 give the bits of one batch of all ``n`` delays."""
         rng = np.random.default_rng(n)
         delays = np.concatenate(([0.0], rng.uniform(-5e-12, 5e-12, n - 1)))
-        whole = hom_scan(delays, self.sigma)
-        monkeypatch.setattr(experiment, "_HOM_BLOCK", 16)
-        blocked = hom_scan(delays, self.sigma)
-        assert [[x.hex() for x in dataclasses.astuple(point)] for point in blocked.points] == [
-            [x.hex() for x in dataclasses.astuple(point)] for point in whole.points
-        ]
-        assert blocked.points[0].p_coincidence == 0.0
+
+        def bits(block):
+            monkeypatch.setattr(experiment, "_HOM_BLOCK", block)
+            result = hom_scan(delays, self.sigma)
+            assert result.points[0].p_coincidence == 0.0
+            return [[x.hex() for x in dataclasses.astuple(point)] for point in result.points]
+
+        default = bits(experiment._HOM_BLOCK)
+        assert bits(16) == default
+        assert bits(n) == default
+
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc", reason="the mmap threshold is glibc's malloc's"
+    )
+    def test_a_warm_scan_takes_no_page_faults(self):
+        """Each batch array stays under the allocator's mmap threshold, so a
+        warm 61-delay scan reuses heap memory instead of faulting in fresh
+        pages on every call."""
+        src = str(pathlib.Path(experiment.__file__).parents[1])
+        code = "\n".join([
+            "import resource",
+            "import numpy as np",
+            "from loqec import hom_scan",
+            "delays = tuple(np.linspace(-6e-12, 6e-12, 61))",
+            "for _ in range(20):",
+            "    hom_scan(delays, 1.35e-12)",
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            "for _ in range(200):",
+            "    hom_scan(delays, 1.35e-12)",
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            "print((after - before) / 200)",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 10.0
 
     def test_a_long_scan_runs_in_bounded_memory(self):
         delays = np.linspace(-5e-12, 5e-12, 20_000)
