@@ -163,7 +163,8 @@ class WiringConfig(Enum):
 
     The two members are the two ways of plugging the pair of fibers; the
     swap is a pure relabeling, so both produce identical statistics once
-    detector roles are fixed by arm.
+    detector roles are fixed by arm.  A sweep reads the herald forms of
+    ``A_TO_C_B_TO_D`` alone; a test pins the other member's to its bytes.
     """
 
     A_TO_C_B_TO_D = "A:C,B:D"

@@ -11,12 +11,13 @@ survivor of the Z measurement is linear in the qubit's Jones vector and in
 photon b's two temporal amplitudes.  The Pockels cell is fixed too, and
 the analyzer reads a herald only through its 2x2 coherency matrix ``J``,
 which is therefore a fixed quadratic form in the four real input
-amplitudes.  One import-time build per wiring (:func:`_herald_forms`)
-makes the survivors of the four basis inputs, H or V times temporal index
-0 or 1, through :func:`encode_qubit`'s own chain, and from them the form
-of each Pockels setting.  A sweep config reads both heralds' ``J`` off it
-(see :func:`run_analytic`): no config builds a two-photon or a
-single-photon state.
+amplitudes.  One import-time build (:func:`_herald_forms`) makes the
+survivors of the four basis inputs, H or V times temporal index 0 or 1,
+through :func:`encode_qubit`'s own chain, and from them the form of each
+Pockels setting.  The fiber swap only relabels paths, so one wiring's
+forms serve both.  A sweep config reads both heralds' ``J`` off them (see
+:func:`run_analytic`): no config builds a two-photon or a single-photon
+state.
 
 A sweep's inputs are checked once, by :class:`ExperimentConfig`, which
 holds its grid as a tuple of finite floats and its exposure and seed as
@@ -201,13 +202,9 @@ def _herald_forms(wiring: WiringConfig) -> dict[bool, np.ndarray]:
     return forms
 
 
-#: Each wiring's and Pockels setting's herald form, built at import, one
-#: wiring's four survivors at a time, so that no sweep builds a survivor.
-_HERALD_FORMS = {
-    (wiring, pc_enabled): form
-    for wiring in WiringConfig
-    for pc_enabled, form in _herald_forms(wiring).items()
-}
+#: Each Pockels setting's herald form, built at import so that no sweep builds
+#: a survivor.  The fiber swap only relabels paths: one wiring serves both.
+_HERALD_FORMS = _herald_forms(WiringConfig.A_TO_C_B_TO_D)
 
 
 def _probability(value: object, name: str) -> float:
@@ -361,8 +358,8 @@ def run_analytic(config: ExperimentConfig) -> SweepResult:
     """Run the sweep with exact probabilities (no counting noise).
 
     Both heralds' coherency matrices are read off the herald form of the
-    config's wiring and Pockels setting (see the module docstring): with
-    ``psi`` the qubit's Jones vector and ``v = overlap_v``, the real
+    config's Pockels setting, the same for both wirings (module docstring):
+    with ``psi`` the qubit's Jones vector and ``v = overlap_v``, the real
     amplitudes ``c = psi (x) (sqrt v, sqrt(1 - v))`` give
     ``J = sum_kl c_k c_l F[k, l]``, an elementwise sum with no matrix
     product.  ``J`` is real, since ``c`` and the form are, and its
@@ -408,7 +405,7 @@ def _sweep(config: ExperimentConfig, counted: bool) -> SweepResult:
     matched, unmatched = math.sqrt(config.overlap_v), math.sqrt(1.0 - config.overlap_v)
     psi = np.array((h, v_pol))
     c = np.array((h * matched, h * unmatched, v_pol * matched, v_pol * unmatched))
-    form = _HERALD_FORMS[config.wiring, config.pc_enabled]
+    form = _HERALD_FORMS[config.pc_enabled]
     heralds = ((c[:, None] * c)[..., None, None, None] * form).sum(axis=(0, 1)).tolist()
 
     keep = 1.0 - config.imperfection_eps

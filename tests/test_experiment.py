@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from _oracle import curve_formula, encoder_branch_states, encoder_curve, hom_coincidence
 from loqec import (
     DEFAULT_THETAS,
+    PATH_C,
     PATH_D,
     ExperimentConfig,
     FitError,
@@ -42,6 +43,7 @@ from loqec import (
     fit_malus,
     hom_scan,
     hwp,
+    pockels,
     product_state,
     rewire,
     run_analytic,
@@ -467,7 +469,7 @@ def numpy_algebra(config):
     psi = np.array(_hwp_image_of_h(config.qubit_hwp_angle))
     v = config.overlap_v
     c = (psi[:, None] * (math.sqrt(v), math.sqrt(1.0 - v))).reshape(4)
-    form = experiment._HERALD_FORMS[config.wiring, config.pc_enabled]
+    form = experiment._HERALD_FORMS[config.pc_enabled]
     coherency = ((c[:, None] * c)[..., None, None, None] * form).sum(axis=(0, 1))
     weights = coherency[:, 0, 0] + coherency[:, 1, 1]
     p_success = float(weights.sum())
@@ -513,8 +515,8 @@ def basis_survivors(wiring):
 
 
 class TestSurvivorBasis:
-    """A sweep config reads both heralds off forms built once per wiring
-    from the survivors of four basis inputs."""
+    """A sweep config reads both heralds off forms built once, from one
+    wiring's survivors of four basis inputs, that serve both wirings."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -563,12 +565,8 @@ class TestSurvivorBasis:
                 ))
                 assert result.success_probability == pytest.approx(0.5, abs=1e-12)
 
-    def test_each_wiring_and_pockels_setting_has_a_read_only_herald_form(self):
-        from loqec import experiment
-
-        assert set(experiment._HERALD_FORMS) == {
-            (wiring, pc_enabled) for wiring in WiringConfig for pc_enabled in (False, True)
-        }
+    def test_each_pockels_setting_has_a_read_only_herald_form(self):
+        assert set(experiment._HERALD_FORMS) == {False, True}
         for form in experiment._HERALD_FORMS.values():
             assert form.shape == (4, 4, 2, 2, 2)
             assert form.dtype == np.float64
@@ -591,11 +589,13 @@ class TestSurvivorBasis:
         vector = (np.reshape(c, (4, 1, 1, 1)) * basis).sum(axis=0)
         survivor = SinglePhotonState(survivors[0].paths, vector)
         expected = apply_feedforward(survivor, pc_enabled).coherency().sum(axis=1).real
-        form = experiment._HERALD_FORMS[wiring, pc_enabled]
+        form = experiment._HERALD_FORMS[pc_enabled]
         got = (np.multiply.outer(c, c)[..., None, None, None] * form).sum(axis=(0, 1))
         assert np.abs(got - expected).max() <= 1e-15
 
-    def test_a_wirings_forms_are_built_from_its_four_survivors(self, monkeypatch):
+    def test_each_wirings_forms_are_the_shipped_bytes(self, monkeypatch):
+        """The fiber swap is a pure path relabelling: each wiring's own chain
+        of four survivors builds the forms that the sweep reads for both."""
         survivors = []
         measure = experiment.z_measure
         monkeypatch.setattr(
@@ -610,12 +610,29 @@ class TestSurvivorBasis:
                 assert survivor.vector.shape == (2, 2, 12)
             assert set(forms) == {False, True}
             for pc_enabled, form in forms.items():
-                shipped = experiment._HERALD_FORMS[wiring, pc_enabled]
+                shipped = experiment._HERALD_FORMS[pc_enabled]
                 assert (form.shape, form.dtype) == (shipped.shape, shipped.dtype)
                 assert form.tobytes() == shipped.tobytes()
                 assert not form.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     form[0, 0, 0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("wiring", list(WiringConfig))
+    def test_the_cell_makes_d3_carry_d2s_channel_exactly(self, wiring):
+        """The paper's correction at the level of the forms, with D2 at
+        herald 0 and D3 at herald 1: with the cell on both heralds carry the
+        same channel, byte for byte; with it off D3's form is D2's under
+        the cell's flip ``P``.  Each basis survivor's heralds share 1/2."""
+        forms = experiment._herald_forms(wiring)
+        flip = pockels(PATH_C, active=True).matrix.real
+        on, off = forms[True], forms[False]
+        assert on[:, :, 0].tobytes() == on[:, :, 1].tobytes()
+        flipped = np.einsum("ai,klij,bj->klab", flip, off[:, :, 0], flip)
+        assert np.array_equal(flipped, off[:, :, 1])
+        assert not np.array_equal(off[:, :, 0], off[:, :, 1])
+        for form in (off, on):
+            for k in range(4):
+                assert np.trace(form[k, k, 0]) + np.trace(form[k, k, 1]) == 0.5
 
 
 class TestRunExperiment:

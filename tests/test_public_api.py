@@ -69,16 +69,33 @@ def test_public_names_are_pinned():
     assert [name for name in PUBLIC_NAMES if not hasattr(loqec, name)] == []
 
 
+def module_level_names(node):
+    """The names a module-level statement binds by definition or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    names = []
+    for target in targets:
+        names += target.elts if isinstance(target, ast.Tuple) else [target]
+    return [name.id for name in names if isinstance(name, ast.Name)]
+
+
 def test_every_private_helper_is_used_in_the_package():
-    """A module-level private function or class that nothing in the package
-    loads by name, as a name, an attribute or an import, is dead code."""
+    """A module-level private function, class or constant that nothing in
+    the package loads by name, as a name, an attribute or an import, is
+    dead code."""
     trees = [ast.parse(path.read_text()) for path in Path(loqec.__file__).parent.glob("*.py")]
     defined = {
-        node.name
+        name
         for tree in trees
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
+        for name in module_level_names(node)
+        if name.startswith("_") and not name.startswith("__")
     }
     used = set()
     for node in (node for tree in trees for node in ast.walk(tree)):
@@ -89,6 +106,7 @@ def test_every_private_helper_is_used_in_the_package():
         elif isinstance(node, ast.ImportFrom):
             used.update(alias.name for alias in node.names)
     assert {"_mode_operator", "_ptrs_try", "_survivor_rows"} <= defined
+    assert {"_HERALD_FORMS", "_HOM_BLOCK", "_PHILOX_M", "_Z_BASIS"} <= defined
     assert sorted(defined - used) == []
 
 
